@@ -18,13 +18,15 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .evaluation import (
+    EvalConfig,
     EvalReport,
     EvaluationError,
+    UtilityAnnotation,
     agreement_curve,
     build_report,
     csis_agreement_tally,
@@ -36,8 +38,8 @@ from .evaluation import (
 )
 from .lexstats import build_centroid, build_idf, incremental_cluster, load_idf, save_idf
 from .summarizer import (
-    DEFAULT_ENUMERATION_CAP,
     PRESETS,
+    Extract,
     ScoreWeights,
     extract,
     extract_to_dict,
@@ -63,23 +65,16 @@ class RunConfig:
     sim_threshold: float = 0.1
     agreement_threshold: int = 3
     redundancy: bool = False
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    seed: int = 0  # reserved for sampling modes
 
     def __post_init__(self) -> None:
         ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
-        if not 0 < self.r <= 1:
-            raise ValueError(f"r must be in (0, 1], got {self.r}")
-        if self.r_grid is not None:
-            for value in self.r_grid:
-                if not 0 < value <= 1:
-                    raise ValueError(f"r grid value {value} outside (0, 1]")
-        if not 0 <= self.E <= 1:
-            raise ValueError(f"E must be in [0, 1], got {self.E}")
-        if self.agreement_threshold < 1:
-            raise ValueError("agreement threshold must be >= 1")
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration cap must be >= 1")
+        for rate in (self.r, *self.rates):
+            EvalConfig(rate, self.E, self.agreement_threshold)
+        tags = [_r_tag(rate) for rate in self.rates]
+        shared = sorted({tag for tag in tags if tags.count(tag) > 1})
+        if shared:
+            grid = format_r_grid(self.r_grid)
+            raise ValueError(f"r grid {grid} gives several rates the output tag {', '.join(shared)}")
 
     @property
     def weights(self) -> ScoreWeights:
@@ -90,18 +85,7 @@ class RunConfig:
         return self.r_grid if self.r_grid is not None else (self.r,)
 
     def to_file(self, path: str | Path) -> None:
-        lines = [
-            f"weights={self.w_c:g},{self.w_p:g},{self.w_f:g}",
-            f"r={self.r:g}",
-            f"r_grid={format_r_grid(self.r_grid)}",
-            f"E={self.E:g}",
-            f"centroid_threshold={self.centroid_threshold:g}",
-            f"sim_threshold={self.sim_threshold:g}",
-            f"agreement_threshold={self.agreement_threshold}",
-            f"redundancy={'on' if self.redundancy else 'off'}",
-            f"enumeration_cap={self.enumeration_cap}",
-            f"seed={self.seed}",
-        ]
+        lines = [f"{key}={format_(self)}" for key, (_, format_) in _SETTINGS.items()]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -115,24 +99,33 @@ class RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "weights":
-                w_c, w_p, w_f = parse_weights(value)
-                updates.update(w_c=w_c, w_p=w_p, w_f=w_f)
-            elif key == "r":
-                updates["r"] = float(value)
-            elif key == "r_grid":
-                updates["r_grid"] = parse_r_grid(value) if value else None
-            elif key == "E":
-                updates["E"] = float(value)
-            elif key in ("centroid_threshold", "sim_threshold"):
-                updates[key] = float(value)
-            elif key in ("agreement_threshold", "enumeration_cap", "seed"):
-                updates[key] = int(value)
-            elif key == "redundancy":
-                updates["redundancy"] = parse_on_off(value)
-            else:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+            updates.update(_SETTINGS[key][0](value))
         return cls(**updates)
+
+
+def _field(name: str, parse=float, format_=lambda value: f"{value:g}"):
+    return lambda text: {name: parse(text)}, lambda config: format_(getattr(config, name))
+
+
+# Settings-file key -> (parse its value into RunConfig fields, format it back).
+# Entries call functions by name, so wrapped or patched ones see every call.
+_SETTINGS = {
+    "weights": (
+        lambda text: dict(zip(("w_c", "w_p", "w_f"), parse_weights(text))),
+        lambda c: f"{c.w_c:g},{c.w_p:g},{c.w_f:g}",
+    ),
+    "r": _field("r"),
+    "r_grid": _field(
+        "r_grid", lambda text: parse_r_grid(text) if text else None, lambda grid: format_r_grid(grid)
+    ),
+    "E": _field("E"),
+    "centroid_threshold": _field("centroid_threshold"),
+    "sim_threshold": _field("sim_threshold"),
+    "agreement_threshold": _field("agreement_threshold", int, str),
+    "redundancy": _field("redundancy", lambda text: parse_on_off(text), lambda on: "on" if on else "off"),
+}
 
 
 def parse_weights(text: str) -> tuple[float, float, float]:
@@ -169,27 +162,18 @@ def parse_on_off(value: str) -> bool:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by --config file, overridden by explicit flags."""
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = RunConfig.from_file(args.config)
-    updates: dict = {}
-    if getattr(args, "preset", None):
-        weights = PRESETS[args.preset]
-        updates.update(w_c=weights.w_c, w_p=weights.w_p, w_f=weights.w_f)
-    if getattr(args, "weights", None):
-        w_c, w_p, w_f = parse_weights(args.weights)
-        updates.update(w_c=w_c, w_p=w_p, w_f=w_f)
+    """Defaults, overridden by --config file, overridden by explicit flags.
+
+    Each flag is named after its settings-file key and parsed the same way.
+    """
+    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    updates = asdict(PRESETS[args.preset]) if getattr(args, "preset", None) else {}
     if getattr(args, "r", None) is not None:
-        updates.update(r=args.r, r_grid=None)
-    if getattr(args, "r_grid", None):
-        updates["r_grid"] = parse_r_grid(args.r_grid)
-    for name in ("E", "centroid_threshold", "sim_threshold", "agreement_threshold", "enumeration_cap", "seed"):
-        value = getattr(args, name, None)
+        updates["r_grid"] = None  # an explicit rate replaces a configured grid
+    for key, (parse, _) in _SETTINGS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            updates[name] = value
-    if getattr(args, "redundancy", None):
-        updates["redundancy"] = parse_on_off(args.redundancy)
+            updates.update(parse(value))
     return replace(config, **updates)
 
 
@@ -201,6 +185,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _r_tag(r: float) -> str:
@@ -251,27 +242,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _system_extract(cluster: Cluster, config: RunConfig, idf_path: str, r: float):
-    idf = load_idf(idf_path)
-    centroid = build_centroid(cluster, idf, config.centroid_threshold)
+def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dict[float, Extract]:
+    """Score the cluster once, then select its extract at each of the config's rates."""
+    centroid = build_centroid(cluster, load_idf(idf_path), config.centroid_threshold)
     scores = score_sentences(cluster, centroid, config.weights)
-    if config.redundancy:
-        return redundancy_rerank(cluster, scores, r)
-    return extract(cluster, scores, r)
+    select = redundancy_rerank if config.redundancy else extract
+    return {r: select(cluster, scores, r) for r in config.rates}
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     cluster = parse_cluster(args.cluster_file)
-    idf = load_idf(args.idf)
-    centroid = build_centroid(cluster, idf, config.centroid_threshold)
-    scores = score_sentences(cluster, centroid, config.weights)
     out = _out_dir(args)
-    for r in config.rates:
-        if config.redundancy:
-            ext = redundancy_rerank(cluster, scores, r)
-        else:
-            ext = extract(cluster, scores, r)
+    for r, ext in _score_and_select(cluster, args.idf, config).items():
         tag = _r_tag(r)
         _write_json(extract_to_dict(ext), out / f"extract_{cluster.cluster_id}_{tag}.json")
         text = summary_text(cluster, ext)
@@ -280,36 +263,63 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_extract_file(path: str) -> tuple[str, list[int]]:
+def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation]) -> list[int]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return str(data["cluster_id"]), sorted(int(p) for p in data["selected"])
+        cluster_id, selected = str(data["cluster_id"]), sorted(int(p) for p in data["selected"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not an extract file: {exc}") from None
+    if cluster_id != annotations[0].cluster_id:
+        raise EvaluationError(
+            f"extract {path} is for cluster {cluster_id!r}, "
+            f"annotations are for {annotations[0].cluster_id!r}"
+        )
+    return selected
+
+
+def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Cluster:
+    """Parse a cluster file and require it to be the one the judges annotated."""
+    cluster = parse_cluster(path)
+    judged = annotations[0]
+    if (cluster.cluster_id, cluster.n) != (judged.cluster_id, judged.n):
+        raise EvaluationError(
+            f"{path}: cluster {cluster.cluster_id!r} has {cluster.n} sentences; the "
+            f"annotations are for cluster {judged.cluster_id!r} with {judged.n}"
+        )
+    return cluster
+
+
+def _system_cells(report: EvalReport, label: str) -> list[str]:
+    """s, d and, with subsumption, s_csis and d_csis of one system as table text."""
+    cells = [f"{report.S[label]:.3f}", f"{round_half_up(report.D[label]):.3f}"]
+    if report.E is not None:
+        cells += [f"{report.S_csis[label]:.3f}", f"{round_half_up(report.D_csis[label]):.3f}"]
+    return cells
 
 
 def _write_report_csv(report: EvalReport, path: Path) -> None:
     """Judge-vs-judge table with per-judge means, then one row per system."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["judge", *report.judge_ids, "per_judge"])
-        for i, judge_id in enumerate(report.judge_ids):
-            writer.writerow(
-                [judge_id]
-                + [f"{value:.3f}" for value in report.J_matrix[i]]
-                + [f"{report.J_per_judge[i]:.3f}"]
-            )
-        writer.writerow(["mean_j", f"{report.mean_J:.3f}"])
-        writer.writerow(["random", f"{report.R:.3f}"])
-        header = ["system", "s", "d"]
-        if report.E is not None:
-            header += ["s_csis", "d_csis"]
-        writer.writerow(header)
+    rows = [
+        [judge_id, *(f"{value:.3f}" for value in row), f"{per_judge:.3f}"]
+        for judge_id, row, per_judge in zip(report.judge_ids, report.J_matrix, report.J_per_judge)
+    ]
+    rows += [["mean_j", f"{report.mean_J:.3f}"], ["random", f"{report.R:.3f}"]]
+    rows.append(["system", "s", "d"] + (["s_csis", "d_csis"] if report.E is not None else []))
+    rows += [[label, *_system_cells(report, label)] for label in sorted(report.S)]
+    _write_csv(path, ["judge", *report.judge_ids, "per_judge"], rows)
+
+
+def _write_d_grid(reports: Sequence[EvalReport], path: Path) -> None:
+    """One row per rate and system: s, random, mean_j, d (and the CSIS pair)."""
+    header = ["r", "system", "s", "random", "mean_j", "d"]
+    if reports[0].E is not None:
+        header += ["s_csis", "d_csis"]
+    rows = []
+    for report in reports:
         for label in sorted(report.S):
-            row = [label, f"{report.S[label]:.3f}", f"{round_half_up(report.D[label]):.3f}"]
-            if report.E is not None:
-                row += [f"{report.S_csis[label]:.3f}", f"{round_half_up(report.D_csis[label]):.3f}"]
-            writer.writerow(row)
+            s, *d_and_csis = _system_cells(report, label)
+            rows.append([f"{report.r:.2f}", label, s, f"{report.R:.3f}", f"{report.mean_J:.3f}"] + d_and_csis)
+    _write_csv(path, header, rows)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -321,62 +331,33 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         graph = csis_consensus(subs, config.agreement_threshold)
     if config.r_grid is not None and args.extract:
         raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")
-    lead_cluster = parse_cluster(args.lead) if args.lead else None
-    system_cluster = parse_cluster(args.system) if args.system else None
+    if config.r_grid is not None and not (args.lead or args.system):
+        raise ValueError("--r-grid needs --lead and/or --system")
     if args.system and not args.idf:
         raise ValueError("--system needs --idf to score sentences")
-    out = _out_dir(args)
-
-    def systems_at(r: float) -> dict[str, list[int]]:
-        systems: dict[str, list[int]] = {}
-        for path in args.extract or []:
-            cluster_id, selected = _load_extract_file(path)
-            if cluster_id != annotations[0].cluster_id:
-                raise EvaluationError(
-                    f"extract {path} is for cluster {cluster_id!r}, "
-                    f"annotations are for {annotations[0].cluster_id!r}"
-                )
-            systems[Path(path).stem] = selected
+    fixed = {Path(path).stem: _load_extract_file(path, annotations) for path in args.extract or []}
+    lead_cluster = _judged_cluster(args.lead, annotations) if args.lead else None
+    system_cluster = _judged_cluster(args.system, annotations) if args.system else None
+    system_extracts = _score_and_select(system_cluster, args.idf, config) if system_cluster else {}
+    reports = []
+    for r in config.rates:
+        systems = dict(fixed)
         if lead_cluster is not None:
-            systems["lead"] = sorted(lead_baseline(lead_cluster, r).selected)
-        if system_cluster is not None:
-            ext = _system_extract(system_cluster, config, args.idf, r)
-            systems["system"] = sorted(ext.selected)
-        return systems
-
-    if config.r_grid is None:
-        report = build_report(annotations, systems_at(config.r), config.r, graph, config.E)
-        _write_json(report_to_dict(report), out / "report.json")
-        _write_report_csv(report, out / "report.csv")
-        print(f"mean_j={report.mean_J:.3f} random={report.R:.3f}")
-        for label in sorted(report.D):
-            print(f"{label}: s={report.S[label]:.3f} d={report.D[label]:.3f}")
+            systems["lead"] = lead_baseline(lead_cluster, r).selected
+        if system_extracts:
+            systems["system"] = system_extracts[r].selected
+        reports.append(build_report(annotations, systems, r, graph, config.E))
+    out = _out_dir(args)
+    if config.r_grid is not None:
+        _write_d_grid(reports, out / "d_grid.csv")
+        print(f"wrote {out / 'd_grid.csv'}")
         return 0
-
-    if not (lead_cluster or system_cluster):
-        raise ValueError("--r-grid needs --lead and/or --system")
-    grid_path = out / "d_grid.csv"
-    with open(grid_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        header = ["r", "system", "s", "random", "mean_j", "d"]
-        if graph is not None:
-            header += ["s_csis", "d_csis"]
-        writer.writerow(header)
-        for r in config.r_grid:
-            report = build_report(annotations, systems_at(r), r, graph, config.E)
-            for label in sorted(report.S):
-                row = [
-                    f"{r:.2f}",
-                    label,
-                    f"{report.S[label]:.3f}",
-                    f"{report.R:.3f}",
-                    f"{report.mean_J:.3f}",
-                    f"{round_half_up(report.D[label]):.3f}",
-                ]
-                if graph is not None:
-                    row += [f"{report.S_csis[label]:.3f}", f"{round_half_up(report.D_csis[label]):.3f}"]
-                writer.writerow(row)
-    print(f"wrote {grid_path}")
+    report = reports[0]
+    _write_json(report_to_dict(report), out / "report.json")
+    _write_report_csv(report, out / "report.csv")
+    print(f"mean_j={report.mean_J:.3f} random={report.R:.3f}")
+    for label in sorted(report.D):
+        print(f"{label}: s={report.S[label]:.3f} d={report.D[label]:.3f}")
     return 0
 
 
@@ -385,37 +366,20 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.mode == "cbsu":
         annotations = [load_utility_annotation(p) for p in args.annotations]
-        if len(annotations) < 2:
-            raise EvaluationError("need at least 2 judges")
         curve = agreement_curve(annotations, config.r_grid)
         path = out / "agreement_curve.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["r", "mean_j"])
-            for r, mean_j in curve:
-                writer.writerow([f"{r:.2f}", f"{mean_j:.3f}"])
+        _write_csv(path, ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
     annotations = [load_subsumption_annotation(p) for p in args.annotations]
     tally = csis_agreement_tally(annotations)
     tally_path = out / "csis_tally.csv"
-    with open(tally_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["position", "plus_score", "minus_score"])
-        for row in tally.rows:
-            writer.writerow(
-                [
-                    row.position,
-                    "" if row.plus_score is None else row.plus_score,
-                    "" if row.minus_score is None else row.minus_score,
-                ]
-            )
+    rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""
+    _write_csv(tally_path, ["position", "plus_score", "minus_score"], rows)
     hist_path = out / "csis_histogram.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["agreement", "sign", "sentences"])
-        for (level, sign), count in sorted(tally.histogram.items(), key=lambda kv: (-kv[0][0], kv[0][1])):
-            writer.writerow([level, sign, count])
+    histogram = sorted(tally.histogram.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+    rows = [[level, sign, count] for (level, sign), count in histogram]
+    _write_csv(hist_path, ["agreement", "sign", "sentences"], rows)
     print(f"wrote {tally_path} and {hist_path}")
     return 0
 
@@ -443,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_idf = sub.add_parser("idf", help="build an IDF model from a corpus directory")
     p_idf.add_argument("corpus_dir")
-    _add_common(p_idf)
+    p_idf.add_argument("--out", help="output directory (default: current directory)")
     p_idf.set_defaults(func=cmd_idf)
 
     p_cluster = sub.add_parser("cluster", help="group documents into event clusters")
@@ -469,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--subsumption", nargs="+", help="subsumption annotation files")
     p_eval.add_argument("--E", dest="E", type=float, help="subsumption discount factor in [0, 1]")
     p_eval.add_argument("--agreement-threshold", dest="agreement_threshold", type=int)
-    p_eval.add_argument("--enumeration-cap", dest="enumeration_cap", type=int)
     _add_common(p_eval, rates=True, scoring=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -488,12 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EvaluationError as exc:
+    except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, EvaluationError) else 2
 
 
 if __name__ == "__main__":

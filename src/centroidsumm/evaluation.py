@@ -18,9 +18,10 @@ credit of any extract sentence whose subsumption partner was already
 credited, so redundant selections can be punished or ignored. Legacy
 precision/recall and percent agreement are included for comparison.
 
-All operations compute in full precision. Report construction additionally
-applies half-up 3-decimal rounding at each aggregation step (matrix entries,
-per-judge means, their mean, and the S/R/J inputs of D), which is the
+J, R and S are means over judges of one per-judge ratio (credited utility
+over that judge's best k-sentence utility), computed in full precision.
+Report construction instead rounds half-up to 3 decimals at each aggregation
+step (per-judge ratios, their mean, and the S/R/J inputs of D), which is the
 arithmetic the reference result tables were produced with.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .summarizer import compression_size, enumerate_extracts, DEFAULT_ENUMERATION_CAP
 
@@ -162,12 +163,10 @@ def extract_utility(
     return total
 
 
-def cross_judge_matrix(
-    annotations: Sequence[UtilityAnnotation], r: float
-) -> list[list[float]]:
-    """J[i][j]: how much of judge j's maximum utility judge i's extract earns."""
-    if len(annotations) < 2:
-        raise EvaluationError("need at least 2 judges")
+def _check_judges(annotations: Sequence[UtilityAnnotation], minimum: int = 1) -> int:
+    """The one judge-consistency check: enough judges, one cluster, one n (returned)."""
+    if len(annotations) < minimum:
+        raise EvaluationError(f"need at least {minimum} judge{'s' if minimum > 1 else ''}")
     first = annotations[0]
     for ann in annotations[1:]:
         if ann.cluster_id != first.cluster_id:
@@ -178,52 +177,115 @@ def cross_judge_matrix(
             raise EvaluationError(
                 f"judge {ann.judge_id!r} annotated {ann.n} sentences, expected {first.n}"
             )
-    k = compression_size(first.n, r)
-    maxima = []
-    for ann in annotations:
-        m = max_utility(ann, k)
+    return first.n
+
+
+def _maxima(annotations: Sequence[UtilityAnnotation], k: int) -> list[int]:
+    """Each judge's best k-sentence utility, the denominator of every ratio."""
+    maxima = [max_utility(ann, k) for ann in annotations]
+    for ann, m in zip(annotations, maxima):
         if m == 0:
             raise EvaluationError(
                 f"judge {ann.judge_id!r} assigns zero utility everywhere; ratios undefined"
             )
-        maxima.append(m)
+    return maxima
+
+
+# Per-judge ratio producers: credited utility over that judge's maximum, one
+# ratio per judge (one row per extracting judge for the cross-judge matrix).
+
+
+def _cross_judge_ratios(
+    annotations: Sequence[UtilityAnnotation], k: int, maxima: Sequence[int]
+) -> list[list[float]]:
     extracts = [judge_extract(ann, k) for ann in annotations]
-    return [
-        [extract_utility(extracts[i], annotations[j]) / maxima[j] for j in range(len(annotations))]
-        for i in range(len(annotations))
-    ]
-
-
-def mean_cross_judge(matrix: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], float]:
-    """Per-judge agreement (row mean excluding the diagonal) and its mean."""
-    per_judge = tuple(
-        fsum(value for j, value in enumerate(row) if j != i) / (len(row) - 1)
-        for i, row in enumerate(matrix)
-    )
-    return per_judge, fsum(per_judge) / len(per_judge)
-
-
-def _checked_max(annotation: UtilityAnnotation, k: int) -> int:
-    m = max_utility(annotation, k)
-    if m == 0:
-        raise EvaluationError(
-            f"judge {annotation.judge_id!r} assigns zero utility everywhere; ratios undefined"
-        )
-    return m
+    return [[extract_utility(e, ann) / m for ann, m in zip(annotations, maxima)] for e in extracts]
 
 
 def _system_ratios(
+    label: str,
     extract: Iterable[int],
     annotations: Sequence[UtilityAnnotation],
+    maxima: Sequence[int] | None = None,
     graph: SubsumptionGraph | None = None,
     E: float = 1.0,
 ) -> list[float]:
     positions = sorted(set(extract))
-    k = len(positions)
-    return [
-        extract_utility(positions, ann, graph, E) / _checked_max(ann, k)
-        for ann in annotations
-    ]
+    if maxima is None:  # a standalone score; no caller checked the judges
+        _check_judges(annotations)
+        maxima = _maxima(annotations, len(positions))
+    n = annotations[0].n
+    outside = [pos for pos in positions if not 1 <= pos <= n]
+    if outside:
+        raise EvaluationError(f"system {label!r} selects position {outside[0]}, outside 1..{n}")
+    return [extract_utility(positions, ann, graph, E) / m for ann, m in zip(annotations, maxima)]
+
+
+def _random_ratios(
+    annotations: Sequence[UtilityAnnotation], k: int, maxima: Sequence[int]
+) -> list[float]:
+    """Per-judge expected ratio of a uniform random k-subset (exact)."""
+    return [k * (fsum(ann.utilities) / ann.n) / m for ann, m in zip(annotations, maxima)]
+
+
+# Aggregations. The reference result tables round half-up to 3 decimals at
+# every step: per-judge ratios (or matrix entries) first, then the mean of the
+# rounded values, and D from the rounded S, R and J. Reproducing them exactly
+# requires the same chain in Decimal; everything else stays full precision.
+
+_QUANTUM = Decimal("0.001")
+
+
+def _exact_mean(values: Sequence[float]) -> float:
+    return fsum(values) / len(values)
+
+
+def _table_mean(values: Iterable[float]) -> float:
+    """Round each value, then round the Decimal mean of the rounded values."""
+    rounded = [Decimal(str(v)).quantize(_QUANTUM, rounding=ROUND_HALF_UP) for v in values]
+    mean = sum(rounded, Decimal(0)) / len(rounded)
+    return float(mean.quantize(_QUANTUM, rounding=ROUND_HALF_UP))
+
+
+def _matrix_means(
+    matrix: Sequence[Sequence[float]], mean: Callable[[Sequence[float]], float]
+) -> tuple[tuple[float, ...], float]:
+    per_judge = tuple(
+        mean([value for j, value in enumerate(row) if j != i]) for i, row in enumerate(matrix)
+    )
+    return per_judge, mean(per_judge)
+
+
+def _check_above_chance(mean_J: float, R: float) -> None:
+    if mean_J <= R:
+        raise EvaluationError("judges agree no better than chance (J <= R)")
+
+
+def _table_normalized(S: float, mean_J: float, R: float) -> float:
+    s, j, r = (Decimal(str(v)) for v in (S, mean_J, R))
+    return float((s - r) / (j - r))
+
+
+def cross_judge_matrix(
+    annotations: Sequence[UtilityAnnotation], r: float
+) -> list[list[float]]:
+    """J[i][j]: how much of judge j's maximum utility judge i's extract earns."""
+    k = compression_size(_check_judges(annotations, 2), r)
+    return _cross_judge_ratios(annotations, k, _maxima(annotations, k))
+
+
+def mean_cross_judge(matrix: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], float]:
+    """Per-judge agreement (row mean excluding the diagonal) and its mean."""
+    return _matrix_means(matrix, _exact_mean)
+
+
+def report_cross_judge(
+    annotations: Sequence[UtilityAnnotation], r: float
+) -> tuple[list[list[float]], tuple[float, ...], float]:
+    """Table-style J: rounded matrix, rounded per-judge means, rounded mean."""
+    matrix = cross_judge_matrix(annotations, r)
+    per_judge, mean_j = _matrix_means(matrix, _table_mean)
+    return [[round_half_up(value) for value in row] for row in matrix], per_judge, mean_j
 
 
 def system_performance(
@@ -237,8 +299,17 @@ def system_performance(
     The judges' maxima stay undiscounted; only the evaluated extract's credit
     is subject to the subsumption discount.
     """
-    ratios = _system_ratios(extract, annotations, graph, E)
-    return fsum(ratios) / len(ratios)
+    return _exact_mean(_system_ratios("extract", extract, annotations, None, graph, E))
+
+
+def report_system_performance(
+    extract: Iterable[int],
+    annotations: Sequence[UtilityAnnotation],
+    graph: SubsumptionGraph | None = None,
+    E: float = 1.0,
+) -> float:
+    """Table-style S: each judge's ratio rounded before the rounded mean."""
+    return _table_mean(_system_ratios("extract", extract, annotations, None, graph, E))
 
 
 def random_performance(
@@ -249,33 +320,27 @@ def random_performance(
 ) -> float:
     """Expected performance of a uniformly random k-sentence extract.
 
-    "enumerate" averages system_performance over every k-subset;
+    "enumerate" averages the system performance of every k-subset;
     "closed_form" uses linearity of expectation: a random k-subset earns
     k * mean(utility) from each judge. The two agree exactly.
     """
-    if not annotations:
-        raise EvaluationError("need at least 1 judge")
-    n = annotations[0].n
+    n = _check_judges(annotations)
     k = compression_size(n, r)
+    maxima = _maxima(annotations, k)
     if mode == "enumerate":
-        values = [
-            system_performance(subset, annotations)
+        return _exact_mean([
+            _exact_mean(_system_ratios("subset", subset, annotations, maxima))
             for subset in enumerate_extracts(n, k, cap)
-        ]
-        return fsum(values) / len(values)
+        ])
     if mode == "closed_form":
-        ratios = _random_ratios(annotations, k)
-        return fsum(ratios) / len(ratios)
+        return _exact_mean(_random_ratios(annotations, k, maxima))
     raise ValueError(f"unknown mode {mode!r}; use 'enumerate' or 'closed_form'")
 
 
-def _random_ratios(annotations: Sequence[UtilityAnnotation], k: int) -> list[float]:
-    """Per-judge expected ratio of a uniform random k-subset (exact)."""
-    n = annotations[0].n
-    return [
-        k * (fsum(ann.utilities) / n) / _checked_max(ann, k)
-        for ann in annotations
-    ]
+def report_random_performance(annotations: Sequence[UtilityAnnotation], r: float) -> float:
+    """Table-style R over the closed-form per-judge expectations."""
+    k = compression_size(_check_judges(annotations), r)
+    return _table_mean(_random_ratios(annotations, k, _maxima(annotations, k)))
 
 
 def normalized_performance(S: float, mean_J: float, R: float) -> float:
@@ -284,8 +349,7 @@ def normalized_performance(S: float, mean_J: float, R: float) -> float:
     Only meaningful when the judges agree better than randomly (J > R); D may
     exceed 1 when a system beats the judges.
     """
-    if mean_J <= R:
-        raise EvaluationError("judges agree no better than chance (J <= R)")
+    _check_above_chance(mean_J, R)
     return (S - R) / (mean_J - R)
 
 
@@ -308,17 +372,13 @@ def ideal_extract(annotations: Sequence[UtilityAnnotation], k: int) -> frozenset
 
     Ties break by summed utility, then by earlier position.
     """
-    if not annotations:
-        raise EvaluationError("need at least 1 judge")
+    n = _check_judges(annotations)
     votes: Counter = Counter()
     for ann in annotations:
         votes.update(judge_extract(ann, k))
-    totals = {
-        pos: sum(ann.utility(pos) for ann in annotations)
-        for pos in range(1, annotations[0].n + 1)
-    }
+    totals = {pos: sum(ann.utility(pos) for ann in annotations) for pos in range(1, n + 1)}
     ranked = sorted(
-        range(1, annotations[0].n + 1),
+        range(1, n + 1),
         key=lambda pos: (-votes[pos], -totals[pos], pos),
     )
     return frozenset(ranked[:k])
@@ -408,66 +468,12 @@ def csis_agreement_tally(
 
 
 # --- report construction -----------------------------------------------------
-#
-# The reference result tables round half-up to 3 decimals at every step:
-# matrix entries first, per-judge means of the rounded entries next, their
-# mean last, and D from the rounded S, R and J. Reproducing them exactly
-# requires the same chain, so the report path works in Decimal.
-
-_QUANTUM = Decimal("0.001")
 
 
 def round_half_up(value: float, places: int = 3) -> float:
     """Round to `places` decimals with ties away from zero (table style)."""
     quantum = Decimal(1).scaleb(-places)
     return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
-def _decimal_mean(values: Iterable[float]) -> Decimal:
-    decimals = [Decimal(str(v)) for v in values]
-    return sum(decimals, Decimal(0)) / len(decimals)
-
-
-def _report_ratio_mean(ratios: Iterable[float]) -> float:
-    """Round each per-judge ratio, then round their mean (table arithmetic)."""
-    rounded = [round_half_up(v) for v in ratios]
-    return float(_decimal_mean(rounded).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
-
-
-def report_system_performance(
-    extract: Iterable[int],
-    annotations: Sequence[UtilityAnnotation],
-    graph: SubsumptionGraph | None = None,
-    E: float = 1.0,
-) -> float:
-    """Table-style S: each judge's ratio rounded before the rounded mean."""
-    return _report_ratio_mean(_system_ratios(extract, annotations, graph, E))
-
-
-def report_random_performance(annotations: Sequence[UtilityAnnotation], r: float) -> float:
-    """Table-style R over the closed-form per-judge expectations."""
-    if not annotations:
-        raise EvaluationError("need at least 1 judge")
-    k = compression_size(annotations[0].n, r)
-    return _report_ratio_mean(_random_ratios(annotations, k))
-
-
-def report_cross_judge(
-    annotations: Sequence[UtilityAnnotation], r: float
-) -> tuple[list[list[float]], tuple[float, ...], float]:
-    """Table-style J: rounded matrix, rounded per-judge means, rounded mean."""
-    matrix = cross_judge_matrix(annotations, r)
-    rounded = [[round_half_up(value) for value in row] for row in matrix]
-    per_judge = tuple(
-        float(
-            _decimal_mean(v for j, v in enumerate(row) if j != i).quantize(
-                _QUANTUM, rounding=ROUND_HALF_UP
-            )
-        )
-        for i, row in enumerate(rounded)
-    )
-    mean_j = float(_decimal_mean(per_judge).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
-    return rounded, per_judge, mean_j
 
 
 @dataclass(frozen=True)
@@ -501,47 +507,36 @@ def build_report(
     E: float = 1.0,
 ) -> EvalReport:
     """Evaluate named extracts against the judges at compression rate r."""
-    matrix, per_judge, mean_j = report_cross_judge(annotations, r)
-    n = annotations[0].n
-    k = compression_size(n, r)
-    r_value = report_random_performance(annotations, r)
-    if mean_j <= r_value:
-        raise EvaluationError("judges agree no better than chance (J <= R)")
-    denominator = Decimal(str(mean_j)) - Decimal(str(r_value))
+    k = compression_size(_check_judges(annotations, 2), r)
+    maxima = _maxima(annotations, k)
+    matrix = _cross_judge_ratios(annotations, k, maxima)
+    per_judge, mean_j = _matrix_means(matrix, _table_mean)
+    r_value = _table_mean(_random_ratios(annotations, k, maxima))
+    _check_above_chance(mean_j, r_value)
     s_scores: dict[str, float] = {}
-    d_scores: dict[str, float] = {}
     s_csis: dict[str, float] = {}
-    d_csis: dict[str, float] = {}
     for label in sorted(systems):
         positions = sorted(set(systems[label]))
         if len(positions) != k:
             raise EvaluationError(
                 f"system {label!r} selected {len(positions)} sentences, expected k={k}"
             )
-        s_val = report_system_performance(positions, annotations)
-        s_scores[label] = s_val
-        d_scores[label] = float(
-            (Decimal(str(s_val)) - Decimal(str(r_value))) / denominator
-        )
+        s_scores[label] = _table_mean(_system_ratios(label, positions, annotations, maxima))
         if graph is not None:
-            s_adj = report_system_performance(positions, annotations, graph, E)
-            s_csis[label] = s_adj
-            d_csis[label] = float(
-                (Decimal(str(s_adj)) - Decimal(str(r_value))) / denominator
-            )
+            s_csis[label] = _table_mean(_system_ratios(label, positions, annotations, maxima, graph, E))
     return EvalReport(
         cluster_id=annotations[0].cluster_id,
         r=r,
         k=k,
         judge_ids=tuple(ann.judge_id for ann in annotations),
-        J_matrix=tuple(tuple(row) for row in matrix),
+        J_matrix=tuple(tuple(round_half_up(value) for value in row) for row in matrix),
         J_per_judge=per_judge,
         mean_J=mean_j,
         R=r_value,
         S=s_scores,
-        D=d_scores,
+        D={label: _table_normalized(s, mean_j, r_value) for label, s in s_scores.items()},
         S_csis=s_csis,
-        D_csis=d_csis,
+        D_csis={label: _table_normalized(s, mean_j, r_value) for label, s in s_csis.items()},
         E=E if graph is not None else None,
     )
 
@@ -553,11 +548,7 @@ def agreement_curve(
     """Table-style mean J at each compression rate (default 10%..90%)."""
     if r_grid is None:
         r_grid = [i / 10 for i in range(1, 10)]
-    curve = []
-    for r in r_grid:
-        _, _, mean_j = report_cross_judge(annotations, r)
-        curve.append((r, mean_j))
-    return curve
+    return [(r, report_cross_judge(annotations, r)[2]) for r in r_grid]
 
 
 # --- file formats -------------------------------------------------------------

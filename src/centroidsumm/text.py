@@ -114,27 +114,6 @@ class Cluster:
         return cls(cluster_id=cluster_id, documents=tuple(docs))
 
 
-@dataclass(frozen=True)
-class GlobalIndex:
-    """Bijection between global positions 1..n and (doc_id, index_in_doc)."""
-
-    order: tuple[tuple[str, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def pair(self, position: int) -> tuple[str, int]:
-        if not 1 <= position <= len(self.order):
-            raise IndexError(f"global position {position} out of range 1..{len(self.order)}")
-        return self.order[position - 1]
-
-    def position(self, doc_id: str, index_in_doc: int) -> int:
-        try:
-            return self.order.index((doc_id, index_in_doc)) + 1
-        except ValueError:
-            raise KeyError((doc_id, index_in_doc)) from None
-
-
 def tokenize(text: str) -> list[Token]:
     """Split text into lowercase word tokens.
 
@@ -142,16 +121,6 @@ def tokenize(text: str) -> list[Token]:
     keeps digits, drops empty fragments. No stemming, no stopword removal.
     """
     return [Token(surface=m, norm=m.lower()) for m in _WORD_RE.findall(text)]
-
-
-def global_order(cluster: Cluster) -> GlobalIndex:
-    """Global sentence order: chronological documents, original order within."""
-    order = tuple(
-        (doc.doc_id, sent.index_in_doc)
-        for doc in cluster.documents
-        for sent in doc.sentences
-    )
-    return GlobalIndex(order=order)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -220,16 +189,6 @@ def parse_cluster(path: str | Path) -> Cluster:
     except json.JSONDecodeError as exc:
         raise ClusterParseError(f"{path}: not valid JSON: {exc}") from None
     return cluster_from_dict(data, where=str(path))
-
-
-def parse_document(path: str | Path) -> Document:
-    """Parse a standalone document JSON file (same schema as cluster entries)."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ClusterParseError(f"{path}: not valid JSON: {exc}") from None
-    return document_from_dict(data, where=str(path))
 
 
 def document_to_dict(document: Document) -> dict:

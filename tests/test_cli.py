@@ -2,17 +2,25 @@ import json
 
 import pytest
 
+import centroidsumm.cli
 from centroidsumm import (
+    PRESETS,
     SubsumptionAnnotation,
     UtilityAnnotation,
+    build_centroid,
     build_idf,
+    build_report,
     cluster_to_dict,
     document_to_dict,
+    extract,
+    lead_baseline,
     load_idf,
     parse_cluster,
+    round_half_up,
     save_idf,
     save_subsumption_annotation,
     save_utility_annotation,
+    score_sentences,
 )
 from centroidsumm.cli import (
     RunConfig,
@@ -61,7 +69,7 @@ class TestRunConfig:
         assert RunConfig.from_file(path) == config
 
     def test_round_trip_without_grid(self, tmp_path):
-        config = RunConfig(r=0.25, sim_threshold=0.4, seed=7)
+        config = RunConfig(r=0.25, sim_threshold=0.4)
         path = tmp_path / "run.cfg"
         config.to_file(path)
         assert RunConfig.from_file(path) == config
@@ -79,13 +87,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown setting"):
             RunConfig.from_file(path)
 
+    def test_removed_setting_exits_2(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("r=0.2\nseed=0\n")
+        code = main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{cfg}:2: unknown setting 'seed'" in capsys.readouterr().err
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(r=0.0)
         with pytest.raises(ValueError):
             RunConfig(E=2.0)
-        with pytest.raises(ValueError):
-            RunConfig(enumeration_cap=0)
 
 
 class TestParsers:
@@ -139,6 +153,15 @@ class TestIdfCommand:
         empty.mkdir()
         assert main(["idf", str(empty), "--out", str(tmp_path / "out")]) == 2
         assert "no documents" in capsys.readouterr().err
+
+
+    def test_config_flag_rejected(self, tmp_path, news_cluster_path):
+        garbage = tmp_path / "garbage.cfg"
+        garbage.write_text("not a setting\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["idf", str(news_cluster_path.parent), "--config", str(garbage), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "idf.json").exists()
 
 
 class TestClusterCommand:
@@ -330,6 +353,14 @@ class TestSummarizeCommand:
         assert (out2 / "extract_alg_r20.json").exists()
         assert not (out2 / "extract_alg_r50.json").exists()
 
+    def test_grid_with_colliding_tags_exits_2_before_writing(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "fine"
+        code = main(["summarize", cluster_file, "--idf", idf_path, "--r-grid", "0.1:0.13:0.005", "--out", str(out)])
+        assert code == 2
+        assert "0.1:0.13:0.005 gives several rates the output tag r10, r12" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_cluster_file_exits_2(self, news_inputs, tmp_path):
         _, idf_path = news_inputs
         assert main(["summarize", str(tmp_path / "nope.json"), "--idf", idf_path]) == 2
@@ -436,6 +467,65 @@ class TestEvaluateCommand:
         extract_file = tmp_path / "triple.json"
         write_json({"cluster_id": "quad", "selected": [1, 2, 3]}, extract_file)
         assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
+
+    def test_out_of_range_extract_exits_3(self, quad_judges, tmp_path, capsys):
+        extract_file = tmp_path / "late.json"
+        write_json({"cluster_id": "quad", "selected": [1, 7]}, extract_file)
+        assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
+        assert "system 'late' selects position 7, outside 1..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--lead", "--system"])
+    @pytest.mark.parametrize("change", ["cluster_id", "n"])
+    def test_cluster_not_judged_exits_3(self, news_inputs, tmp_path, capsys, flag, change):
+        cluster_file, idf_path = news_inputs
+        judges = []
+        for judge_id in ("A", "B"):
+            path = tmp_path / f"{judge_id}.json"
+            n = 21 if change == "n" else 20
+            cluster_id = "other" if change == "cluster_id" else "alg"
+            save_utility_annotation(UtilityAnnotation(judge_id, cluster_id, tuple(i % 11 for i in range(n))), path)
+            judges.append(str(path))
+        args = ["evaluate", "--annotations", *judges, flag, cluster_file, "--idf", idf_path, "--r", "0.2"]
+        assert main(args + ["--out", str(tmp_path / "eval")]) == 3
+        assert f"{cluster_file}: cluster 'alg' has 20 sentences" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    def test_system_grid_scores_once(self, news_inputs, tmp_path, monkeypatch):
+        cluster_file, idf_path = news_inputs
+        judges = [
+            UtilityAnnotation("A", "alg", tuple(10 - i // 2 for i in range(20))),
+            UtilityAnnotation("B", "alg", tuple(max(10 - i, 1) for i in range(20))),
+            UtilityAnnotation("C", "alg", tuple(10 - i // 3 for i in range(20))),
+        ]
+        paths = []
+        for ann in judges:
+            paths.append(str(tmp_path / f"{ann.judge_id}.json"))
+            save_utility_annotation(ann, paths[-1])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].cluster_id)
+            return score_sentences(*args, **kwargs)
+
+        monkeypatch.setattr(centroidsumm.cli, "score_sentences", counted)
+        out = tmp_path / "grid"
+        args = ["evaluate", "--annotations", *paths, "--lead", cluster_file, "--system", cluster_file]
+        args += ["--idf", idf_path, "--preset", "lead-centroid", "--r-grid", "0.1:0.9:0.1", "--out", str(out)]
+        assert main(args) == 0
+        assert calls == ["alg"]
+
+        cluster = parse_cluster(cluster_file)
+        scores = score_sentences(cluster, build_centroid(cluster, load_idf(idf_path)), PRESETS["lead-centroid"])
+        expected = ["r,system,s,random,mean_j,d"]
+        for r in parse_r_grid("0.1:0.9:0.1"):
+            systems = {"lead": lead_baseline(cluster, r).selected, "system": extract(cluster, scores, r).selected}
+            report = build_report(judges, systems, r)
+            for label in ("lead", "system"):
+                expected.append(
+                    f"{r:.2f},{label},{report.S[label]:.3f},{report.R:.3f},{report.mean_J:.3f},"
+                    f"{round_half_up(report.D[label]):.3f}"
+                )
+        assert (out / "d_grid.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_grid_rejects_fixed_extracts(self, quad_judges, tmp_path):
         extract_file = tmp_path / "s14.json"

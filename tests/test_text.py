@@ -8,7 +8,6 @@ from centroidsumm import (
     ClusterParseError,
     cluster_from_dict,
     cluster_to_dict,
-    global_order,
     parse_cluster,
     tokenize,
 )
@@ -54,38 +53,40 @@ class TestTokenize:
 
 
 class TestGlobalOrder:
+    @staticmethod
+    def pair(cluster, position):
+        sentence = cluster.sentence_at(position)
+        return sentence.doc_id, sentence.index_in_doc
+
     def test_two_documents_concatenate_chronologically(self):
         cluster = make_cluster(
             "c", {"a": [f"a {i}" for i in range(11)], "b": [f"b {i}" for i in range(9)]}
         )
-        index = global_order(cluster)
-        assert len(index) == 20
-        assert index.pair(1) == ("a", 1)
-        assert index.pair(11) == ("a", 11)
-        assert index.pair(12) == ("b", 1)
-        assert index.pair(20) == ("b", 9)
+        assert cluster.n == 20
+        assert self.pair(cluster, 1) == ("a", 1)
+        assert self.pair(cluster, 11) == ("a", 11)
+        assert self.pair(cluster, 12) == ("b", 1)
+        assert self.pair(cluster, 20) == ("b", 9)
 
     def test_single_document_identity(self):
         cluster = make_cluster("c", {"solo": ["one", "two", "three", "four"]})
-        index = global_order(cluster)
-        assert [index.pair(i) for i in range(1, 5)] == [("solo", i) for i in range(1, 5)]
+        assert [self.pair(cluster, i) for i in range(1, 5)] == [("solo", i) for i in range(1, 5)]
 
     def test_equal_timestamps_break_by_doc_id(self):
         docs = [make_document("zz", ["later id"], hour=8), make_document("aa", ["earlier id"], hour=8)]
         from centroidsumm import Cluster
 
         cluster = Cluster.build("c", docs)
-        assert global_order(cluster).pair(1) == ("aa", 1)
+        assert self.pair(cluster, 1) == ("aa", 1)
 
     def test_bijection_positions_roundtrip(self):
         cluster = make_cluster("c", {"x": ["p q", "r s"], "y": ["t u", "v w", "x y"]})
-        index = global_order(cluster)
-        seen = set()
-        for position in range(1, len(index) + 1):
-            doc_id, idx = index.pair(position)
-            assert index.position(doc_id, idx) == position
-            seen.add((doc_id, idx))
-        assert len(seen) == cluster.n
+        pairs = [self.pair(cluster, position) for position in range(1, cluster.n + 1)]
+        assert pairs == [(s.doc_id, s.index_in_doc) for s in cluster.sentences()]
+        assert len(set(pairs)) == cluster.n
+        for outside in (0, cluster.n + 1):
+            with pytest.raises(IndexError):
+                cluster.sentence_at(outside)
 
 
 class TestParseCluster:
