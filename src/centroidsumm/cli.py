@@ -26,6 +26,7 @@ from .evaluation import (
     EvalConfig,
     EvalReport,
     EvaluationError,
+    SubsumptionAnnotation,
     UtilityAnnotation,
     agreement_curve,
     build_report,
@@ -70,6 +71,9 @@ class RunConfig:
         ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
         for rate in (self.r, *self.rates):
             EvalConfig(rate, self.E, self.agreement_threshold)
+        for name in ("centroid_threshold", "sim_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:
@@ -289,6 +293,16 @@ def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Clus
     return cluster
 
 
+def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> SubsumptionAnnotation:
+    """Load subsumption marks and require every position to lie in the judged cluster."""
+    marks = load_subsumption_annotation(path)
+    n = annotations[0].n
+    highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
+    if highest > n:
+        raise EvaluationError(f"{path}: subsumption position {highest} outside 1..{n} of the annotations")
+    return marks
+
+
 def _system_cells(report: EvalReport, label: str) -> list[str]:
     """s, d and, with subsumption, s_csis and d_csis of one system as table text."""
     cells = [f"{report.S[label]:.3f}", f"{round_half_up(report.D[label]):.3f}"]
@@ -327,7 +341,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     annotations = [load_utility_annotation(p) for p in args.annotations]
     graph = None
     if args.subsumption:
-        subs = [load_subsumption_annotation(p) for p in args.subsumption]
+        subs = [_judged_subsumption(p, annotations) for p in args.subsumption]
         graph = csis_consensus(subs, config.agreement_threshold)
     if config.r_grid is not None and args.extract:
         raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")

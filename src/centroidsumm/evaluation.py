@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .summarizer import compression_size, enumerate_extracts, DEFAULT_ENUMERATION_CAP
+from .text import _json_int
 
 
 class EvaluationError(ValueError):
@@ -555,15 +556,20 @@ def agreement_curve(
 
 
 def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
+    """Load one judge's utilities: an array of JSON integers 0..10."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        return UtilityAnnotation(
-            judge_id=str(data["judge_id"]),
-            cluster_id=str(data["cluster_id"]),
-            utilities=tuple(int(u) for u in data["utilities"]),
-        )
+        judge_id, cluster_id = str(data["judge_id"]), str(data["cluster_id"])
+        utilities = data["utilities"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a utility annotation file: {exc}") from None
+    if not isinstance(utilities, list):
+        raise ValueError(f"{path}: utilities: must be an array, got {utilities!r}")
+    values = tuple(_json_int(u, f"{path}: utilities[{i}]") for i, u in enumerate(utilities))
+    try:
+        return UtilityAnnotation(judge_id=judge_id, cluster_id=cluster_id, utilities=values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_utility_annotation(annotation: UtilityAnnotation, path: str | Path) -> None:
@@ -576,19 +582,27 @@ def save_utility_annotation(annotation: UtilityAnnotation, path: str | Path) -> 
 
 
 def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
+    """Load one judge's marks; every position and subsumer is an integer >= 1."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        subsumers = {
-            int(pos): frozenset(int(t) for t in targets)
-            for pos, targets in data["subsumers"].items()
-        }
-        return SubsumptionAnnotation(
-            judge_id=str(data["judge_id"]),
-            cluster_id=str(data["cluster_id"]),
-            subsumers=subsumers,
-        )
+        judge_id, cluster_id = str(data["judge_id"]), str(data["cluster_id"])
+        marks = data["subsumers"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a subsumption annotation file: {exc}") from None
+    subsumers = {}
+    for key, targets in marks:
+        where = f"{path}: subsumers[{key!r}]"
+        if not isinstance(targets, list):
+            raise ValueError(f"{where}: must be an array, got {targets!r}")
+        position = int(key) if key.isascii() and key.isdigit() else 0
+        found = [_json_int(t, where) for t in targets]
+        if min([position, *found]) < 1:
+            raise ValueError(f"{where}: positions and subsumers must be integers >= 1")
+        subsumers[position] = frozenset(found)
+    try:
+        return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_subsumption_annotation(annotation: SubsumptionAnnotation, path: str | Path) -> None:

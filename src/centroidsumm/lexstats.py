@@ -16,9 +16,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .text import Cluster, Document
+from .text import Cluster, Document, _json_int
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
@@ -72,27 +72,13 @@ class Centroid:
         return entry.weight if entry is not None else 0.0
 
 
-def _doc_terms(document: Document) -> set[str]:
-    terms: set[str] = set()
-    for sentence in document.sentences:
-        terms.update(sentence.norms())
-    return terms
-
-
-def _doc_counts(document: Document) -> Counter:
-    counts: Counter = Counter()
-    for sentence in document.sentences:
-        counts.update(sentence.norms())
-    return counts
-
-
 def build_idf(background: Iterable[Document]) -> IdfModel:
     """Count document frequencies over a background document collection."""
     df: Counter = Counter()
     n_docs = 0
     for document in background:
         n_docs += 1
-        df.update(_doc_terms(document))
+        df.update({term for sentence in document.sentences for term in sentence.counts})
     if n_docs == 0:
         raise ValueError("background corpus is empty")
     return IdfModel(n_docs=n_docs, df=dict(df))
@@ -104,9 +90,11 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
     count(w) is the total number of occurrences across the cluster divided by
     the number of documents, i.e. the average occurrences per document.
     """
+    # Counting term tuples in cluster order keeps each term at its first
+    # occurrence, and that key order fixes the float summation order downstream.
     totals: Counter = Counter()
-    for document in cluster.documents:
-        totals.update(_doc_counts(document))
+    for sentence in cluster.sentences():
+        totals.update(sentence.terms)
     entries: dict[str, CentroidEntry] = {}
     for term, total in totals.items():
         count = total / cluster.d
@@ -129,12 +117,15 @@ def _cosine(vec_a: dict[str, float], vec_b: dict[str, float]) -> float:
 
 
 def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
-    """count*IDF vector of a single document."""
-    return {term: count * idf.idf(term) for term, count in _doc_counts(document).items()}
+    """count*IDF vector of a single document, terms in first-occurrence order."""
+    counts: Counter = Counter()
+    for sentence in document.sentences:
+        counts.update(sentence.terms)
+    return {term: count * idf.idf(term) for term, count in counts.items()}
 
 
 def assign_document(
-    centroids: Sequence[Centroid],
+    centroids: Iterable[Centroid],
     doc: Document,
     idf: IdfModel,
     sim_threshold: float,
@@ -142,7 +133,7 @@ def assign_document(
     """Pick the most similar centroid for a document, or None for a new cluster.
 
     Similarity is cosine between the document's count*IDF vector and each
-    centroid's weight vector. Ties keep the earliest centroid in the list.
+    centroid's weight vector. Ties keep the earliest centroid given.
     After assignment the caller rebuilds the centroid over the enlarged
     cluster.
     """
@@ -155,9 +146,7 @@ def assign_document(
         if sim > best_sim:
             best_sim = sim
             best_id = centroid.cluster_id
-    if best_id is not None and best_sim >= sim_threshold:
-        return best_id
-    return None
+    return best_id if best_sim >= sim_threshold else None  # None unless some similarity beat 0
 
 
 def incremental_cluster(
@@ -174,23 +163,17 @@ def incremental_cluster(
     """
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
     members: dict[str, list[Document]] = {}
-    centroids: list[Centroid] = []
+    centroids: dict[str, Centroid] = {}  # in creation order, as assign_document breaks ties
     for doc in ordered:
-        target = assign_document(centroids, doc, idf, sim_threshold)
+        target = assign_document(centroids.values(), doc, idf, sim_threshold)
         if target is None:
             target = f"{id_prefix}{len(centroids) + 1:03d}"
             members[target] = [doc]
         else:
             members[target].append(doc)
-        rebuilt = build_centroid(
+        centroids[target] = build_centroid(
             Cluster.build(target, members[target]), idf, centroid_threshold
         )
-        for i, centroid in enumerate(centroids):
-            if centroid.cluster_id == target:
-                centroids[i] = rebuilt
-                break
-        else:
-            centroids.append(rebuilt)
     return [Cluster.build(cid, docs) for cid, docs in members.items()]
 
 
@@ -205,8 +188,14 @@ def load_idf(path: str | Path) -> IdfModel:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "n_docs" not in data or "df" not in data:
         raise ValueError(f"{path}: not an IDF model file (need 'n_docs' and 'df')")
-    df = {str(term): int(count) for term, count in data["df"].items()}
-    return IdfModel(n_docs=int(data["n_docs"]), df=df)
+    if not isinstance(data["df"], dict):
+        raise ValueError(f"{path}: df: must be an object of term -> count")
+    n_docs = _json_int(data["n_docs"], f"{path}: n_docs")
+    df = {term: _json_int(count, f"{path}: df[{term!r}]") for term, count in data["df"].items()}
+    try:
+        return IdfModel(n_docs=n_docs, df=df)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_centroid_csv(centroid: Centroid, path: str | Path) -> None:

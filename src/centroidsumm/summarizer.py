@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterator, Sequence
 
 from .lexstats import Centroid
 from .text import Cluster, Sentence
@@ -40,6 +39,8 @@ class ScoreWeights:
     w_f: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(w) for w in (self.w_c, self.w_p, self.w_f)):
+            raise ValueError("score weights must be finite numbers")
         if min(self.w_c, self.w_p, self.w_f) < 0:
             raise ValueError("score weights must be non-negative")
         if self.w_c == self.w_p == self.w_f == 0:
@@ -88,9 +89,10 @@ def compression_size(n: int, r: float) -> int:
 def centroid_value(sentence: Sentence, centroid: Centroid) -> float:
     """Sum of centroid weights over the sentence's token occurrences.
 
-    Each occurrence counts, so repeated central vocabulary keeps adding.
+    Each occurrence counts, so repeated central vocabulary keeps adding. The
+    sum runs in token order, not as count * weight, so its rounding is fixed.
     """
-    return sum(centroid.weight(norm) for norm in sentence.norms())
+    return sum(centroid.weight(term) for term in sentence.terms)
 
 
 def positional_value(sentence: Sentence, cluster: Cluster, c_max: float) -> float:
@@ -101,10 +103,8 @@ def positional_value(sentence: Sentence, cluster: Cluster, c_max: float) -> floa
 
 def first_sentence_overlap(sentence: Sentence, cluster: Cluster) -> float:
     """Count-vector inner product with the first sentence of the sentence's document."""
-    first = cluster.document(sentence.doc_id).sentences[0]
-    counts = Counter(sentence.norms())
-    first_counts = Counter(first.norms())
-    return float(sum(count * first_counts[term] for term, count in counts.items()))
+    first = cluster.document(sentence.doc_id).sentences[0].counts
+    return float(sum(count * first[term] for term, count in sentence.counts.items()))
 
 
 def score_sentences(
@@ -136,13 +136,12 @@ def _select_top(finals: Sequence[float], k: int) -> tuple[int, ...]:
 def _build_extract(
     cluster: Cluster, scores: Sequence[SentenceScore], r: float, k: int, selected: tuple[int, ...]
 ) -> Extract:
-    by_position = {score.position: score for score in scores}
     return Extract(
         cluster_id=cluster.cluster_id,
         r=r,
         k=k,
         selected=selected,
-        scores=tuple(by_position[pos] for pos in selected),
+        scores=tuple(scores[pos - 1] for pos in selected),  # scores are in global order
     )
 
 
@@ -161,12 +160,11 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
     A term appearing m times in one sentence and n times in the other
     contributes min(m, n) shared occurrences.
     """
-    len1, len2 = len(s1.tokens), len(s2.tokens)
+    len1, len2 = len(s1.terms), len(s2.terms)
     if len1 == 0 or len2 == 0:
         raise ValueError("word_overlap requires non-empty sentences")
-    counts1 = Counter(s1.norms())
-    counts2 = Counter(s2.norms())
-    shared = sum(min(count, counts2[term]) for term, count in counts1.items())
+    counts2 = s2.counts
+    shared = sum(min(count, counts2[term]) for term, count in s1.counts.items())
     return 2.0 * shared / (len1 + len2)
 
 
@@ -193,23 +191,16 @@ def redundancy_rerank(
     k = compression_size(cluster.n, r)
     base = [score.base for score in scores]
     w_r = max(base)
-    counts = [Counter(s.norms()) for s in cluster.sentences()]
-    lengths = [len(s.tokens) for s in cluster.sentences()]
+    sentences = cluster.sentences()
     overlap_cache: dict[tuple[int, int], float] = {}
 
     def overlap(a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
         cached = overlap_cache.get(key)
         if cached is None:
-            # sentences without tokens share nothing; avoid the 0/0 guard
-            if lengths[key[0] - 1] == 0 or lengths[key[1] - 1] == 0:
-                cached = 0.0
-            else:
-                shared = sum(
-                    min(count, counts[key[1] - 1][term])
-                    for term, count in counts[key[0] - 1].items()
-                )
-                cached = 2.0 * shared / (lengths[key[0] - 1] + lengths[key[1] - 1])
+            s1, s2 = sentences[key[0] - 1], sentences[key[1] - 1]
+            # sentences without terms share nothing; word_overlap rejects them
+            cached = word_overlap(s1, s2) if s1.terms and s2.terms else 0.0
             overlap_cache[key] = cached
         return cached
 
@@ -218,14 +209,13 @@ def redundancy_rerank(
     selected = _select_top(finals, k)
     seen = {selected}
     for _ in range(max_iterations):
-        new_penalties = []
+        penalties = []
         for pos in range(1, len(base) + 1):
             worst = 0.0
             for member in selected:
                 if member != pos and finals[member - 1] > finals[pos - 1]:
                     worst = max(worst, overlap(pos, member))
-            new_penalties.append(w_r * worst)
-        penalties = new_penalties
+            penalties.append(w_r * worst)
         finals = [b - p for b, p in zip(base, penalties)]
         reselected = _select_top(finals, k)
         if reselected == selected or reselected in seen:
@@ -234,17 +224,7 @@ def redundancy_rerank(
         seen.add(reselected)
         selected = reselected
 
-    final_scores = [
-        SentenceScore(
-            position=score.position,
-            c=score.c,
-            p=score.p,
-            f=score.f,
-            base=score.base,
-            penalty=penalties[score.position - 1],
-        )
-        for score in scores
-    ]
+    final_scores = [replace(score, penalty=penalty) for score, penalty in zip(scores, penalties)]
     return _build_extract(cluster, final_scores, r, k, selected)
 
 
@@ -257,30 +237,18 @@ def lead_baseline(cluster: Cluster, r: float) -> Extract:
     n = cluster.n
     k = compression_size(n, r)
     per_doc = max(1, math.floor(n * r / cluster.d + 0.5))
-    index = {pair: pos for pos, pair in enumerate(
-        ((doc.doc_id, s.index_in_doc) for doc in cluster.documents for s in doc.sentences),
-        start=1,
-    )}
-    selected: list[int] = []
-    for doc in cluster.documents:
-        for sentence in doc.sentences[:per_doc]:
-            selected.append(index[(doc.doc_id, sentence.index_in_doc)])
-    selected.sort()
-    if len(selected) > k:
-        selected = selected[:k]
-    elif len(selected) < k:
-        chosen = set(selected)
-        # extend into the last document first, then walk backwards
-        for doc in reversed(cluster.documents):
-            for sentence in doc.sentences:
-                pos = index[(doc.doc_id, sentence.index_in_doc)]
-                if pos not in chosen:
-                    chosen.add(pos)
-                    if len(chosen) == k:
-                        break
-            if len(chosen) == k:
-                break
-        selected = sorted(chosen)
+    positions = [
+        [cluster.offset(doc.doc_id) + s.index_in_doc for s in doc.sentences]
+        for doc in cluster.documents
+    ]
+    selected = sorted(pos for doc_positions in positions for pos in doc_positions[:per_doc])[:k]
+    chosen = set(selected)
+    # too few: extend into the last document first, then walk backwards
+    for pos in (pos for doc_positions in reversed(positions) for pos in doc_positions):
+        if len(chosen) == k:
+            break
+        chosen.add(pos)
+    selected = sorted(chosen)
     scores = tuple(
         SentenceScore(position=pos, c=0.0, p=0.0, f=0.0, base=0.0) for pos in selected
     )
@@ -308,18 +276,7 @@ def extract_to_dict(ext: Extract) -> dict:
         "r": ext.r,
         "k": ext.k,
         "selected": list(ext.selected),
-        "scores": [
-            {
-                "position": score.position,
-                "c": score.c,
-                "p": score.p,
-                "f": score.f,
-                "base": score.base,
-                "penalty": score.penalty,
-                "final": score.final,
-            }
-            for score in ext.scores
-        ],
+        "scores": [{**asdict(score), "final": score.final} for score in ext.scores],
     }
 
 

@@ -6,6 +6,14 @@ every downstream stage addresses sentences through the cluster's global
 chronological order: documents sorted by timestamp (ties broken by doc_id),
 sentences in original order within each document, positions numbered 1..n.
 
+This module owns two decisions that every later stage reads instead of
+recomputing. A sentence's terms are derived once, when it is constructed: a
+tuple of lowercase word strings in token order (`terms`) and a term -> count
+map (`counts`). A cluster builds its flat sentence tuple and a table from
+doc_id to (document, offset) once, where offset is the number of sentences in
+earlier documents; a sentence's global position is its document's offset plus
+its index_in_doc. Derived fields take no part in equality, hashing or repr.
+
 All types are immutable after construction and safe to share across threads.
 """
 
@@ -13,7 +21,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -24,25 +33,31 @@ class ClusterParseError(ValueError):
 
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-
-@dataclass(frozen=True)
-class Token:
-    """One word occurrence: original surface form plus normalized form."""
-
-    surface: str
-    norm: str
+# YYYY-MM-DD[Thh:mm[:ss[.f]]][Z|+hh:mm|-hh:mm], .f being 1 to 6 digits; a space may replace T.
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4}-\d\d-\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?)?(Z|[+-]\d\d:[0-5]\d)?",
+    re.ASCII,
+)
 
 
 @dataclass(frozen=True)
 class Sentence:
+    """One sentence; its read-only `terms` and `counts` are derived from `text` once."""
+
     doc_id: str
     index_in_doc: int  # 1-based position within the document
     text: str
-    tokens: tuple[Token, ...]
+    terms: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    counts: Counter = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        terms = tuple(tokenize(self.text))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "counts", Counter(terms))
 
     def norms(self) -> tuple[str, ...]:
-        return tuple(t.norm for t in self.tokens)
+        """The normalized terms in token order (the stored `terms` tuple)."""
+        return self.terms
 
 
 @dataclass(frozen=True)
@@ -58,11 +73,27 @@ class Cluster:
     """An event cluster: documents in chronological order.
 
     `d` is the document count and `n` the total sentence count; both are
-    derived from `documents` so they can never fall out of sync.
+    derived from `documents` so they can never fall out of sync. A cluster has
+    at least one document, each with at least one sentence and its own doc_id.
     """
 
     cluster_id: str
     documents: tuple[Document, ...]
+    _sentences: tuple[Sentence, ...] = field(init=False, compare=False, repr=False)
+    _offsets: dict[str, tuple[Document, int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        where = f"cluster {self.cluster_id!r}"
+        _require(len(self.documents) > 0, f"{where}: has no documents")
+        sentences: list[Sentence] = []
+        offsets: dict[str, tuple[Document, int]] = {}
+        for doc in self.documents:
+            _require(doc.doc_id not in offsets, f"{where}: duplicate document id {doc.doc_id!r}")
+            _require(len(doc.sentences) > 0, f"{where}: document {doc.doc_id!r} has no sentences")
+            offsets[doc.doc_id] = (doc, len(sentences))
+            sentences.extend(doc.sentences)
+        object.__setattr__(self, "_sentences", tuple(sentences))
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def d(self) -> int:
@@ -70,57 +101,41 @@ class Cluster:
 
     @property
     def n(self) -> int:
-        return sum(len(doc.sentences) for doc in self.documents)
+        return len(self._sentences)
 
-    def sentences(self) -> Iterable[Sentence]:
+    def sentences(self) -> tuple[Sentence, ...]:
         """All sentences in global (chronological) order."""
-        for doc in self.documents:
-            yield from doc.sentences
+        return self._sentences
 
     def sentence_at(self, position: int) -> Sentence:
         """Sentence at 1-based global position."""
-        if position < 1:
-            raise IndexError(f"global position must be >= 1, got {position}")
-        offset = position - 1
-        for doc in self.documents:
-            if offset < len(doc.sentences):
-                return doc.sentences[offset]
-            offset -= len(doc.sentences)
-        raise IndexError(f"global position {position} out of range (n={self.n})")
+        if not 1 <= position <= self.n:
+            raise IndexError(f"global position {position} out of range 1..{self.n}")
+        return self._sentences[position - 1]
 
     def document(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.doc_id == doc_id:
-                return doc
-        raise KeyError(doc_id)
+        return self._offsets[doc_id][0]
+
+    def offset(self, doc_id: str) -> int:
+        """Sentences before the document: its sentence i sits at position offset + i."""
+        return self._offsets[doc_id][1]
 
     @classmethod
     def build(cls, cluster_id: str, documents: Iterable[Document]) -> "Cluster":
-        """Construct a cluster, sorting documents and enforcing invariants."""
+        """Construct a cluster with its documents sorted by (timestamp, doc_id)."""
         docs = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
-        if not docs:
-            raise ClusterParseError(f"cluster {cluster_id!r}: has no documents")
-        seen: set[str] = set()
-        for doc in docs:
-            if doc.doc_id in seen:
-                raise ClusterParseError(
-                    f"cluster {cluster_id!r}: duplicate document id {doc.doc_id!r}"
-                )
-            seen.add(doc.doc_id)
-            if not doc.sentences:
-                raise ClusterParseError(
-                    f"cluster {cluster_id!r}: document {doc.doc_id!r} has no sentences"
-                )
         return cls(cluster_id=cluster_id, documents=tuple(docs))
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into lowercase word tokens.
+def tokenize(text: str) -> list[str]:
+    """Split text into lowercase word strings.
 
     Splits on any run of non-alphanumeric characters (underscore included),
     keeps digits, drops empty fragments. No stemming, no stopword removal.
+    Each match is lowercased on its own: lowercasing the text first would
+    split words whose lowercase form contains a combining mark ("İstanbul").
     """
-    return [Token(surface=m, norm=m.lower()) for m in _WORD_RE.findall(text)]
+    return [m.lower() for m in _WORD_RE.findall(text)]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -128,15 +143,27 @@ def _require(condition: bool, message: str) -> None:
         raise ClusterParseError(message)
 
 
+def _json_int(value: object, where: str) -> int:
+    """A JSON integer; bool, float and str are rejected rather than coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{where}: must be an integer, got {value!r}")
+    return value
+
+
 def _parse_timestamp(raw: object, where: str) -> datetime:
+    """Parse the pinned timestamp grammar; a timestamp without a zone is UTC."""
     _require(isinstance(raw, str), f"{where}: timestamp must be an ISO-8601 string")
+    invalid = f"{where}: invalid ISO-8601 timestamp {raw!r}"
+    match = _TIMESTAMP_RE.fullmatch(str(raw))
+    _require(match is not None, invalid)
+    date, hour, minute, second, fraction, zone = match.groups(default="")
+    # this fully spelled-out form parses the same on every supported Python
+    canonical = f"{date}T{hour or '00'}:{minute or '00'}:{second or '00'}.{fraction:0<6}"
     try:
-        ts = datetime.fromisoformat(str(raw).replace("Z", "+00:00"))
-    except ValueError:
-        raise ClusterParseError(f"{where}: invalid ISO-8601 timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+        ts = datetime.fromisoformat(canonical + (zone if zone not in ("", "Z") else "+00:00"))
+        return ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # out-of-range fields or offsets
+        raise ClusterParseError(invalid) from None
 
 
 def document_from_dict(data: object, where: str = "document") -> Document:
@@ -155,9 +182,7 @@ def document_from_dict(data: object, where: str = "document") -> Document:
     sentences = []
     for i, raw in enumerate(raw_sentences):
         _require(isinstance(raw, str), f"{where}.sentences[{i}]: must be a string")
-        sentences.append(
-            Sentence(doc_id=doc_id, index_in_doc=i + 1, text=raw, tokens=tuple(tokenize(raw)))
-        )
+        sentences.append(Sentence(doc_id=doc_id, index_in_doc=i + 1, text=raw))
     return Document(doc_id=doc_id, source=source, timestamp=timestamp, sentences=tuple(sentences))
 
 

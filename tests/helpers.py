@@ -2,12 +2,12 @@
 
 from datetime import datetime, timezone
 
-from centroidsumm import Cluster, Document, Sentence, tokenize
+from centroidsumm import Cluster, Document, Sentence
 
 
 def make_document(doc_id: str, texts, hour: int = 8, source: str = "wire") -> Document:
     sentences = tuple(
-        Sentence(doc_id=doc_id, index_in_doc=i, text=text, tokens=tuple(tokenize(text)))
+        Sentence(doc_id=doc_id, index_in_doc=i, text=text)
         for i, text in enumerate(texts, 1)
     )
     return Document(

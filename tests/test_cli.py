@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -642,3 +643,112 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["summarize", str(news_cluster_path)])
         assert exc.value.code == 2
+
+
+class TestStrictNumbers:
+    """Numbers in input files must be JSON integers: no crash, no silent coercion."""
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n_docs": 3, "df": ["a"]}, "df"),
+            ({"n_docs": 3.7, "df": {}}, "n_docs"),
+            ({"n_docs": "3", "df": {}}, "n_docs"),
+            ({"n_docs": True, "df": {}}, "n_docs"),
+            ({"n_docs": 3, "df": {"flood": 3.7}}, "df['flood']"),
+            ({"n_docs": 3, "df": {"flood": "3"}}, "df['flood']"),
+            ({"n_docs": 3, "df": {"flood": True}}, "df['flood']"),
+            ({"n_docs": 3, "df": {"flood": 4}}, "df['flood']"),
+        ],
+    )
+    def test_bad_idf_exits_2(self, news_cluster_path, tmp_path, capsys, payload, field):
+        idf_path = tmp_path / "idf.json"
+        write_json(payload, idf_path)
+        code = main(["summarize", str(news_cluster_path), "--idf", str(idf_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(idf_path) in err and field in err
+
+    @pytest.mark.parametrize(
+        "utilities, field",
+        [
+            ("5310", "utilities"),
+            ([5.7, 3, 1, 0], "utilities[0]"),
+            ([5, "3", 1, 0], "utilities[1]"),
+            ([5, 3, True, 0], "utilities[2]"),
+            ([5, 3, 1, 11], "position 4"),
+        ],
+    )
+    def test_bad_utilities_exit_2(self, quad_judges, tmp_path, capsys, utilities, field):
+        bad = tmp_path / "bad_judge.json"
+        write_json({"judge_id": "B", "cluster_id": "quad", "utilities": utilities}, bad)
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        code = main(["evaluate", "--annotations", *quad_judges, str(bad), "--extract", str(extract_file), "--r", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err
+
+    @pytest.mark.parametrize(
+        "subsumers",
+        [{"99": [-4]}, {"0": [1]}, {"2": [0]}, {"-1": [2]}, {"x": [2]}, {"2": ["1"]}, {"2": [1.0]}, {"2": 1}],
+    )
+    def test_bad_subsumption_exits_2(self, quad_judges, tmp_path, capsys, subsumers):
+        bad = tmp_path / "bad_sub.json"
+        write_json({"judge_id": "S", "cluster_id": "quad", "subsumers": subsumers}, bad)
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--subsumption", str(bad)]) == 2
+        assert f"{bad}: subsumers[" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subsumers", [{"5": [1]}, {"2": [9]}])
+    def test_subsumption_beyond_the_judged_cluster_exits_3(self, quad_judges, tmp_path, capsys, subsumers):
+        late = tmp_path / "late_sub.json"
+        write_json({"judge_id": "S", "cluster_id": "quad", "subsumers": subsumers}, late)
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--subsumption", str(late), "--out", str(tmp_path / "out")]) == 3
+        assert f"{late}: subsumption position" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("w_c", math.nan), ("w_p", math.inf), ("w_f", -math.inf), ("E", math.nan), ("E", math.inf),
+         ("centroid_threshold", math.nan), ("centroid_threshold", -math.inf),
+         ("sim_threshold", math.nan), ("sim_threshold", math.inf)],
+    )
+    def test_run_config_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: value})
+
+    def test_config_file_rejects_nan_threshold(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("sim_threshold=nan\n")
+        with pytest.raises(ValueError, match="sim_threshold"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "flags", [["--weights", "nan,0,0"], ["--weights", "1,inf,0"], ["--centroid-threshold", "nan"]]
+    )
+    def test_summarize_exits_2_before_writing(self, news_inputs, tmp_path, capsys, flags):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, *flags, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cluster_exits_2_on_nan_similarity(self, news_inputs, tmp_path, news_cluster_path, capsys):
+        _, idf_path = news_inputs
+        args = ["--idf", idf_path, "--sim-threshold", "nan", "--out", str(tmp_path / "out")]
+        assert main(["cluster", str(news_cluster_path.parent), *args]) == 2
+        assert "sim_threshold" in capsys.readouterr().err
+
+    def test_evaluate_exits_2_on_nan_discount(self, quad_judges, tmp_path):
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--E", "nan"]) == 2

@@ -13,6 +13,7 @@ from centroidsumm import (
     incremental_cluster,
     load_idf,
     save_idf,
+    tokenize,
     write_centroid_csv,
 )
 from helpers import background_documents, make_cluster, make_document
@@ -152,12 +153,12 @@ class TestAssignDocument:
 
         weighted_a = Counter()
         for sent in first.sentences:
-            for token in sent.tokens:
-                weighted_a[token.norm] += model.idf(token.norm)
+            for term in tokenize(sent.text):
+                weighted_a[term] += model.idf(term)
         weighted_b = Counter()
         for sent in second.sentences:
-            for token in sent.tokens:
-                weighted_b[token.norm] += model.idf(token.norm)
+            for term in tokenize(sent.text):
+                weighted_b[term] += model.idf(term)
         assert _cosine_oracle(weighted_a, weighted_b) >= 0.1
 
         assert assign_document([centroid], second, model, sim_threshold=0.1) == "c001"

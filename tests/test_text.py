@@ -1,26 +1,26 @@
 import json
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from centroidsumm import (
+    Cluster,
     ClusterParseError,
+    Document,
+    Sentence,
     cluster_from_dict,
     cluster_to_dict,
+    document_from_dict,
     parse_cluster,
     tokenize,
 )
 from helpers import make_cluster, make_document
 
 
-def norms(text):
-    return [t.norm for t in tokenize(text)]
-
-
 class TestTokenize:
     def test_plain_sentence(self):
-        assert norms("The court found John Doe guilty") == [
+        assert tokenize("The court found John Doe guilty") == [
             "the", "court", "found", "john", "doe", "guilty",
         ]
 
@@ -28,25 +28,25 @@ class TestTokenize:
         assert tokenize("") == []
 
     def test_edge_punctuation_stripped(self):
-        assert norms("AFP)") == ["afp"]
-        assert norms("ALGIERS, May 20 (AFP)") == ["algiers", "may", "20", "afp"]
+        assert tokenize("AFP)") == ["afp"]
+        assert tokenize("ALGIERS, May 20 (AFP)") == ["algiers", "may", "20", "afp"]
 
     def test_numerals_kept(self):
-        assert norms("275 kilometers (170 miles)") == ["275", "kilometers", "170", "miles"]
+        assert tokenize("275 kilometers (170 miles)") == ["275", "kilometers", "170", "miles"]
 
-    def test_surface_preserved(self):
-        token = tokenize("Algiers")[0]
-        assert token.surface == "Algiers"
-        assert token.norm == "algiers"
+    def test_each_match_lowercased_on_its_own(self):
+        # "İ".lower() is "i" plus a combining dot, which is not a word
+        # character; lowercasing the whole text first would split the word
+        assert tokenize("İstanbul") == ["i\u0307stanbul"]
 
     @given(st.text(max_size=80))
     def test_idempotent_on_normalized_output(self, text):
-        first = norms(text)
-        assert norms(" ".join(first)) == first
+        first = tokenize(text)
+        assert tokenize(" ".join(first)) == first
 
     @given(st.text(max_size=80))
     def test_norms_lowercase_without_whitespace(self, text):
-        for norm in norms(text):
+        for norm in tokenize(text):
             assert norm
             assert norm == norm.lower()
             assert not any(ch.isspace() for ch in norm)
@@ -87,6 +87,95 @@ class TestGlobalOrder:
         for outside in (0, cluster.n + 1):
             with pytest.raises(IndexError):
                 cluster.sentence_at(outside)
+
+
+class TestDerivedFields:
+    def test_sentence_terms_and_counts(self):
+        sentence = Sentence("d", 1, "Flood, flood; RIVER...")
+        assert sentence.terms == sentence.norms() == ("flood", "flood", "river")
+        assert sentence.counts == {"flood": 2, "river": 1}
+        assert list(sentence.counts) == ["flood", "river"]
+
+    def test_derived_fields_leave_equality_hash_and_repr_alone(self):
+        sentence = Sentence("d", 1, "Flood warning")
+        assert sentence == Sentence("d", 1, "Flood warning")
+        assert sentence != Sentence("d", 2, "Flood warning")
+        assert hash(sentence) == hash(("d", 1, "Flood warning"))
+        assert repr(sentence) == "Sentence(doc_id='d', index_in_doc=1, text='Flood warning')"
+        cluster = make_cluster("c", {"a": ["x y"], "b": ["z"]})
+        again = Cluster("c", cluster.documents)
+        assert again == cluster and hash(again) == hash(cluster)
+        assert repr(cluster) == f"Cluster(cluster_id='c', documents={cluster.documents!r})"
+
+    def test_offset_table(self):
+        cluster = make_cluster("c", {"a": ["1", "2", "3"], "b": ["4", "5"], "e": ["6"]})
+        assert [cluster.offset(doc_id) for doc_id in ("a", "b", "e")] == [0, 3, 5]
+        assert cluster.document("b") is cluster.documents[1]
+        for doc in cluster.documents:
+            for sentence in doc.sentences:
+                assert cluster.sentence_at(cluster.offset(doc.doc_id) + sentence.index_in_doc) is sentence
+        with pytest.raises(KeyError):
+            cluster.document("zz")
+
+    def test_construction_enforces_invariants(self):
+        doc = make_document("d", ["x"])
+        empty = Document("e", "wire", doc.timestamp, ())
+        with pytest.raises(ClusterParseError, match="has no documents"):
+            Cluster("c", ())
+        with pytest.raises(ClusterParseError, match="duplicate document id 'd'"):
+            Cluster("c", (doc, doc))
+        with pytest.raises(ClusterParseError, match="document 'e' has no sentences"):
+            Cluster("c", (doc, empty))
+
+
+class TestTimestampGrammar:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("1999-05-20", datetime(1999, 5, 20)),
+            ("1999-05-20Z", datetime(1999, 5, 20)),
+            ("1999-05-20T08:30", datetime(1999, 5, 20, 8, 30)),
+            ("1999-05-20 08:30", datetime(1999, 5, 20, 8, 30)),
+            ("1999-05-20T08:30:15", datetime(1999, 5, 20, 8, 30, 15)),
+            ("1999-05-20T08:30:15.5", datetime(1999, 5, 20, 8, 30, 15, 500000)),
+            ("1999-05-20T08:30:15.123456", datetime(1999, 5, 20, 8, 30, 15, 123456)),
+            ("1999-05-20T08:30:15Z", datetime(1999, 5, 20, 8, 30, 15)),
+            ("1999-05-20T10:30+02:00", datetime(1999, 5, 20, 8, 30)),
+            ("1999-05-20T03:00:00.25-05:30", datetime(1999, 5, 20, 8, 30, 0, 250000)),
+        ],
+    )
+    def test_accepted(self, raw, expected):
+        doc = document_from_dict({"doc_id": "d", "source": "s", "timestamp": raw, "sentences": ["x"]})
+        assert doc.timestamp == expected.replace(tzinfo=timezone.utc)
+        assert doc.timestamp.tzinfo == timezone.utc
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "19990520T080000Z",  # basic format
+            "1999-W20-4T08:00",  # week date
+            "1999-140",  # ordinal date
+            "1999-05-20T08",  # hour only
+            "1999-05-20T0830",
+            "1999-05-20t08:30",
+            "1999-05-20T08:30:15.1234567",
+            "1999-05-20T08:30+0200",
+            "1999-05-20T08:30+02",
+            "1999-05-20T08:30+05:60",
+            "1999-05-20T08:30+24:00",
+            "1999-05-20T24:00",
+            "1999-02-30",
+            "99-05-20",
+            "1999-5-20",
+            "\uff11\uff19\uff19\uff19-05-20",  # fullwidth digits
+            " 1999-05-20",
+            "1999-05-20T08:30\n",
+            "0001-01-01T00:00+05:00",  # before the first representable instant in UTC
+        ],
+    )
+    def test_rejected(self, raw):
+        with pytest.raises(ClusterParseError, match="invalid ISO-8601 timestamp"):
+            document_from_dict({"doc_id": "d", "source": "s", "timestamp": raw, "sentences": ["x"]})
 
 
 class TestParseCluster:
