@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,6 +42,7 @@ from .lexstats import build_centroid, build_idf, incremental_cluster, load_idf, 
 from .summarizer import (
     PRESETS,
     Extract,
+    RerankCapWarning,
     ScoreWeights,
     extract,
     extract_to_dict,
@@ -49,7 +51,7 @@ from .summarizer import (
     score_sentences,
     summary_text,
 )
-from .text import Cluster, cluster_from_dict, document_from_dict, parse_cluster, write_cluster
+from .text import Cluster, _json_int, cluster_from_dict, document_from_dict, parse_cluster, write_cluster
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,12 @@ def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dic
     centroid = build_centroid(cluster, load_idf(idf_path), config.centroid_threshold)
     scores = score_sentences(cluster, centroid, config.weights)
     select = redundancy_rerank if config.redundancy else extract
-    return {r: select(cluster, scores, r) for r in config.rates}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RerankCapWarning)
+        extracts = {r: select(cluster, scores, r) for r in config.rates}
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return extracts
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
@@ -270,9 +277,14 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation]) -> list[int]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
-        cluster_id, selected = str(data["cluster_id"]), sorted(int(p) for p in data["selected"])
+        cluster_id, positions = data["cluster_id"], data["selected"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not an extract file: {exc}") from None
+    if not isinstance(cluster_id, str):
+        raise ValueError(f"{path}: cluster_id: must be a string, got {cluster_id!r}")
+    if not isinstance(positions, list):
+        raise ValueError(f"{path}: selected: must be an array of integers, got {positions!r}")
+    selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
     if cluster_id != annotations[0].cluster_id:
         raise EvaluationError(
             f"extract {path} is for cluster {cluster_id!r}, "
@@ -294,9 +306,14 @@ def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Clus
 
 
 def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> SubsumptionAnnotation:
-    """Load subsumption marks and require every position to lie in the judged cluster."""
+    """Load subsumption marks and require them to be for the judged cluster and its positions."""
     marks = load_subsumption_annotation(path)
-    n = annotations[0].n
+    cluster_id, n = annotations[0].cluster_id, annotations[0].n
+    if marks.cluster_id != cluster_id:
+        raise EvaluationError(
+            f"{path}: subsumption marks are for cluster {marks.cluster_id!r}, "
+            f"annotations are for {cluster_id!r}"
+        )
     highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
     if highest > n:
         raise EvaluationError(f"{path}: subsumption position {highest} outside 1..{n} of the annotations")

@@ -10,16 +10,26 @@ cluster order.
 The optional redundancy pass subtracts a penalty, scaled by the maximum base
 score, from every sentence that overlaps an extract member with a strictly
 higher score, then reselects, repeating until the selected set stabilizes or
-repeats. Two named weight presets are evaluated throughout: pure-centroid
-(1, 0, 0) and lead+centroid (1, 1, 0).
+repeats. It never caches sentence pairs: a term index built once per call
+gives each extract member one row of integer shared counts, hence of overlaps
+with every sentence, and each round reads those rows column by column over
+the members ranked above a sentence. The overlaps are the exact floats of
+word_overlap, so the result equals the pairwise definition bit for bit. Two
+named weight presets are evaluated throughout: pure-centroid (1, 0, 0) and
+lead+centroid (1, 1, 0).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Sequence
+from itertools import chain, combinations, repeat
+from operator import add, mul, truediv
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lexstats import Centroid
 from .text import Cluster, Sentence
@@ -154,6 +164,15 @@ def extract(cluster: Cluster, scores: Sequence[SentenceScore], r: float) -> Extr
     return _build_extract(cluster, scores, r, k, selected)
 
 
+def _overlap_ratios(len_a: int, shared: Iterable[int], lengths: Iterable[int]) -> Iterator[float]:
+    """2 * shared / (len_a + len_b) for each shared count and length: the one overlap formula.
+
+    Built from operator functions, so a whole row of ratios is computed in C;
+    each ratio is the same float as the expression written out in Python.
+    """
+    return map(truediv, map(mul, repeat(2.0), shared), map(add, repeat(len_a), lengths))
+
+
 def word_overlap(s1: Sentence, s2: Sentence) -> float:
     """Cross-sentence word overlap: 2 * shared / (len1 + len2), in [0, 1].
 
@@ -165,7 +184,43 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
         raise ValueError("word_overlap requires non-empty sentences")
     counts2 = s2.counts
     shared = sum(min(count, counts2[term]) for term, count in s1.counts.items())
-    return 2.0 * shared / (len1 + len2)
+    (ratio,) = _overlap_ratios(len1, [shared], [len2])
+    return ratio
+
+
+def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
+    """Index the sentences' terms once; return the function giving one sentence's overlap row.
+
+    postings[term, j] lists the indices of the sentences holding term more
+    than j times. Concatenating postings[term, j] for j < count over one
+    sentence's term counts lists index i exactly sum(min(count, count_i))
+    times, so counting the concatenation (in C, through Counter) gives the
+    integer shared count with every sentence at once. The row is the
+    word_overlap of the sentence with each sentence, 0.0 where either has no
+    terms, and 1.0 at its own index.
+    """
+    postings: dict[tuple[str, int], list[int]] = {}
+    for i, sentence in enumerate(sentences):
+        for term, count in sentence.counts.items():
+            for j in range(count):
+                postings.setdefault((term, j), []).append(i)
+    lengths = [len(sentence.terms) for sentence in sentences]
+    n = len(sentences)
+
+    def row(i: int) -> array:
+        counts = sentences[i].counts
+        if not counts:  # a sentence without terms shares nothing; the ratio would be 0/0
+            return array("d", [0.0]) * n
+        shared = Counter(
+            chain.from_iterable(postings[term, j] for term, count in counts.items() for j in range(count))
+        )
+        return array("d", _overlap_ratios(lengths[i], map(shared.get, range(n), repeat(0)), lengths))
+
+    return row
+
+
+class RerankCapWarning(RuntimeWarning):
+    """The redundancy rerank used up its rounds before its selection settled."""
 
 
 def redundancy_rerank(
@@ -182,40 +237,59 @@ def redundancy_rerank(
     base score (frozen before the first round). Finals are recomputed from
     base minus penalty and the top-k reselected. Stops at the first selection
     that is stable or repeats an earlier one; duplicates can oscillate, so
-    repeats are detected by hashing the selected set.
+    repeats are detected by hashing the selected set. If max_iterations
+    rounds pass without either, the last selection is kept and a
+    RerankCapWarning names the cluster and the cap.
+
+    No pair of sentences is compared on its own. `_overlap_rows` indexes the
+    terms once; a member's overlaps with all n sentences then come as one row,
+    built the first time the member's final is above some sentence's and kept
+    for later rounds. Each round ranks the members by final, highest first.
+    The members with a strictly higher final than a sentence are a prefix of
+    that ranking, whose length bisection finds, and the sentence's largest
+    overlap is the max of its column (the rows zipped, in C) over that prefix.
+
+    Exactness: shared counts are integers and every overlap goes through the
+    ratio formula of `word_overlap`, so each row holds the very floats the
+    pairwise computation gives; a max of floats does not depend on the order
+    it is taken in; and the prefix holds exactly the members with a strictly
+    higher final (a NaN final is higher than none and lower than none, as in
+    a direct comparison). Penalties, finals and selections are therefore
+    equal, bit for bit, to comparing every sentence with every member.
     """
     if len(scores) != cluster.n:
         raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")
     if any(score.penalty != 0 for score in scores):
         raise ValueError("redundancy_rerank expects untouched base scores")
-    k = compression_size(cluster.n, r)
+    n = cluster.n
+    k = compression_size(n, r)
     base = [score.base for score in scores]
     w_r = max(base)
-    sentences = cluster.sentences()
-    overlap_cache: dict[tuple[int, int], float] = {}
-
-    def overlap(a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        cached = overlap_cache.get(key)
-        if cached is None:
-            s1, s2 = sentences[key[0] - 1], sentences[key[1] - 1]
-            # sentences without terms share nothing; word_overlap rejects them
-            cached = word_overlap(s1, s2) if s1.terms and s2.terms else 0.0
-            overlap_cache[key] = cached
-        return cached
+    overlap_row = _overlap_rows(cluster.sentences())
+    rows: dict[int, array] = {}  # member position -> its overlap row
 
     finals = list(base)
-    penalties = [0.0] * len(base)
+    penalties = [0.0] * n
     selected = _select_top(finals, k)
     seen = {selected}
     for _ in range(max_iterations):
-        penalties = []
-        for pos in range(1, len(base) + 1):
-            worst = 0.0
-            for member in selected:
-                if member != pos and finals[member - 1] > finals[pos - 1]:
-                    worst = max(worst, overlap(pos, member))
-            penalties.append(w_r * worst)
+        # members that can penalize, highest final first; a NaN final is never higher
+        ranked = sorted(
+            (m for m in selected if not math.isnan(finals[m - 1])),
+            key=lambda m: finals[m - 1],
+            reverse=True,
+        )
+        higher = sorted(finals[m - 1] for m in ranked)
+        # how many ranked members have a strictly higher final than each sentence
+        above = [len(ranked) - bisect_right(higher, final) for final in finals]
+        needed = ranked[: max(above)]  # the rest are higher than no sentence
+        for member in needed:
+            if member not in rows:
+                rows[member] = overlap_row(member - 1)
+        # column i holds 0.0, then each needed member's overlap with sentence i
+        columns = zip(repeat(0.0, n), *(rows[member] for member in needed))
+        worst_at = [max(column[: count + 1]) for column, count in zip(columns, above)]
+        penalties = [w_r * value for value in worst_at]
         finals = [b - p for b, p in zip(base, penalties)]
         reselected = _select_top(finals, k)
         if reselected == selected or reselected in seen:
@@ -223,6 +297,14 @@ def redundancy_rerank(
             break
         seen.add(reselected)
         selected = reselected
+    else:
+        warnings.warn(
+            RerankCapWarning(
+                f"cluster {cluster.cluster_id!r} at r={r:g}: the redundancy rerank ran its cap of "
+                f"{max_iterations} rounds without a stable or repeated selection; kept the last one"
+            ),
+            stacklevel=2,
+        )
 
     final_scores = [replace(score, penalty=penalty) for score, penalty in zip(scores, penalties)]
     return _build_extract(cluster, final_scores, r, k, selected)
@@ -267,7 +349,7 @@ def enumerate_extracts(
             f"C({n}, {k}) = {total} exceeds the enumeration cap of {cap}; "
             "use the closed-form random-performance mode instead"
         )
-    return iter(itertools.combinations(range(1, n + 1), k))
+    return iter(combinations(range(1, n + 1), k))
 
 
 def extract_to_dict(ext: Extract) -> dict:

@@ -32,7 +32,11 @@ class ClusterParseError(ValueError):
     """A cluster or document file violates the input schema."""
 
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A run of letters and digits, with combining diacritics that follow a letter
+# or digit kept inside the word (they are not word characters themselves).
+_WORD_RE = re.compile(
+    r"[^\W_]+(?:[\u0300-\u036f\u1ab0-\u1aff\u1dc0-\u1dff\u20d0-\u20ff\ufe20-\ufe2f]+[^\W_]*)*"
+)
 # YYYY-MM-DD[Thh:mm[:ss[.f]]][Z|+hh:mm|-hh:mm], .f being 1 to 6 digits; a space may replace T.
 _TIMESTAMP_RE = re.compile(
     r"(\d{4}-\d\d-\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?)?(Z|[+-]\d\d:[0-5]\d)?",
@@ -132,8 +136,12 @@ def tokenize(text: str) -> list[str]:
 
     Splits on any run of non-alphanumeric characters (underscore included),
     keeps digits, drops empty fragments. No stemming, no stopword removal.
-    Each match is lowercased on its own: lowercasing the text first would
-    split words whose lowercase form contains a combining mark ("İstanbul").
+    Combining diacritical marks (U+0300-036F and the other combining
+    diacritic blocks) directly after a letter or digit stay in its word, so
+    decomposed text keeps its words whole: "cafe" plus U+0301 is one term.
+    Each match is lowercased on its own. A lowercase form with a combining
+    mark, such as that of "İ" (i plus U+0307), stays one word, so tokenizing
+    the joined output again gives the same terms.
     """
     return [m.lower() for m in _WORD_RE.findall(text)]
 

@@ -1,10 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from centroidsumm import SubsumptionAnnotation, UtilityAnnotation, parse_cluster
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# For CI: pytest --hypothesis-profile=ci. The differential tests against the
+# oracles take helpers.examples(floor) examples: 1000 under this profile, their
+# own floor under the default one, so a local run stays as fast as it was.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # three judges scoring a four-sentence cluster, 0-10 each
 JUDGE_UTILITIES = {

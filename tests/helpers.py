@@ -2,6 +2,8 @@
 
 from datetime import datetime, timezone
 
+from hypothesis import settings
+
 from centroidsumm import Cluster, Document, Sentence
 
 
@@ -61,3 +63,8 @@ BACKGROUND_TEXTS = [
 
 def background_documents() -> list:
     return [make_document(f"bg{i}", texts, hour=6) for i, texts in enumerate(BACKGROUND_TEXTS)]
+
+
+def examples(floor: int) -> int:
+    """Hypothesis examples for a test: `floor`, or more if the loaded profile asks for more."""
+    return max(floor, settings.default.max_examples)

@@ -1,11 +1,14 @@
+import functools
 import json
 import math
+import warnings
 
 import pytest
 
 import centroidsumm.cli
 from centroidsumm import (
     PRESETS,
+    RerankCapWarning,
     SubsumptionAnnotation,
     UtilityAnnotation,
     build_centroid,
@@ -14,9 +17,11 @@ from centroidsumm import (
     cluster_to_dict,
     document_to_dict,
     extract,
+    extract_to_dict,
     lead_baseline,
     load_idf,
     parse_cluster,
+    redundancy_rerank,
     round_half_up,
     save_idf,
     save_subsumption_annotation,
@@ -327,6 +332,33 @@ class TestSummarizeCommand:
         assert (out_on / "extract_disjoint_r50.json").read_bytes() == (
             out_off / "extract_disjoint_r50.json"
         ).read_bytes()
+
+    def test_rerank_cap_is_one_stderr_line(self, tmp_path, monkeypatch, capsys):
+        cluster = make_cluster(
+            "dup",
+            {
+                "x": ["Troops entered the city.", "Troops entered the city.", "Aid convoys waited outside."],
+                "y": ["Troops entered the city at dawn."],
+            },
+        )
+        cluster_file, idf_path = tmp_path / "dup.json", tmp_path / "idf.json"
+        write_json(cluster_to_dict(cluster), cluster_file)
+        save_idf(build_idf([*cluster.documents, *background_documents()]), idf_path)
+        capped = functools.partial(redundancy_rerank, max_iterations=1)
+        monkeypatch.setattr(centroidsumm.cli, "redundancy_rerank", capped)
+        out = tmp_path / "out"
+        args = ["summarize", str(cluster_file), "--idf", str(idf_path), "--r", "0.5", "--redundancy", "on"]
+        assert main([*args, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: cluster 'dup' at r=0.5: the redundancy rerank ran its cap of 1 rounds "
+            "without a stable or repeated selection; kept the last one"
+        ]
+        # the warning reaches no output file
+        scores = score_sentences(cluster, build_centroid(cluster, load_idf(idf_path)), PRESETS["pure-centroid"])
+        with pytest.warns(RerankCapWarning):
+            expected = extract_to_dict(capped(cluster, scores, 0.5))
+        assert (out / "extract_dup_r50.json").read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
     def test_config_file_sets_rate_and_flag_overrides(self, news_inputs, tmp_path):
         cluster_file, idf_path = news_inputs
@@ -701,6 +733,34 @@ class TestStrictNumbers:
         args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
         assert main([*args, "--subsumption", str(bad)]) == 2
         assert f"{bad}: subsumers[" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cluster_id, selected, field",
+        [
+            ("quad", "12", "selected: must be an array"),
+            ("quad", [1.9, 2], "selected[0]"),
+            ("quad", [1, True], "selected[1]"),
+            (5, [1, 2], "cluster_id: must be a string"),
+        ],
+    )
+    def test_bad_extract_file_exits_2(self, quad_judges, tmp_path, capsys, cluster_id, selected, field):
+        bad = tmp_path / "bad_extract.json"
+        write_json({"cluster_id": cluster_id, "selected": selected}, bad)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(bad), "--r", "0.5"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert f"{bad}: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_subsumption_for_another_cluster_exits_3(self, quad_judges, tmp_path, capsys):
+        other = tmp_path / "other_sub.json"
+        save_subsumption_annotation(SubsumptionAnnotation("S1", "other", {2: frozenset({1})}), other)
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        args += ["--subsumption", str(other), "--agreement-threshold", "1", "--out", str(tmp_path / "out")]
+        assert main(args) == 3
+        assert f"{other}: subsumption marks are for cluster 'other'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subsumers", [{"5": [1]}, {"2": [9]}])
     def test_subsumption_beyond_the_judged_cluster_exits_3(self, quad_judges, tmp_path, capsys, subsumers):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import centroidsumm as cs
 import oracle_evaluation as oracle
 from centroidsumm import EvaluationError, SubsumptionGraph, UtilityAnnotation
+from helpers import examples
 
 
 def outcome(func, *args, **kwargs):
@@ -54,7 +55,7 @@ def judged_cluster(draw):
 
 
 @given(judged_cluster())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_core_equals_reference(case):
     judges, r, systems, graph, E = case
     same("cross_judge_matrix", judges, r)

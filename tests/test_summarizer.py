@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from centroidsumm import (
     LEAD_CENTROID,
     PRESETS,
     PURE_CENTROID,
+    RerankCapWarning,
     ScoreWeights,
     SentenceScore,
     build_centroid,
@@ -226,6 +228,24 @@ class TestRedundancyRerank:
         )
         ext = redundancy_rerank(cluster, scores_from([10.0, 9.5, 7.0]), 2 / 3)
         assert ext.selected == (1, 3)
+
+    def test_cap_warns_once_and_keeps_the_last_selection(self):
+        # round 1 swaps the duplicate for sentence 3; confirming that takes a second round
+        cluster = make_cluster(
+            "dup",
+            {"a": ["troops entered the city", "troops entered the city", "aid convoys waited outside"]},
+        )
+        scores = scores_from([10.0, 9.5, 7.0])
+        with pytest.warns(RerankCapWarning) as caught:
+            ext = redundancy_rerank(cluster, scores, 2 / 3, max_iterations=1)
+        assert [str(w.message) for w in caught] == [
+            "cluster 'dup' at r=0.666667: the redundancy rerank ran its cap of 1 rounds "
+            "without a stable or repeated selection; kept the last one"
+        ]
+        assert ext.selected == (1, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RerankCapWarning)
+            assert redundancy_rerank(cluster, scores, 2 / 3, max_iterations=2) == ext
 
     def test_k_one_never_penalizes(self):
         cluster = make_cluster("c", {"a": ["same words here", "same words here", "other text"]})

@@ -7,10 +7,14 @@ approx), including the key order of centroid entries and document vectors,
 which fixes the order of their float sums.
 """
 
+import math
+import warnings
+
 from hypothesis import given, settings, strategies as st
 
 import centroidsumm as cs
 import oracle_summarizer as oracle
+from helpers import examples
 
 # Mixed case, a digit run, and a capital whose lowercase form carries a
 # combining mark, so tokenizing must lowercase each match, not the text.
@@ -72,7 +76,7 @@ def overlap_outcome(func, s1, s2):
 
 
 @given(documents(), idf_models(), weights, rates, thresholds)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_scoring_and_selection_equal_reference(docs, idf, score_weights, r, threshold):
     cluster = cs.Cluster.build("c", docs)
     for sentence in cluster.sentences():
@@ -100,10 +104,77 @@ def test_scoring_and_selection_equal_reference(docs, idf, score_weights, r, thre
 
 
 @given(documents(max_docs=8), idf_models(), st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]), thresholds)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_clustering_equals_reference(docs, idf, sim_threshold, centroid_threshold):
     for doc in docs:
         vector = cs.document_vector(doc, idf)
         assert list(vector.items()) == list(oracle.document_vector(doc, idf).items())
     got = cs.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
     assert got == oracle.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
+
+
+# --- the redundancy rerank at a realistic size ------------------------------
+
+RERANK_VOCABULARY = [
+    "troops", "entered", "the", "city", "aid", "convoys", "waited", "outside",
+    "flood", "river", "rain", "dam", "2024", "said", "officials", "on",
+]
+
+
+@st.composite
+def paraphrase_pool(draw):
+    """A few source sentences, each with reordered, shortened and extended rewrites."""
+    pool = ["...", "- -"]  # sentences without terms
+    for words in draw(st.lists(st.lists(st.sampled_from(RERANK_VOCABULARY), min_size=1, max_size=12),
+                               min_size=1, max_size=8)):
+        pool.append(" ".join(words))
+        for _ in range(draw(st.integers(0, 4))):
+            rewrite = list(draw(st.permutations(words)))
+            rewrite = rewrite[: draw(st.integers(1, len(rewrite)))]
+            rewrite += draw(st.lists(st.sampled_from(RERANK_VOCABULARY + words), max_size=3))
+            pool.append(" ".join(rewrite))
+    return pool
+
+
+@st.composite
+def large_clusters(draw):
+    # up to 8 documents of up to 25 sentences, drawn with repeats from one pool
+    pool = draw(paraphrase_pool())
+    docs = []
+    for i in range(draw(st.sampled_from(range(1, 9)))):
+        size = draw(st.sampled_from(range(1, 26)))  # near uniform, where integers() favours small
+        docs.append(cs.document_from_dict({
+            "doc_id": f"d{i}",
+            "source": "wire",
+            "timestamp": f"1999-05-20T{i:02d}:00:00Z",
+            "sentences": draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+        }))
+    return cs.Cluster.build("big", docs)
+
+
+@st.composite
+def rerank_scores(draw, cluster):
+    """Library scores, or drawn bases with many ties, negative or non-finite values."""
+    source = draw(st.sampled_from(["centroid", "ties", "non-finite"]))
+    if source == "centroid":
+        idf = cs.IdfModel(n_docs=50, df={term: draw(st.integers(1, 50)) for term in RERANK_VOCABULARY})
+        return cs.score_sentences(cluster, cs.build_centroid(cluster, idf), draw(weights))
+    values = [-2.0, 0.0, 0.5, 1.0, 1.0, 3.0, 7.5]
+    if source == "non-finite":
+        values += [math.inf, -math.inf, math.nan]
+    bases = draw(st.lists(st.sampled_from(values), min_size=cluster.n, max_size=cluster.n))
+    return [cs.SentenceScore(position=i, c=b, p=0.0, f=0.0, base=b) for i, b in enumerate(bases, 1)]
+
+
+@given(st.data(), large_clusters(), rates, st.sampled_from([1, 2, 3, 100]))
+@settings(max_examples=examples(100), deadline=None)
+def test_rerank_equals_reference_on_large_clusters(data, cluster, r, max_iterations):
+    scores = data.draw(rerank_scores(cluster))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cs.RerankCapWarning)
+        got = cs.redundancy_rerank(cluster, scores, r, max_iterations)
+    expected = oracle.redundancy_rerank(cluster, scores, r, max_iterations)
+    # repr tells -0.0 from 0.0 and matches NaN, which == cannot
+    assert repr(got) == repr(expected)
+    if all(math.isfinite(score.base) for score in scores):
+        assert got == expected

@@ -2,7 +2,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from centroidsumm import (
     Cluster,
@@ -35,11 +35,19 @@ class TestTokenize:
         assert tokenize("275 kilometers (170 miles)") == ["275", "kilometers", "170", "miles"]
 
     def test_each_match_lowercased_on_its_own(self):
-        # "İ".lower() is "i" plus a combining dot, which is not a word
-        # character; lowercasing the whole text first would split the word
+        # "İ".lower() is "i" plus a combining dot, which stays in the word
         assert tokenize("İstanbul") == ["i\u0307stanbul"]
 
+    def test_combining_marks_stay_in_the_word(self):
+        # decomposed "café": e plus U+0301 does not end the word
+        assert tokenize("Cafe\u0301 noir") == ["cafe\u0301", "noir"]
+        assert tokenize("a\u20dd\u0301b c") == ["a\u20dd\u0301b", "c"]
+        # a mark that follows no letter or digit separates like punctuation
+        assert tokenize("_\u0301x \u0301") == ["x"]
+
     @given(st.text(max_size=80))
+    @example("İ")
+    @example("cafe\u0301")
     def test_idempotent_on_normalized_output(self, text):
         first = tokenize(text)
         assert tokenize(" ".join(first)) == first
