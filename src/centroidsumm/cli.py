@@ -38,7 +38,7 @@ from .evaluation import (
     report_to_dict,
     round_half_up,
 )
-from .lexstats import build_centroid, build_idf, incremental_cluster, load_idf, save_idf
+from .lexstats import _require_finite, build_centroid, build_idf, incremental_cluster, load_idf, save_idf
 from .summarizer import (
     PRESETS,
     Extract,
@@ -73,9 +73,7 @@ class RunConfig:
         ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
         for rate in (self.r, *self.rates):
             EvalConfig(rate, self.E, self.agreement_threshold)
-        for name in ("centroid_threshold", "sim_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)}")
+        _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:
@@ -205,7 +203,7 @@ def _r_tag(r: float) -> str:
 
 
 def _load_corpus_documents(corpus_dir: str) -> list:
-    """Documents from a directory of document and/or cluster JSON files."""
+    """Documents from a directory of document and/or cluster JSON files; none is an error."""
     root = Path(corpus_dir)
     if not root.is_dir():
         raise ValueError(f"{corpus_dir}: not a directory")
@@ -216,13 +214,13 @@ def _load_corpus_documents(corpus_dir: str) -> list:
             documents.extend(cluster_from_dict(data, where=str(path)).documents)
         else:
             documents.append(document_from_dict(data, where=str(path)))
+    if not documents:
+        raise ValueError(f"{corpus_dir}: no documents found")
     return documents
 
 
 def cmd_idf(args: argparse.Namespace) -> int:
     documents = _load_corpus_documents(args.corpus_dir)
-    if not documents:
-        raise ValueError(f"{args.corpus_dir}: no documents found")
     model = build_idf(documents)
     out = _out_dir(args) / "idf.json"
     save_idf(model, out)

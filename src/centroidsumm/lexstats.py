@@ -2,23 +2,27 @@
 
 A centroid is a pseudo-document of terms whose average-count * IDF weight
 clears a threshold; it represents the topical core shared by all documents
-in a cluster. Incremental clustering assigns each incoming document to the
-most similar existing centroid (cosine over count*IDF vectors) or opens a
-new cluster, then rebuilds the affected centroid from scratch. Clusters are
-small (a handful of documents), so exact recomputation is cheap.
+in a cluster. Incremental clustering streams documents in chronological
+order into the most similar open cluster (cosine over count*IDF vectors) or
+a new one. An open cluster keeps running integer term totals, in the key
+order a rebuild would give, and its weight vector and norm; an assignment
+updates only that cluster's, with build_centroid's formula, to the same bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mul, truediv
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .text import Cluster, Document, _json_int
+from .text import Cluster, ClusterParseError, Document, _json_int
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
@@ -84,36 +88,34 @@ def build_idf(background: Iterable[Document]) -> IdfModel:
     return IdfModel(n_docs=n_docs, df=dict(df))
 
 
+def _require_finite(**thresholds: float) -> None:
+    for name, value in thresholds.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
+def _centroid_terms(totals: Counter, d: int, idf_of: Callable[[str], float], threshold: float) -> list:
+    """The one weight formula: (term, count, idf, weight) where (total / d) * idf clears threshold."""
+    counts = list(map(truediv, totals.values(), repeat(d)))
+    idfs = list(map(idf_of, totals))
+    return [row for row in zip(totals, counts, idfs, map(mul, counts, idfs)) if row[3] >= threshold]
+
+
 def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> Centroid:
     """Centroid of a cluster: terms whose count*IDF weight clears the threshold.
 
     count(w) is the total number of occurrences across the cluster divided by
     the number of documents, i.e. the average occurrences per document.
     """
+    _require_finite(threshold=threshold)
     # Counting term tuples in cluster order keeps each term at its first
     # occurrence, and that key order fixes the float summation order downstream.
     totals: Counter = Counter()
     for sentence in cluster.sentences():
         totals.update(sentence.terms)
-    entries: dict[str, CentroidEntry] = {}
-    for term, total in totals.items():
-        count = total / cluster.d
-        term_idf = idf.idf(term)
-        weight = count * term_idf
-        if weight >= threshold:
-            entries[term] = CentroidEntry(count=count, idf=term_idf, weight=weight)
+    rows = _centroid_terms(totals, cluster.d, idf.idf, threshold)
+    entries = {row[0]: CentroidEntry(*row[1:]) for row in rows}
     return Centroid(cluster_id=cluster.cluster_id, entries=entries, threshold=threshold)
-
-
-def _cosine(vec_a: dict[str, float], vec_b: dict[str, float]) -> float:
-    if len(vec_b) < len(vec_a):
-        vec_a, vec_b = vec_b, vec_a
-    dot = sum(value * vec_b.get(term, 0.0) for term, value in vec_a.items())
-    norm_a = math.sqrt(sum(v * v for v in vec_a.values()))
-    norm_b = math.sqrt(sum(v * v for v in vec_b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
 
 
 def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
@@ -122,6 +124,27 @@ def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
     for sentence in document.sentences:
         counts.update(sentence.terms)
     return {term: count * idf.idf(term) for term, count in counts.items()}
+
+
+def _norm(vector: dict[str, float]) -> float:
+    return math.sqrt(sum(map(mul, vector.values(), vector.values())))
+
+
+def _best_match(vector: dict[str, float], candidates: Iterable[tuple], sim_threshold: float) -> str | None:
+    """Id of the first candidate (id, weights, norm) of highest cosine if > 0 and >= sim_threshold, else None.
+
+    The dot product runs over the shorter vector's terms (the document's on equal lengths).
+    """
+    norm = _norm(vector)
+    best_id, best_sim = None, 0.0
+    for cluster_id, weights, weights_norm in candidates:
+        if norm == 0.0 or weights_norm == 0.0:
+            continue  # similarity 0.0 never beats best_sim
+        short, long = (weights, vector) if len(weights) < len(vector) else (vector, weights)
+        sim = sum(map(mul, short.values(), map(long.get, short, repeat(0.0)))) / (norm * weights_norm)
+        if sim > best_sim:
+            best_id, best_sim = cluster_id, sim
+    return best_id if best_sim >= sim_threshold else None
 
 
 def assign_document(
@@ -134,19 +157,10 @@ def assign_document(
 
     Similarity is cosine between the document's count*IDF vector and each
     centroid's weight vector. Ties keep the earliest centroid given.
-    After assignment the caller rebuilds the centroid over the enlarged
-    cluster.
     """
-    vector = document_vector(doc, idf)
-    best_id: str | None = None
-    best_sim = 0.0
-    for centroid in centroids:
-        weights = {term: entry.weight for term, entry in centroid.entries.items()}
-        sim = _cosine(vector, weights)
-        if sim > best_sim:
-            best_sim = sim
-            best_id = centroid.cluster_id
-    return best_id if best_sim >= sim_threshold else None  # None unless some similarity beat 0
+    weights = [(c.cluster_id, {t: e.weight for t, e in c.entries.items()}) for c in centroids]
+    candidates = [(cluster_id, w, _norm(w)) for cluster_id, w in weights]
+    return _best_match(document_vector(doc, idf), candidates, sim_threshold)
 
 
 def incremental_cluster(
@@ -158,23 +172,27 @@ def incremental_cluster(
 ) -> list[Cluster]:
     """Stream documents in chronological order into clusters.
 
-    Each document either joins the most similar existing cluster (rebuilding
-    its centroid) or opens a new one named `<prefix><seq>`.
+    Each document either joins the most similar open cluster (updating its
+    term totals, weights and norm) or opens a new one named `<prefix><seq>`.
     """
+    _require_finite(sim_threshold=sim_threshold, centroid_threshold=centroid_threshold)
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
-    members: dict[str, list[Document]] = {}
-    centroids: dict[str, Centroid] = {}  # in creation order, as assign_document breaks ties
+    idf_of = functools.cache(idf.idf)  # each term's idf is looked up once per run
+    members: dict[str, tuple[list[Document], Counter]] = {}
+    vectors: dict[str, tuple[str, dict[str, float], float]] = {}  # creation order breaks ties
     for doc in ordered:
-        target = assign_document(centroids.values(), doc, idf, sim_threshold)
+        target = _best_match(document_vector(doc, idf), vectors.values(), sim_threshold)
         if target is None:
-            target = f"{id_prefix}{len(centroids) + 1:03d}"
-            members[target] = [doc]
-        else:
-            members[target].append(doc)
-        centroids[target] = build_centroid(
-            Cluster.build(target, members[target]), idf, centroid_threshold
-        )
-    return [Cluster.build(cid, docs) for cid, docs in members.items()]
+            target = f"{id_prefix}{len(members) + 1:03d}"
+            members[target] = ([], Counter())
+        elif any(member.doc_id == doc.doc_id for member in members[target][0]):
+            raise ClusterParseError(f"cluster {target!r}: duplicate document id {doc.doc_id!r}")
+        docs, totals = members[target]
+        docs.append(doc)
+        totals.update(chain.from_iterable(sentence.terms for sentence in doc.sentences))
+        weights = {row[0]: row[3] for row in _centroid_terms(totals, len(docs), idf_of, centroid_threshold)}
+        vectors[target] = (target, weights, _norm(weights))
+    return [Cluster.build(cid, docs) for cid, (docs, _) in members.items()]
 
 
 def save_idf(model: IdfModel, path: str | Path) -> None:

@@ -120,7 +120,7 @@ def first_sentence_overlap(sentence: Sentence, cluster: Cluster) -> float:
 def score_sentences(
     cluster: Cluster, centroid: Centroid, weights: ScoreWeights
 ) -> list[SentenceScore]:
-    """Base scores for all n sentences, in global order. Penalties stay 0 here."""
+    """Base scores for all n sentences, in global order; penalties stay 0. A non-finite base raises."""
     if cluster.cluster_id != centroid.cluster_id:
         raise ValueError(
             f"cluster {cluster.cluster_id!r} does not match centroid {centroid.cluster_id!r}"
@@ -133,6 +133,9 @@ def score_sentences(
         p = positional_value(sentence, cluster, c_max)
         f = first_sentence_overlap(sentence, cluster)
         base = weights.w_c * c + weights.w_p * p + weights.w_f * f
+        if not math.isfinite(base):
+            where = f"cluster {cluster.cluster_id!r}: sentence {position}"
+            raise ValueError(f"{where}: base score {base} is not finite")
         scores.append(SentenceScore(position=position, c=c, p=p, f=f, base=base))
     return scores
 

@@ -209,13 +209,17 @@ class TestClusterCommand:
         assert "2 clusters" in capsys.readouterr().out
         assert (out / "c001.json").exists() and (out / "c002.json").exists()
 
-    def test_empty_dir_is_zero_clusters(self, tmp_path, news_cluster_path, capsys):
+    def test_empty_dir_exits_2(self, tmp_path, news_cluster_path, capsys):
         _, idf_path = self.prepare(tmp_path, news_cluster_path)
         empty = tmp_path / "none"
         empty.mkdir()
+        capsys.readouterr()
         code = main(["cluster", str(empty), "--idf", str(idf_path), "--out", str(tmp_path / "c")])
-        assert code == 0
-        assert "0 clusters" in capsys.readouterr().out
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{empty}: no documents found" in captured.err
+        assert "clusters" not in captured.out
+        assert not (tmp_path / "c").exists()
 
 
 @pytest.fixture
@@ -800,6 +804,14 @@ class TestNonFiniteSettings:
         assert main(["summarize", cluster_file, "--idf", idf_path, *flags, "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_summarize_exits_2_on_overflowing_scores(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "out"
+        args = ["--weights", "1e308,1e308,0", "--redundancy", "on", "--out", str(out)]
+        assert main(["summarize", cluster_file, "--idf", idf_path, *args]) == 2
+        assert "base score inf is not finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_cluster_exits_2_on_nan_similarity(self, news_inputs, tmp_path, news_cluster_path, capsys):
         _, idf_path = news_inputs

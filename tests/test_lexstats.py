@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from centroidsumm import (
     IDF_FLOOR,
+    ClusterParseError,
     IdfModel,
     assign_document,
     build_centroid,
@@ -93,6 +94,12 @@ class TestBuildCentroid:
         assert "minor" in keep_all.entries
         assert "minor" not in filtered.entries
         assert "belgium" in filtered.entries
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        cluster = make_cluster("c", {"a": ["storm hits coast"]})
+        with pytest.raises(ValueError, match="threshold must be a finite number"):
+            build_centroid(cluster, IdfModel(n_docs=10, df={}), threshold=value)
 
     def test_document_order_does_not_matter(self):
         texts_a = ["algeria erupts in violence", "the army responded"]
@@ -202,6 +209,24 @@ class TestIncrementalCluster:
     def test_empty_input_yields_no_clusters(self):
         model = IdfModel(n_docs=10, df={})
         assert incremental_cluster([], model, sim_threshold=0.1) == []
+
+    @pytest.mark.parametrize("field", ["sim_threshold", "centroid_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, field, value):
+        docs = [make_document("a", ["storm hits coast"])]
+        thresholds = {"sim_threshold": 0.1, "centroid_threshold": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            incremental_cluster(docs, IdfModel(n_docs=10, df={}), **thresholds)
+
+    def test_duplicate_doc_id_joining_a_cluster_rejected(self):
+        docs = [make_document("a", ["storm hits coast"], hour=8), make_document("a", ["storm hits coast"], hour=9)]
+        with pytest.raises(ClusterParseError, match="^cluster 'c001': duplicate document id 'a'$"):
+            incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.5)
+
+    def test_duplicate_doc_id_in_another_cluster_is_allowed(self):
+        docs = [make_document("a", ["storm hits coast"], hour=8), make_document("a", ["markets rally"], hour=9)]
+        clusters = incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.5)
+        assert [c.d for c in clusters] == [1, 1]
 
 
 class TestPersistence:

@@ -148,6 +148,12 @@ class TestScoreSentences:
         c_max = max(s.c for s in scores)
         assert scores[0].base == pytest.approx(scores[0].c + c_max)
 
+    def test_overflowing_base_score_rejected(self):
+        cluster = make_cluster("c", {"a": ["flood flood warning", "flood"]})
+        centroid = build_centroid(cluster, IdfModel(n_docs=10, df={}))
+        with pytest.raises(ValueError, match="^cluster 'c': sentence 1: base score inf is not finite$"):
+            score_sentences(cluster, centroid, ScoreWeights(1e308, 1e308, 0.0))
+
     def test_mismatched_cluster_ids_rejected(self):
         cluster = make_cluster("c", {"a": ["words here"]})
         centroid = centroid_of({"words": 1.0}, cluster_id="other")

@@ -7,7 +7,9 @@ approx), including the key order of centroid entries and document vectors,
 which fixes the order of their float sums.
 """
 
+import dataclasses
 import math
+import random
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -68,11 +70,12 @@ rates = st.integers(1, 100).map(lambda percent: percent / 100)
 thresholds = st.sampled_from([0.0, 0.5, 2.0])
 
 
-def overlap_outcome(func, s1, s2):
+def outcome(func, *args):
+    """func's result, or the type and message of the ValueError it raised."""
     try:
-        return func(s1, s2)
+        return func(*args)
     except ValueError as exc:
-        return str(exc)
+        return type(exc), str(exc)
 
 
 @given(documents(), idf_models(), weights, rates, thresholds)
@@ -98,7 +101,7 @@ def test_scoring_and_selection_equal_reference(docs, idf, score_weights, r, thre
     sentences = cluster.sentences()
     for s1 in sentences:
         for s2 in sentences:
-            assert overlap_outcome(cs.word_overlap, s1, s2) == overlap_outcome(
+            assert outcome(cs.word_overlap, s1, s2) == outcome(
                 oracle.word_overlap, s1, s2
             )
 
@@ -178,3 +181,114 @@ def test_rerank_equals_reference_on_large_clusters(data, cluster, r, max_iterati
     assert repr(got) == repr(expected)
     if all(math.isfinite(score.base) for score in scores):
         assert got == expected
+
+
+# --- incremental clustering at a realistic size -----------------------------
+
+BACKGROUND_POOL = [f"bg{i}" for i in range(30)]
+TOPIC_POOLS = [[f"topic{k}w{j}" for j in range(10)] for k in range(6)]
+
+
+@st.composite
+def document_streams(draw):
+    """20-60 documents over a shared background pool, most about one of a few topics.
+
+    Structure is drawn; words come from a seeded generator, so a draw stays
+    small. Timestamps repeat (ordering falls back to doc_id), some sentences
+    have no terms, and some documents reuse an earlier doc_id.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    topics = TOPIC_POOLS[: draw(st.integers(1, len(TOPIC_POOLS)))]
+    duplicate_rate = draw(st.sampled_from([0.0, 0.0, 0.05, 0.2]))
+    n_docs = draw(st.integers(20, 60))
+    background_weights = [1.0 / rank for rank in range(1, len(BACKGROUND_POOL) + 1)]
+    docs = []
+    for i in range(n_docs):
+        topic = rng.choice(topics) if rng.random() < 0.85 else [f"single{i}w{j}" for j in range(5)]
+        density = rng.uniform(0.2, 0.8)
+        texts = []
+        for _ in range(rng.randint(1, 6)):
+            words = rng.choices(BACKGROUND_POOL, background_weights, k=rng.randint(0, 12))
+            words = [rng.choice(topic) if rng.random() < density else word for word in words]
+            texts.append(" ".join(words) or "...")
+        doc_id = f"d{rng.randrange(i):02d}" if i and rng.random() < duplicate_rate else f"d{i:02d}"
+        minute = rng.randrange(n_docs)
+        docs.append(cs.document_from_dict({
+            "doc_id": doc_id,
+            "source": "wire",
+            "timestamp": f"1999-05-20T{minute // 60:02d}:{minute % 60:02d}:00Z",
+            "sentences": texts,
+        }))
+    return docs
+
+
+@st.composite
+def stream_idf_models(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_docs = draw(st.integers(1, 60))
+    terms = BACKGROUND_POOL + [word for pool in TOPIC_POOLS for word in pool]
+    known = rng.sample(terms, rng.randrange(len(terms)))
+    return cs.IdfModel(n_docs=n_docs, df={term: rng.randint(1, n_docs) for term in known})
+
+
+def oracle_best_similarities(docs, idf, sim_threshold, centroid_threshold):
+    """Each document's best cosine in the oracle's stream (0.0 when none is positive), in order.
+
+    Records through the oracle's own assign_document and _cosine; a stream
+    that stops at a duplicate doc_id gives the documents before it.
+    """
+    per_doc = []
+    assign, cosine = oracle.assign_document, oracle._cosine
+
+    def recording_assign(*args):
+        per_doc.append([0.0])
+        return assign(*args)
+
+    def recording_cosine(*args):
+        per_doc[-1].append(cosine(*args))
+        return per_doc[-1][-1]
+
+    oracle.assign_document, oracle._cosine = recording_assign, recording_cosine
+    try:
+        outcome(oracle.incremental_cluster, docs, idf, sim_threshold, centroid_threshold)
+    finally:
+        oracle.assign_document, oracle._cosine = assign, cosine
+    return [max(sims) for sims in per_doc]
+
+
+@given(st.data(), document_streams(), stream_idf_models(),
+       st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.6]), st.sampled_from([0.0, 0.5, 2.0, 50.0]))
+@settings(max_examples=examples(60), deadline=None)
+def test_clustering_equals_reference_on_large_streams(data, docs, idf, sim_threshold, centroid_threshold):
+    # A threshold equal to a similarity the oracle computed puts that document
+    # exactly on the >= tie. It is taken from a document before which no
+    # positive best similarity falls on the other side of it than of the drawn
+    # threshold, so the stream reaches that document unchanged.
+    bests = oracle_best_similarities(docs, idf, sim_threshold, centroid_threshold)
+    ties = [
+        best for j, best in enumerate(bests)
+        if best > 0 and all((b >= sim_threshold) == (b >= best) for b in bests[:j] if b > 0)
+    ]
+    if ties and data.draw(st.booleans(), label="threshold at a tie"):
+        sim_threshold = data.draw(st.sampled_from(ties), label="tied sim_threshold")
+    got = outcome(cs.incremental_cluster, docs, idf, sim_threshold, centroid_threshold)
+    assert got == outcome(oracle.incremental_cluster, docs, idf, sim_threshold, centroid_threshold)
+
+    # assign_document over many centroids: consecutive groups of distinct
+    # documents, one repeated under a later id so that equal best scores tie
+    distinct = list({doc.doc_id: doc for doc in docs}.values())
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12), label="group sizes")
+    centroids, start = [], 0
+    for i, size in enumerate(sizes):
+        if start < len(distinct):
+            group = cs.Cluster.build(f"g{i:02d}", distinct[start:start + size])
+            centroids.append(oracle.build_centroid(group, idf, centroid_threshold))
+            start += size
+    centroids.append(dataclasses.replace(centroids[0], cluster_id="again"))
+    weights = [{term: entry.weight for term, entry in c.entries.items()} for c in centroids]
+    for doc in docs:
+        vector = oracle.document_vector(doc, idf)
+        best = max(oracle._cosine(vector, w) for w in weights)
+        for threshold in (sim_threshold, best, math.nextafter(best, math.inf)):
+            expected = oracle.assign_document(centroids, doc, idf, threshold)
+            assert cs.assign_document(centroids, doc, idf, threshold) == expected
