@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -24,8 +22,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .evaluation import (
-    EvalConfig,
-    EvalReport,
     EvaluationError,
     SubsumptionAnnotation,
     UtilityAnnotation,
@@ -36,7 +32,6 @@ from .evaluation import (
     load_subsumption_annotation,
     load_utility_annotation,
     report_to_dict,
-    round_half_up,
 )
 from .lexstats import _require_finite, build_centroid, build_idf, incremental_cluster, load_idf, save_idf
 from .summarizer import (
@@ -44,6 +39,7 @@ from .summarizer import (
     Extract,
     RerankCapWarning,
     ScoreWeights,
+    compression_size,
     extract,
     extract_to_dict,
     lead_baseline,
@@ -51,7 +47,17 @@ from .summarizer import (
     score_sentences,
     summary_text,
 )
-from .text import Cluster, _json_int, cluster_from_dict, document_from_dict, parse_cluster, write_cluster
+from .text import (
+    Cluster,
+    _json_int,
+    _json_str,
+    cluster_from_dict,
+    document_from_dict,
+    parse_cluster,
+    read_json,
+    write_cluster,
+    write_json,
+)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
         for rate in (self.r, *self.rates):
-            EvalConfig(rate, self.E, self.agreement_threshold)
+            compression_size(1, rate)  # range check
+        if not 0 <= self.E <= 1:
+            raise ValueError(f"E must be in [0, 1], got {self.E}")
+        if self.agreement_threshold < 1:
+            raise ValueError(f"agreement_threshold must be >= 1, got {self.agreement_threshold}")
         _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
@@ -145,10 +155,12 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"r grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or start <= 0 or start > stop or stop > 1:
+    if not (0 < start <= stop <= 1 and step > 0):
         raise ValueError(f"r grid {text!r} outside 0 < start <= stop <= 1 with step > 0")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+    steps = (stop - start) / step + 0.5
+    if steps >= 101:  # checked before the grid is built: a huge grid would exhaust memory
+        raise ValueError(f"r grid {text!r} has more than 101 rates, one per output tag r00..r100")
+    return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
 
 
 def format_r_grid(grid: tuple[float, ...] | None) -> str:
@@ -187,10 +199,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -209,7 +217,7 @@ def _load_corpus_documents(corpus_dir: str) -> list:
         raise ValueError(f"{corpus_dir}: not a directory")
     documents = []
     for path in sorted(root.glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = read_json(path)
         if isinstance(data, dict) and "documents" in data:
             documents.extend(cluster_from_dict(data, where=str(path)).documents)
         else:
@@ -262,10 +270,11 @@ def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dic
 def cmd_summarize(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     cluster = parse_cluster(args.cluster_file)
+    extracts = _score_and_select(cluster, args.idf, config)
     out = _out_dir(args)
-    for r, ext in _score_and_select(cluster, args.idf, config).items():
+    for r, ext in extracts.items():
         tag = _r_tag(r)
-        _write_json(extract_to_dict(ext), out / f"extract_{cluster.cluster_id}_{tag}.json")
+        write_json(extract_to_dict(ext), out / f"extract_{cluster.cluster_id}_{tag}.json")
         text = summary_text(cluster, ext)
         (out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"{cluster.cluster_id} {tag}: {ext.k} of {cluster.n} sentences -> {sorted(ext.selected)}")
@@ -273,13 +282,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation]) -> list[int]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     try:
         cluster_id, positions = data["cluster_id"], data["selected"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not an extract file: {exc}") from None
-    if not isinstance(cluster_id, str):
-        raise ValueError(f"{path}: cluster_id: must be a string, got {cluster_id!r}")
+    _json_str(cluster_id, f"{path}: cluster_id")
     if not isinstance(positions, list):
         raise ValueError(f"{path}: selected: must be an array of integers, got {positions!r}")
     selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
@@ -318,36 +326,34 @@ def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> 
     return marks
 
 
-def _system_cells(report: EvalReport, label: str) -> list[str]:
-    """s, d and, with subsumption, s_csis and d_csis of one system as table text."""
-    cells = [f"{report.S[label]:.3f}", f"{round_half_up(report.D[label]):.3f}"]
-    if report.E is not None:
-        cells += [f"{report.S_csis[label]:.3f}", f"{round_half_up(report.D_csis[label]):.3f}"]
-    return cells
+def _system_cells(figures: dict) -> list[str]:
+    """A system's figures from report_to_dict (s, d and, with subsumption, s_csis, d_csis) as table text."""
+    return [f"{figures[key]:.3f}" for key in ("s", "d", "s_csis", "d_csis") if key in figures]
 
 
-def _write_report_csv(report: EvalReport, path: Path) -> None:
-    """Judge-vs-judge table with per-judge means, then one row per system."""
+def _write_report_csv(report: dict, path: Path) -> None:
+    """Judge-vs-judge table with per-judge means, then one row per system, from report_to_dict."""
     rows = [
         [judge_id, *(f"{value:.3f}" for value in row), f"{per_judge:.3f}"]
-        for judge_id, row, per_judge in zip(report.judge_ids, report.J_matrix, report.J_per_judge)
+        for judge_id, row, per_judge in zip(report["judges"], report["j_matrix"], report["j_per_judge"])
     ]
-    rows += [["mean_j", f"{report.mean_J:.3f}"], ["random", f"{report.R:.3f}"]]
-    rows.append(["system", "s", "d"] + (["s_csis", "d_csis"] if report.E is not None else []))
-    rows += [[label, *_system_cells(report, label)] for label in sorted(report.S)]
-    _write_csv(path, ["judge", *report.judge_ids, "per_judge"], rows)
+    rows += [["mean_j", f"{report['mean_j']:.3f}"], ["random", f"{report['random']:.3f}"]]
+    rows.append(["system", "s", "d"] + (["s_csis", "d_csis"] if "e" in report else []))
+    rows += [[label, *_system_cells(figures)] for label, figures in sorted(report["systems"].items())]
+    _write_csv(path, ["judge", *report["judges"], "per_judge"], rows)
 
 
-def _write_d_grid(reports: Sequence[EvalReport], path: Path) -> None:
-    """One row per rate and system: s, random, mean_j, d (and the CSIS pair)."""
+def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
+    """One row per rate and system: s, random, mean_j, d (and the CSIS pair), from report_to_dict."""
     header = ["r", "system", "s", "random", "mean_j", "d"]
-    if reports[0].E is not None:
+    if "e" in reports[0]:
         header += ["s_csis", "d_csis"]
     rows = []
     for report in reports:
-        for label in sorted(report.S):
-            s, *d_and_csis = _system_cells(report, label)
-            rows.append([f"{report.r:.2f}", label, s, f"{report.R:.3f}", f"{report.mean_J:.3f}"] + d_and_csis)
+        shared = [f"{report['random']:.3f}", f"{report['mean_j']:.3f}"]
+        for label, figures in sorted(report["systems"].items()):
+            s, *d_and_csis = _system_cells(figures)
+            rows.append([f"{report['r']:.2f}", label, s, *shared, *d_and_csis])
     _write_csv(path, header, rows)
 
 
@@ -375,33 +381,32 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             systems["lead"] = lead_baseline(lead_cluster, r).selected
         if system_extracts:
             systems["system"] = system_extracts[r].selected
-        reports.append(build_report(annotations, systems, r, graph, config.E))
+        reports.append(report_to_dict(build_report(annotations, systems, r, graph, config.E)))
     out = _out_dir(args)
     if config.r_grid is not None:
         _write_d_grid(reports, out / "d_grid.csv")
         print(f"wrote {out / 'd_grid.csv'}")
         return 0
     report = reports[0]
-    _write_json(report_to_dict(report), out / "report.json")
+    write_json(report, out / "report.json")
     _write_report_csv(report, out / "report.csv")
-    print(f"mean_j={report.mean_J:.3f} random={report.R:.3f}")
-    for label in sorted(report.D):
-        print(f"{label}: s={report.S[label]:.3f} d={report.D[label]:.3f}")
+    print(f"mean_j={report['mean_j']:.3f} random={report['random']:.3f}")
+    for label, figures in sorted(report["systems"].items()):
+        print(f"{label}: s={figures['s']:.3f} d={figures['d']:.3f}")
     return 0
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out = _out_dir(args)
     if args.mode == "cbsu":
         annotations = [load_utility_annotation(p) for p in args.annotations]
         curve = agreement_curve(annotations, config.r_grid)
-        path = out / "agreement_curve.csv"
+        path = _out_dir(args) / "agreement_curve.csv"
         _write_csv(path, ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
-    annotations = [load_subsumption_annotation(p) for p in args.annotations]
-    tally = csis_agreement_tally(annotations)
+    tally = csis_agreement_tally([load_subsumption_annotation(p) for p in args.annotations])
+    out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
     rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""
     _write_csv(tally_path, ["position", "plus_score", "minus_score"], rows)

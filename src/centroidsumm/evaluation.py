@@ -27,20 +27,26 @@ arithmetic the reference result tables were produced with.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from math import fsum
+from itertools import combinations
+from math import comb, fsum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .summarizer import compression_size, enumerate_extracts, DEFAULT_ENUMERATION_CAP
-from .text import _json_int
+from .summarizer import compression_size
+from .text import _json_int, _json_str, read_json
+
+DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class EvaluationError(ValueError):
     """An evaluation precondition does not hold for the given data."""
+
+
+class EnumerationCapError(ValueError):
+    """Subset enumeration would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -107,21 +113,6 @@ class SubsumptionGraph:
         return (a, b) in self.edges or (b, a) in self.edges
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    r: float
-    E: float = 1.0
-    agreement_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r <= 1:
-            raise ValueError(f"compression rate must be in (0, 1], got {self.r}")
-        if not 0 <= self.E <= 1:
-            raise ValueError(f"E must be in [0, 1], got {self.E}")
-        if self.agreement_threshold < 1:
-            raise ValueError("agreement threshold must be >= 1")
-
-
 def judge_extract(annotation: UtilityAnnotation, k: int) -> frozenset[int]:
     """The k positions this judge values most, ties to the earlier position."""
     if not 1 <= k <= annotation.n:
@@ -164,16 +155,22 @@ def extract_utility(
     return total
 
 
-def _check_judges(annotations: Sequence[UtilityAnnotation], minimum: int = 1) -> int:
-    """The one judge-consistency check: enough judges, one cluster, one n (returned)."""
+def _one_cluster(annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation], minimum: int) -> str:
+    """The one judge-set check: at least `minimum` judges, all of one cluster (its id returned)."""
     if len(annotations) < minimum:
         raise EvaluationError(f"need at least {minimum} judge{'s' if minimum > 1 else ''}")
+    cluster_id = annotations[0].cluster_id
+    for ann in annotations[1:]:
+        if ann.cluster_id != cluster_id:
+            raise EvaluationError(f"annotations mix clusters {cluster_id!r} and {ann.cluster_id!r}")
+    return cluster_id
+
+
+def _check_judges(annotations: Sequence[UtilityAnnotation], minimum: int = 1) -> int:
+    """Utility judges of one cluster who all annotated the same n sentences (returned)."""
+    _one_cluster(annotations, minimum)
     first = annotations[0]
     for ann in annotations[1:]:
-        if ann.cluster_id != first.cluster_id:
-            raise EvaluationError(
-                f"annotations mix clusters {first.cluster_id!r} and {ann.cluster_id!r}"
-            )
         if ann.n != first.n:
             raise EvaluationError(
                 f"judge {ann.judge_id!r} annotated {ann.n} sentences, expected {first.n}"
@@ -313,6 +310,21 @@ def report_system_performance(
     return _table_mean(_system_ratios("extract", extract, annotations, None, graph, E))
 
 
+def enumerate_extracts(
+    n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[tuple[int, ...]]:
+    """All k-subsets of positions 1..n, lexicographic, C(n, k) in total."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    total = comb(n, k)
+    if total > cap:
+        raise EnumerationCapError(
+            f"C({n}, {k}) = {total} exceeds the enumeration cap of {cap}; "
+            "use the closed-form random-performance mode instead"
+        )
+    return iter(combinations(range(1, n + 1), k))
+
+
 def random_performance(
     annotations: Sequence[UtilityAnnotation],
     r: float,
@@ -368,35 +380,11 @@ def percent_agreement(system: Iterable[int], ideal: Iterable[int], n: int) -> fl
     return (n - disagreements) / n
 
 
-def ideal_extract(annotations: Sequence[UtilityAnnotation], k: int) -> frozenset[int]:
-    """Majority extract: positions ranked by how many judges picked them.
-
-    Ties break by summed utility, then by earlier position.
-    """
-    n = _check_judges(annotations)
-    votes: Counter = Counter()
-    for ann in annotations:
-        votes.update(judge_extract(ann, k))
-    totals = {pos: sum(ann.utility(pos) for ann in annotations) for pos in range(1, n + 1)}
-    ranked = sorted(
-        range(1, n + 1),
-        key=lambda pos: (-votes[pos], -totals[pos], pos),
-    )
-    return frozenset(ranked[:k])
-
-
 def csis_consensus(
     annotations: Sequence[SubsumptionAnnotation], threshold: int
 ) -> SubsumptionGraph:
     """Keep the subsumption edges at least `threshold` judges agree on."""
-    if not annotations:
-        raise EvaluationError("need at least 1 judge")
-    cluster_id = annotations[0].cluster_id
-    for ann in annotations[1:]:
-        if ann.cluster_id != cluster_id:
-            raise EvaluationError(
-                f"annotations mix clusters {cluster_id!r} and {ann.cluster_id!r}"
-            )
+    cluster_id = _one_cluster(annotations, 1)
     support: Counter = Counter()
     for ann in annotations:
         for position, targets in ann.subsumers.items():
@@ -419,10 +407,6 @@ class SentenceTally:
     plus_score: int | None
     minus_score: int | None
 
-    @property
-    def agreement(self) -> int:
-        return self.plus_score if self.plus_score is not None else self.minus_score or 0
-
 
 @dataclass(frozen=True)
 class CsisTally:
@@ -439,13 +423,11 @@ def csis_agreement_tally(
     marked. A tie between the empty answer and a non-empty one counts as
     agreement on subsumption.
     """
-    if not annotations:
-        raise EvaluationError("need at least 1 judge")
+    _one_cluster(annotations, 1)
     if n is not None:
         positions = range(1, n + 1)
     else:
-        marked = sorted({pos for ann in annotations for pos in ann.subsumers if ann.subsumers[pos]})
-        positions = marked
+        positions = sorted({pos for ann in annotations for pos in ann.subsumers if ann.subsumers[pos]})
     rows = []
     histogram: dict[tuple[int, str], int] = {}
     for position in positions:
@@ -557,9 +539,10 @@ def agreement_curve(
 
 def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
     """Load one judge's utilities: an array of JSON integers 0..10."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     try:
-        judge_id, cluster_id = str(data["judge_id"]), str(data["cluster_id"])
+        judge_id = _json_str(data["judge_id"], f"{path}: judge_id")
+        cluster_id = _json_str(data["cluster_id"], f"{path}: cluster_id")
         utilities = data["utilities"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a utility annotation file: {exc}") from None
@@ -572,20 +555,12 @@ def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_utility_annotation(annotation: UtilityAnnotation, path: str | Path) -> None:
-    payload = {
-        "judge_id": annotation.judge_id,
-        "cluster_id": annotation.cluster_id,
-        "utilities": list(annotation.utilities),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
     """Load one judge's marks; every position and subsumer is an integer >= 1."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     try:
-        judge_id, cluster_id = str(data["judge_id"]), str(data["cluster_id"])
+        judge_id = _json_str(data["judge_id"], f"{path}: judge_id")
+        cluster_id = _json_str(data["cluster_id"], f"{path}: cluster_id")
         marks = data["subsumers"].items()
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a subsumption annotation file: {exc}") from None
@@ -603,19 +578,6 @@ def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
         return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def save_subsumption_annotation(annotation: SubsumptionAnnotation, path: str | Path) -> None:
-    payload = {
-        "judge_id": annotation.judge_id,
-        "cluster_id": annotation.cluster_id,
-        "subsumers": {
-            str(pos): sorted(targets)
-            for pos, targets in sorted(annotation.subsumers.items())
-            if targets
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def report_to_dict(report: EvalReport) -> dict:

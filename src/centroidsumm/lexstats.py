@@ -11,9 +11,7 @@ updates only that cluster's, with build_centroid's formula, to the same bit.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -22,7 +20,7 @@ from operator import mul, truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .text import Cluster, ClusterParseError, Document, _json_int
+from .text import Cluster, ClusterParseError, Document, _json_int, read_json, write_json
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
@@ -47,14 +45,10 @@ class IdfModel:
             if not 1 <= count <= self.n_docs:
                 raise ValueError(f"df[{term!r}] = {count} outside 1..{self.n_docs}")
 
-    @property
-    def default_idf(self) -> float:
-        return math.log2(self.n_docs + 1)
-
     def idf(self, term: str) -> float:
         count = self.df.get(term)
         if count is None:
-            return self.default_idf
+            return math.log2(self.n_docs + 1)
         return max(math.log2(self.n_docs / count), IDF_FLOOR)
 
 
@@ -69,7 +63,6 @@ class CentroidEntry:
 class Centroid:
     cluster_id: str
     entries: dict[str, CentroidEntry]
-    threshold: float
 
     def weight(self, term: str) -> float:
         entry = self.entries.get(term)
@@ -115,7 +108,7 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
         totals.update(sentence.terms)
     rows = _centroid_terms(totals, cluster.d, idf.idf, threshold)
     entries = {row[0]: CentroidEntry(*row[1:]) for row in rows}
-    return Centroid(cluster_id=cluster.cluster_id, entries=entries, threshold=threshold)
+    return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
 def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
@@ -158,6 +151,7 @@ def assign_document(
     Similarity is cosine between the document's count*IDF vector and each
     centroid's weight vector. Ties keep the earliest centroid given.
     """
+    _require_finite(sim_threshold=sim_threshold)
     weights = [(c.cluster_id, {t: e.weight for t, e in c.entries.items()}) for c in centroids]
     candidates = [(cluster_id, w, _norm(w)) for cluster_id, w in weights]
     return _best_match(document_vector(doc, idf), candidates, sim_threshold)
@@ -168,12 +162,11 @@ def incremental_cluster(
     idf: IdfModel,
     sim_threshold: float,
     centroid_threshold: float = 0.0,
-    id_prefix: str = "c",
 ) -> list[Cluster]:
     """Stream documents in chronological order into clusters.
 
     Each document either joins the most similar open cluster (updating its
-    term totals, weights and norm) or opens a new one named `<prefix><seq>`.
+    term totals, weights and norm) or opens a new one named c001, c002, ...
     """
     _require_finite(sim_threshold=sim_threshold, centroid_threshold=centroid_threshold)
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
@@ -183,7 +176,7 @@ def incremental_cluster(
     for doc in ordered:
         target = _best_match(document_vector(doc, idf), vectors.values(), sim_threshold)
         if target is None:
-            target = f"{id_prefix}{len(members) + 1:03d}"
+            target = f"c{len(members) + 1:03d}"
             members[target] = ([], Counter())
         elif any(member.doc_id == doc.doc_id for member in members[target][0]):
             raise ClusterParseError(f"cluster {target!r}: duplicate document id {doc.doc_id!r}")
@@ -196,14 +189,11 @@ def incremental_cluster(
 
 
 def save_idf(model: IdfModel, path: str | Path) -> None:
-    payload = {"n_docs": model.n_docs, "df": dict(sorted(model.df.items()))}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json({"n_docs": model.n_docs, "df": model.df}, path)
 
 
 def load_idf(path: str | Path) -> IdfModel:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     if not isinstance(data, dict) or "n_docs" not in data or "df" not in data:
         raise ValueError(f"{path}: not an IDF model file (need 'n_docs' and 'df')")
     if not isinstance(data["df"], dict):
@@ -215,12 +205,3 @@ def load_idf(path: str | Path) -> IdfModel:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def write_centroid_csv(centroid: Centroid, path: str | Path) -> None:
-    """Dump centroid entries as CSV, heaviest terms first."""
-    rows = sorted(centroid.entries.items(), key=lambda item: (-item[1].weight, item[0]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["term", "count", "idf", "weight"])
-        for term, entry in rows:
-            writer.writerow([term, repr(entry.count), repr(entry.idf), repr(entry.weight)])

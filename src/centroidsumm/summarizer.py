@@ -27,19 +27,14 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import add, mul, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lexstats import Centroid
 from .text import Cluster, Sentence
 
-DEFAULT_ENUMERATION_CAP = 10**6
 RERANK_ITERATION_CAP = 100
-
-
-class EnumerationCapError(ValueError):
-    """Subset enumeration would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -338,21 +333,6 @@ def lead_baseline(cluster: Cluster, r: float) -> Extract:
         SentenceScore(position=pos, c=0.0, p=0.0, f=0.0, base=0.0) for pos in selected
     )
     return Extract(cluster_id=cluster.cluster_id, r=r, k=k, selected=tuple(selected), scores=scores)
-
-
-def enumerate_extracts(
-    n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of positions 1..n, lexicographic, C(n, k) in total."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = math.comb(n, k)
-    if total > cap:
-        raise EnumerationCapError(
-            f"C({n}, {k}) = {total} exceeds the enumeration cap of {cap}; "
-            "use the closed-form random-performance mode instead"
-        )
-    return iter(combinations(range(1, n + 1), k))
 
 
 def extract_to_dict(ext: Extract) -> dict:

@@ -14,6 +14,9 @@ doc_id to (document, offset) once, where offset is the number of sentences in
 earlier documents; a sentence's global position is its document's offset plus
 its index_in_doc. Derived fields take no part in equality, hashing or repr.
 
+Every JSON file of the pipeline is read through `read_json`, which names a
+file that does not decode, and written through `write_json`, in one layout.
+
 All types are immutable after construction and safe to share across threads.
 """
 
@@ -158,6 +161,13 @@ def _json_int(value: object, where: str) -> int:
     return value
 
 
+def _json_str(value: object, where: str) -> str:
+    """A JSON string; numbers, arrays and the rest are rejected rather than converted."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
 def _parse_timestamp(raw: object, where: str) -> datetime:
     """Parse the pinned timestamp grammar; a timestamp without a zone is UTC."""
     _require(isinstance(raw, str), f"{where}: timestamp must be an ISO-8601 string")
@@ -214,13 +224,28 @@ def cluster_from_dict(data: object, where: str = "cluster") -> Cluster:
     return Cluster.build(cluster_id, documents)
 
 
+def read_json(path: str | Path) -> object:
+    """The decoded value of a UTF-8 JSON file; a ValueError starting with the path if it does not decode.
+
+    OSError passes through: its message already names the file.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """Write payload as JSON with sorted keys at every level, indented, newline-terminated."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def parse_cluster(path: str | Path) -> Cluster:
     """Parse a cluster JSON file, enforcing all cluster invariants."""
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ClusterParseError(f"{path}: not valid JSON: {exc}") from None
+        data = read_json(path)
+    except ValueError as exc:
+        raise ClusterParseError(str(exc)) from None
     return cluster_from_dict(data, where=str(path))
 
 
@@ -241,7 +266,4 @@ def cluster_to_dict(cluster: Cluster) -> dict:
 
 
 def write_cluster(cluster: Cluster, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(cluster_to_dict(cluster), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(cluster_to_dict(cluster), path)

@@ -4,7 +4,8 @@ from datetime import datetime, timezone
 
 from hypothesis import settings
 
-from centroidsumm import Cluster, Document, Sentence
+from centroidsumm import Cluster, Document, Sentence, SubsumptionAnnotation, UtilityAnnotation
+from centroidsumm.text import write_json
 
 
 def make_document(doc_id: str, texts, hour: int = 8, source: str = "wire") -> Document:
@@ -63,6 +64,20 @@ BACKGROUND_TEXTS = [
 
 def background_documents() -> list:
     return [make_document(f"bg{i}", texts, hour=6) for i, texts in enumerate(BACKGROUND_TEXTS)]
+
+
+def save_utility_annotation(annotation: UtilityAnnotation, path) -> None:
+    payload = {
+        "judge_id": annotation.judge_id,
+        "cluster_id": annotation.cluster_id,
+        "utilities": list(annotation.utilities),
+    }
+    write_json(payload, path)
+
+
+def save_subsumption_annotation(annotation: SubsumptionAnnotation, path) -> None:
+    subsumers = {str(pos): sorted(targets) for pos, targets in annotation.subsumers.items() if targets}
+    write_json({"judge_id": annotation.judge_id, "cluster_id": annotation.cluster_id, "subsumers": subsumers}, path)
 
 
 def examples(floor: int) -> int:

@@ -69,7 +69,7 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
         weight = count * term_idf
         if weight >= threshold:
             entries[term] = CentroidEntry(count=count, idf=term_idf, weight=weight)
-    return Centroid(cluster_id=cluster.cluster_id, entries=entries, threshold=threshold)
+    return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
 def _cosine(vec_a: dict[str, float], vec_b: dict[str, float]) -> float:

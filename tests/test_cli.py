@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,6 @@ from centroidsumm import (
     redundancy_rerank,
     round_half_up,
     save_idf,
-    save_subsumption_annotation,
-    save_utility_annotation,
     score_sentences,
 )
 from centroidsumm.cli import (
@@ -36,12 +35,9 @@ from centroidsumm.cli import (
     parse_r_grid,
     parse_weights,
 )
+from centroidsumm.text import write_json
 from conftest import JUDGE_UTILITIES, SUBSUMPTION_MARKS
-from helpers import background_documents, make_cluster
-
-
-def write_json(payload, path):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+from helpers import background_documents, make_cluster, save_subsumption_annotation, save_utility_annotation
 
 
 @pytest.fixture
@@ -106,6 +102,11 @@ class TestRunConfig:
             RunConfig(r=0.0)
         with pytest.raises(ValueError):
             RunConfig(E=2.0)
+        with pytest.raises(ValueError, match="E must be in"):
+            RunConfig(E=1.5)
+        with pytest.raises(ValueError, match="agreement_threshold must be >= 1"):
+            RunConfig(agreement_threshold=0)
+        RunConfig(r=0.5, E=0.5, agreement_threshold=2)
 
 
 class TestParsers:
@@ -125,6 +126,16 @@ class TestParsers:
         for text in ("0.5", "0:0.9:0.1", "0.9:0.1:0.1", "0.1:1.5:0.1", "0.1:0.9:0"):
             with pytest.raises(ValueError):
                 parse_r_grid(text)
+
+    def test_r_grid_counts_rates_before_building_them(self):
+        # a rate in (0, 1] has one of the 101 tags r00..r100; a finer grid is
+        # rejected from its count alone, without building 800,000,001 rates
+        for text in ("0.1:0.9:1e-9", "0.1:0.9:5e-324"):
+            with pytest.raises(ValueError, match="more than 101 rates"):
+                parse_r_grid(text)
+        assert len(parse_r_grid("0.001:1:0.00999")) == 101
+        with pytest.raises(ValueError, match="more than 101 rates"):
+            parse_r_grid("0.001:1:0.00989")
 
     def test_grid_format_round_trip(self):
         grid = parse_r_grid("0.2:0.8:0.2")
@@ -396,7 +407,7 @@ class TestSummarizeCommand:
         code = main(["summarize", cluster_file, "--idf", idf_path, "--r-grid", "0.1:0.13:0.005", "--out", str(out)])
         assert code == 2
         assert "0.1:0.13:0.005 gives several rates the output tag r10, r12" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_cluster_file_exits_2(self, news_inputs, tmp_path):
         _, idf_path = news_inputs
@@ -668,6 +679,53 @@ class TestAgreementCommand:
             assert main(["agreement", "--mode", "csis", "--annotations", *subsumption_files, "--out", str(out)]) == 0
         assert (out1 / "csis_tally.csv").read_bytes() == (out2 / "csis_tally.csv").read_bytes()
 
+    def test_csis_clusters_mixed_exits_3(self, tmp_path, capsys):
+        paths = []
+        for cluster_id in ("x", "y"):
+            paths.append(str(tmp_path / f"sub_{cluster_id}.json"))
+            save_subsumption_annotation(SubsumptionAnnotation("J", cluster_id, {2: frozenset({1})}), paths[-1])
+        out = tmp_path / "out"
+        assert main(["agreement", "--mode", "csis", "--annotations", *paths, "--out", str(out)]) == 3
+        assert "annotations mix clusters 'x' and 'y'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUndecodableFiles:
+    """A file that does not decode exits 2 with one error line naming it, and no --out is left."""
+
+    @pytest.mark.parametrize(
+        "command, victim, corruption",
+        [
+            ("summarize", "idf", "truncated"),
+            ("summarize", "cluster", "nested"),
+            ("summarize", "cluster", "not utf-8"),
+            ("evaluate", "judge", "truncated"),
+            ("evaluate", "judge", "nested"),
+            ("evaluate", "judge", "not utf-8"),
+            ("agreement", "judge", "truncated"),
+        ],
+    )
+    def test_exits_2_naming_the_file(self, news_inputs, quad_judges, tmp_path, capsys, command, victim, corruption):
+        cluster_file, idf_path = news_inputs
+        files = {"idf": idf_path, "cluster": cluster_file, "judge": quad_judges[-1]}
+        valid = Path(files[victim]).read_bytes()
+        bad = tmp_path / f"bad_{victim}.json"
+        bad.write_bytes({"truncated": valid[:40], "nested": b"[" * 200_000, "not utf-8": b"\xff" + valid}[corruption])
+        files[victim] = str(bad)
+        extract_file = tmp_path / "s14.json"
+        write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
+        judges = [*quad_judges[:-1], files["judge"]]
+        argv = {
+            "summarize": ["summarize", files["cluster"], "--idf", files["idf"]],
+            "evaluate": ["evaluate", "--annotations", *judges, "--extract", str(extract_file), "--r", "0.5"],
+            "agreement": ["agreement", "--mode", "cbsu", "--annotations", *judges],
+        }[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self):
@@ -737,6 +795,16 @@ class TestStrictNumbers:
         args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
         assert main([*args, "--subsumption", str(bad)]) == 2
         assert f"{bad}: subsumers[" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, payload", [("cbsu", {"utilities": [5, 3, 1, 0]}), ("csis", {"subsumers": {}})])
+    @pytest.mark.parametrize("field", ["judge_id", "cluster_id"])
+    def test_annotation_ids_must_be_strings(self, tmp_path, capsys, mode, payload, field):
+        bad = tmp_path / "bad_ids.json"
+        write_json({"judge_id": "J", "cluster_id": "quad", **payload, field: 5}, bad)
+        out = tmp_path / "out"
+        assert main(["agreement", "--mode", mode, "--annotations", str(bad), str(bad), "--out", str(out)]) == 2
+        assert f"{bad}: {field}: must be a string, got 5" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "cluster_id, selected, field",
@@ -811,7 +879,7 @@ class TestNonFiniteSettings:
         args = ["--weights", "1e308,1e308,0", "--redundancy", "on", "--out", str(out)]
         assert main(["summarize", cluster_file, "--idf", idf_path, *args]) == 2
         assert "base score inf is not finite" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_cluster_exits_2_on_nan_similarity(self, news_inputs, tmp_path, news_cluster_path, capsys):
         _, idf_path = news_inputs

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from centroidsumm import (
-    EvalConfig,
     EvaluationError,
     SubsumptionAnnotation,
     SubsumptionGraph,
@@ -16,7 +15,6 @@ from centroidsumm import (
     csis_agreement_tally,
     csis_consensus,
     extract_utility,
-    ideal_extract,
     judge_extract,
     load_subsumption_annotation,
     load_utility_annotation,
@@ -31,10 +29,9 @@ from centroidsumm import (
     report_system_performance,
     report_to_dict,
     round_half_up,
-    save_subsumption_annotation,
-    save_utility_annotation,
     system_performance,
 )
+from helpers import save_subsumption_annotation, save_utility_annotation
 
 
 class TestAnnotations:
@@ -51,13 +48,6 @@ class TestAnnotations:
     def test_self_subsumption_rejected(self):
         with pytest.raises(ValueError, match="subsume itself"):
             SubsumptionAnnotation("J", "c", {3: frozenset({3})})
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(r=0.0)
-        with pytest.raises(ValueError):
-            EvalConfig(r=0.5, E=1.5)
-        EvalConfig(r=0.5, E=0.5, agreement_threshold=2)
 
 
 class TestJudgeExtract:
@@ -240,24 +230,6 @@ class TestLegacyMetrics:
         assert value == pytest.approx(1 - len(system ^ ideal) / 10)
 
 
-class TestIdealExtract:
-    def test_majority_vote(self, judges):
-        # votes at k=2: sentence 1 x2, sentence 2 x3, sentence 4 x1
-        assert ideal_extract(judges, 2) == {1, 2}
-
-    def test_vote_ties_break_by_summed_utility(self):
-        judges = [
-            UtilityAnnotation("J1", "c", (9, 0, 8, 0)),
-            UtilityAnnotation("J2", "c", (0, 9, 8, 0)),
-        ]
-        # sentences 1, 2, 3 each get one vote; 3 has the higher utility sum
-        assert ideal_extract(judges, 2) == {3, 1}
-
-    def test_requires_judges(self):
-        with pytest.raises(EvaluationError):
-            ideal_extract([], 2)
-
-
 class TestSubsumption:
     def test_consensus_threshold(self, subsumption_judges):
         graph = csis_consensus(subsumption_judges, threshold=3)
@@ -266,6 +238,12 @@ class TestSubsumption:
         assert graph.related(4, 21)
         assert not graph.related(3, 21)  # only one judge marked it
         assert not graph.related(5, 13)
+
+    def test_empty_judge_sets_rejected(self):
+        calls = [lambda: csis_consensus([], 1), lambda: csis_agreement_tally([]), lambda: random_performance([], 0.5)]
+        for call in calls:
+            with pytest.raises(EvaluationError, match="need at least 1 judge"):
+                call()
 
     def test_consensus_requires_same_cluster(self, subsumption_judges):
         stray = SubsumptionAnnotation("J9", "elsewhere", {1: frozenset({2})})

@@ -15,7 +15,6 @@ from centroidsumm import (
     load_idf,
     save_idf,
     tokenize,
-    write_centroid_csv,
 )
 from helpers import background_documents, make_cluster, make_document
 
@@ -170,6 +169,14 @@ class TestAssignDocument:
 
         assert assign_document([centroid], second, model, sim_threshold=0.1) == "c001"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        model = IdfModel(n_docs=10, df={})
+        centroid = build_centroid(make_cluster("c001", {"a": ["storm hits coast"]}), model)
+        doc = make_document("b", ["storm hits coast"], hour=9)
+        with pytest.raises(ValueError, match="sim_threshold must be a finite number"):
+            assign_document([centroid], doc, model, sim_threshold=value)
+
     def test_tie_goes_to_earliest_centroid(self):
         model = IdfModel(n_docs=10, df={"flood": 1, "warning": 1})
         one = build_centroid(make_cluster("c001", {"a": ["flood warning"]}), model)
@@ -243,15 +250,3 @@ class TestPersistence:
         save_idf(model, tmp_path / "one.json")
         save_idf(model, tmp_path / "two.json")
         assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
-
-    def test_centroid_csv_sorted_by_weight(self, tmp_path):
-        cluster = make_cluster("c", {"a": ["belgium belgium gia attack"]})
-        model = IdfModel(n_docs=964, df={"belgium": 31, "gia": 60, "attack": 500})
-        centroid = build_centroid(cluster, model)
-        path = tmp_path / "centroid.csv"
-        write_centroid_csv(centroid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "term,count,idf,weight"
-        weights = [float(line.split(",")[3]) for line in lines[1:]]
-        assert weights == sorted(weights, reverse=True)
-        assert lines[1].startswith("belgium,")

@@ -38,7 +38,7 @@ def centroid_of(weights: dict, cluster_id: str = "c") -> Centroid:
         term: CentroidEntry(count=1.0, idf=weight, weight=weight)
         for term, weight in weights.items()
     }
-    return Centroid(cluster_id=cluster_id, entries=entries, threshold=0.0)
+    return Centroid(cluster_id=cluster_id, entries=entries)
 
 
 def scores_from(values, cluster_id: str = "c"):
