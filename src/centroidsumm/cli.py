@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import reprlib
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -110,12 +111,15 @@ class RunConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            updates.update(_SETTINGS[key][0](value))
+                raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
+            try:
+                updates.update(_SETTINGS[key][0](value))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls(**updates)
 
 
@@ -142,19 +146,24 @@ _SETTINGS = {
 }
 
 
+def _three_numbers(text: str, sep: str, form: str) -> tuple[float, float, float]:
+    """The three numbers `text` holds between `sep`s; anything else is an error quoting `text`."""
+    parts = text.split(sep)
+    if len(parts) == 3:
+        try:
+            return tuple(map(float, parts))  # type: ignore[return-value]
+        except ValueError:
+            pass
+    raise ValueError(f"expected {form}, got {reprlib.repr(text)}")
+
+
 def parse_weights(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"weights need three comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    return _three_numbers(text, ",", "three comma-separated numbers w_c,w_p,w_f")
 
 
 def parse_r_grid(text: str) -> tuple[float, ...]:
     """Expand "start:stop:step" into an inclusive grid of rates."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"r grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = _three_numbers(text, ":", "an r grid of three numbers start:stop:step")
     if not (0 < start <= stop <= 1 and step > 0):
         raise ValueError(f"r grid {text!r} outside 0 < start <= stop <= 1 with step > 0")
     steps = (stop - start) / step + 0.5
@@ -189,7 +198,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, (parse, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is not None:
-            updates.update(parse(value))
+            try:
+                updates.update(parse(value))
+            except ValueError as exc:
+                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
     return replace(config, **updates)
 
 
@@ -281,7 +293,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation]) -> list[int]:
+def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: float) -> list[int]:
+    """An extract file's positions; it must be for the judged cluster and hold k(r) of them."""
     data = read_json(path)
     try:
         cluster_id, positions = data["cluster_id"], data["selected"]
@@ -289,13 +302,16 @@ def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation]) -> l
         raise ValueError(f"{path}: not an extract file: {exc}") from None
     _json_str(cluster_id, f"{path}: cluster_id")
     if not isinstance(positions, list):
-        raise ValueError(f"{path}: selected: must be an array of integers, got {positions!r}")
+        raise ValueError(f"{path}: selected: must be an array of integers, got {reprlib.repr(positions)}")
     selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
     if cluster_id != annotations[0].cluster_id:
         raise EvaluationError(
             f"extract {path} is for cluster {cluster_id!r}, "
             f"annotations are for {annotations[0].cluster_id!r}"
         )
+    k = compression_size(annotations[0].n, r)
+    if len(set(selected)) != k:
+        raise EvaluationError(f"{path}: extract selects {len(set(selected))} sentences, expected k={k} at r={r:g}")
     return selected
 
 
@@ -370,7 +386,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("--r-grid needs --lead and/or --system")
     if args.system and not args.idf:
         raise ValueError("--system needs --idf to score sentences")
-    fixed = {Path(path).stem: _load_extract_file(path, annotations) for path in args.extract or []}
+    fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
     lead_cluster = _judged_cluster(args.lead, annotations) if args.lead else None
     system_cluster = _judged_cluster(args.system, annotations) if args.system else None
     system_extracts = _score_and_select(system_cluster, args.idf, config) if system_cluster else {}

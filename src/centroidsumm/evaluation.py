@@ -27,10 +27,11 @@ arithmetic the reference result tables were produced with.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, fsum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -54,12 +55,16 @@ class UtilityAnnotation:
     """One judge's 0-10 utility for every sentence of a cluster.
 
     utilities[i] belongs to global position i + 1; every position gets
-    exactly one value.
+    exactly one value. The judge's ranking is derived once: `ranked` lists
+    the positions by utility, highest first, ties to the earlier position,
+    and `best[k - 1]` is the utility sum of the first k of them.
     """
 
     judge_id: str
     cluster_id: str
     utilities: tuple[int, ...]
+    ranked: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    best: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.utilities:
@@ -69,6 +74,10 @@ class UtilityAnnotation:
                 raise ValueError(
                     f"judge {self.judge_id!r}: utility {u} at position {i + 1} outside 0..10"
                 )
+        # a stable sort keeps tied positions ascending
+        order = sorted(range(len(self.utilities)), key=self.utilities.__getitem__, reverse=True)
+        object.__setattr__(self, "ranked", tuple(i + 1 for i in order))
+        object.__setattr__(self, "best", tuple(accumulate(map(self.utilities.__getitem__, order))))
 
     @property
     def n(self) -> int:
@@ -97,33 +106,50 @@ class SubsumptionAnnotation:
         return self.subsumers.get(position, frozenset())
 
 
+_NO_PEERS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class SubsumptionGraph:
     """Consensus subsumption edges: (a, b) means a's content is contained in b's.
 
     Mutual edges are allowed; mutually subsuming sentences form an
-    equivalence class and are interchangeable.
+    equivalence class and are interchangeable. `neighbours` maps each
+    position to every position it shares an edge with, in either direction;
+    it is derived from `edges` once.
     """
 
     cluster_id: str
     edges: frozenset[tuple[int, int]]
     agreement_threshold: int
+    neighbours: dict[int, frozenset[int]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        linked: dict[int, set[int]] = {}
+        for a, b in self.edges:
+            linked.setdefault(a, set()).add(b)
+            linked.setdefault(b, set()).add(a)
+        object.__setattr__(self, "neighbours", {pos: frozenset(peers) for pos, peers in linked.items()})
 
     def related(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges or (b, a) in self.edges
+        return b in self.neighbours.get(a, _NO_PEERS)
 
 
 def judge_extract(annotation: UtilityAnnotation, k: int) -> frozenset[int]:
     """The k positions this judge values most, ties to the earlier position."""
-    if not 1 <= k <= annotation.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={annotation.n}")
-    ranked = sorted(range(1, annotation.n + 1), key=lambda pos: (-annotation.utility(pos), pos))
-    return frozenset(ranked[:k])
+    _check_k(annotation, k)
+    return frozenset(annotation.ranked[:k])
 
 
 def max_utility(annotation: UtilityAnnotation, k: int) -> int:
     """The most utility any k-sentence extract can earn from this judge."""
-    return sum(annotation.utility(pos) for pos in judge_extract(annotation, k))
+    _check_k(annotation, k)
+    return annotation.best[k - 1]
+
+
+def _check_k(annotation: UtilityAnnotation, k: int) -> None:
+    if not 1 <= k <= annotation.n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={annotation.n}")
 
 
 def extract_utility(
@@ -138,20 +164,22 @@ def extract_utility(
     member linked (in either direction) to an already-credited member earns
     E times its utility, so later members of an equivalence class are
     discounted while the earliest earns full credit. A subsumed sentence
-    whose partner is absent from the extract keeps full credit.
+    whose partner is absent from the extract keeps full credit. After the
+    sort, each member's check costs at most its number of graph neighbours.
     """
-    positions = sorted(set(extract))
-    if graph is None:
-        return float(sum(annotation.utility(pos) for pos in positions))
+    utilities = annotation.utilities
+    if graph is None:  # an integer sum: exact in any order
+        return float(sum(utilities[pos - 1] for pos in set(extract)))
+    neighbours = graph.neighbours
     total = 0.0
-    credited: list[int] = []
-    for pos in positions:
-        u = annotation.utility(pos)
-        if any(graph.related(pos, earlier) for earlier in credited):
-            total += E * u
-        else:
+    credited: set[int] = set()
+    for pos in sorted(set(extract)):
+        u = utilities[pos - 1]
+        if neighbours.get(pos, _NO_PEERS).isdisjoint(credited):
             total += u
-        credited.append(pos)
+        else:
+            total += E * u
+        credited.add(pos)
     return total
 
 
@@ -547,7 +575,7 @@ def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a utility annotation file: {exc}") from None
     if not isinstance(utilities, list):
-        raise ValueError(f"{path}: utilities: must be an array, got {utilities!r}")
+        raise ValueError(f"{path}: utilities: must be an array, got {reprlib.repr(utilities)}")
     values = tuple(_json_int(u, f"{path}: utilities[{i}]") for i, u in enumerate(utilities))
     try:
         return UtilityAnnotation(judge_id=judge_id, cluster_id=cluster_id, utilities=values)
@@ -566,9 +594,9 @@ def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
         raise ValueError(f"{path}: not a subsumption annotation file: {exc}") from None
     subsumers = {}
     for key, targets in marks:
-        where = f"{path}: subsumers[{key!r}]"
+        where = f"{path}: subsumers[{reprlib.repr(key)}]"
         if not isinstance(targets, list):
-            raise ValueError(f"{where}: must be an array, got {targets!r}")
+            raise ValueError(f"{where}: must be an array, got {reprlib.repr(targets)}")
         position = int(key) if key.isascii() and key.isdigit() else 0
         found = [_json_int(t, where) for t in targets]
         if min([position, *found]) < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -43,7 +44,7 @@ class IdfModel:
             raise ValueError("IdfModel requires n_docs >= 1")
         for term, count in self.df.items():
             if not 1 <= count <= self.n_docs:
-                raise ValueError(f"df[{term!r}] = {count} outside 1..{self.n_docs}")
+                raise ValueError(f"df[{reprlib.repr(term)}] = {count} outside 1..{self.n_docs}")
 
     def idf(self, term: str) -> float:
         count = self.df.get(term)
@@ -113,10 +114,14 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
 
 def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
     """count*IDF vector of a single document, terms in first-occurrence order."""
+    return _document_vector(document, idf.idf)
+
+
+def _document_vector(document: Document, idf_of: Callable[[str], float]) -> dict[str, float]:
     counts: Counter = Counter()
     for sentence in document.sentences:
         counts.update(sentence.terms)
-    return {term: count * idf.idf(term) for term, count in counts.items()}
+    return {term: count * idf_of(term) for term, count in counts.items()}
 
 
 def _norm(vector: dict[str, float]) -> float:
@@ -174,7 +179,7 @@ def incremental_cluster(
     members: dict[str, tuple[list[Document], Counter]] = {}
     vectors: dict[str, tuple[str, dict[str, float], float]] = {}  # creation order breaks ties
     for doc in ordered:
-        target = _best_match(document_vector(doc, idf), vectors.values(), sim_threshold)
+        target = _best_match(_document_vector(doc, idf_of), vectors.values(), sim_threshold)
         if target is None:
             target = f"c{len(members) + 1:03d}"
             members[target] = ([], Counter())
@@ -199,7 +204,7 @@ def load_idf(path: str | Path) -> IdfModel:
     if not isinstance(data["df"], dict):
         raise ValueError(f"{path}: df: must be an object of term -> count")
     n_docs = _json_int(data["n_docs"], f"{path}: n_docs")
-    df = {term: _json_int(count, f"{path}: df[{term!r}]") for term, count in data["df"].items()}
+    df = {term: _json_int(count, f"{path}: df[{reprlib.repr(term)}]") for term, count in data["df"].items()}
     try:
         return IdfModel(n_docs=n_docs, df=df)
     except ValueError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -157,21 +158,21 @@ def _require(condition: bool, message: str) -> None:
 def _json_int(value: object, where: str) -> int:
     """A JSON integer; bool, float and str are rejected rather than coerced."""
     if type(value) is not int:
-        raise ValueError(f"{where}: must be an integer, got {value!r}")
+        raise ValueError(f"{where}: must be an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _json_str(value: object, where: str) -> str:
     """A JSON string; numbers, arrays and the rest are rejected rather than converted."""
     if not isinstance(value, str):
-        raise ValueError(f"{where}: must be a string, got {value!r}")
+        raise ValueError(f"{where}: must be a string, got {reprlib.repr(value)}")
     return value
 
 
 def _parse_timestamp(raw: object, where: str) -> datetime:
     """Parse the pinned timestamp grammar; a timestamp without a zone is UTC."""
     _require(isinstance(raw, str), f"{where}: timestamp must be an ISO-8601 string")
-    invalid = f"{where}: invalid ISO-8601 timestamp {raw!r}"
+    invalid = f"{where}: invalid ISO-8601 timestamp {reprlib.repr(raw)}"
     match = _TIMESTAMP_RE.fullmatch(str(raw))
     _require(match is not None, invalid)
     date, hour, minute, second, fraction, zone = match.groups(default="")

@@ -1,8 +1,13 @@
 """Reference implementation of the evaluation arithmetic, kept as a test oracle.
 
 These are the ratio and report functions as they stood before the evaluation
-module moved to one per-judge-ratio core, copied verbatim. The differential
-tests in test_evaluation_oracle.py require the library to return exactly equal
+module moved to one per-judge-ratio core, and the credit and ranking
+functions (`judge_extract`, `max_utility`, `extract_utility`) as they stood
+before the ranking and the subsumption neighbour map were derived once, all
+copied verbatim. The one edit: `extract_utility` tests a pair through
+`_related`, the old `SubsumptionGraph.related` body over the edge set, so the
+oracle shares no derived index with the library. The differential tests in
+test_evaluation_oracle.py require the library to return exactly equal
 results; nothing outside the tests imports this module.
 """
 
@@ -20,10 +25,53 @@ from centroidsumm import (
     UtilityAnnotation,
     compression_size,
     enumerate_extracts,
-    extract_utility,
-    judge_extract,
-    max_utility,
 )
+
+
+def _related(graph: SubsumptionGraph, a: int, b: int) -> bool:
+    return (a, b) in graph.edges or (b, a) in graph.edges
+
+
+def judge_extract(annotation: UtilityAnnotation, k: int) -> frozenset[int]:
+    """The k positions this judge values most, ties to the earlier position."""
+    if not 1 <= k <= annotation.n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={annotation.n}")
+    ranked = sorted(range(1, annotation.n + 1), key=lambda pos: (-annotation.utility(pos), pos))
+    return frozenset(ranked[:k])
+
+
+def max_utility(annotation: UtilityAnnotation, k: int) -> int:
+    """The most utility any k-sentence extract can earn from this judge."""
+    return sum(annotation.utility(pos) for pos in judge_extract(annotation, k))
+
+
+def extract_utility(
+    extract: Iterable[int],
+    annotation: UtilityAnnotation,
+    graph: SubsumptionGraph | None = None,
+    E: float = 1.0,
+) -> float:
+    """Utility an extract earns from one judge, optionally subsumption-discounted.
+
+    With a graph, extract members are credited in ascending position order; a
+    member linked (in either direction) to an already-credited member earns
+    E times its utility, so later members of an equivalence class are
+    discounted while the earliest earns full credit. A subsumed sentence
+    whose partner is absent from the extract keeps full credit.
+    """
+    positions = sorted(set(extract))
+    if graph is None:
+        return float(sum(annotation.utility(pos) for pos in positions))
+    total = 0.0
+    credited: list[int] = []
+    for pos in positions:
+        u = annotation.utility(pos)
+        if any(_related(graph, pos, earlier) for earlier in credited):
+            total += E * u
+        else:
+            total += u
+        credited.append(pos)
+    return total
 
 
 def cross_judge_matrix(

@@ -511,10 +511,12 @@ class TestEvaluateCommand:
         bad.write_text("{not json")
         assert main(["evaluate", "--annotations", str(bad), "--r", "0.5"]) == 2
 
-    def test_wrong_size_extract_exits_3(self, quad_judges, tmp_path):
-        extract_file = tmp_path / "triple.json"
-        write_json({"cluster_id": "quad", "selected": [1, 2, 3]}, extract_file)
-        assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
+    def test_wrong_size_extract_exits_3(self, quad_judges, tmp_path, capsys):
+        for selected in ([1, 2, 3], [], [2, 2]):
+            extract_file = tmp_path / "triple.json"
+            write_json({"cluster_id": "quad", "selected": selected}, extract_file)
+            assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
+            assert f"{extract_file}: extract selects {len(set(selected))} sentences, expected k=2" in capsys.readouterr().err
 
     def test_out_of_range_extract_exits_3(self, quad_judges, tmp_path, capsys):
         extract_file = tmp_path / "late.json"
@@ -738,6 +740,38 @@ class TestArgumentErrors:
             main(["summarize", str(news_cluster_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--r-grid", "abc:0.5:0.1"), ("--r-grid", "0.5"), ("--weights", "a,b,c"), ("--weights", "1,2")]
+    )
+    def test_bad_value_names_the_flag(self, news_inputs, tmp_path, capsys, flag, value):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["weights=1,x,0", "r_grid=0.1:y:0.1", "r=abc"])
+    def test_bad_config_value_names_the_line(self, news_inputs, tmp_path, capsys, line):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# sweep settings\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        key, _, value = line.partition("=")
+        assert f"error: {cfg}:2: {key}: " in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["x" * 1_000_000, "x" * 1_000_000 + "=1"], ids=["no-equals", "unknown-key"])
+    def test_huge_config_line_gives_one_short_error(self, news_inputs, tmp_path, capsys, line):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300 and f"{cfg}:1: " in lines[0]
+
 
 class TestStrictNumbers:
     """Numbers in input files must be JSON integers: no crash, no silent coercion."""
@@ -782,6 +816,28 @@ class TestStrictNumbers:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and field in err
+
+    @pytest.mark.parametrize(
+        "utilities, field",
+        [("7" * 1_000_000, "utilities: must be an array"), ([5, "7" * 1_000_000], "utilities[1]")],
+        ids=["array", "element"],
+    )
+    def test_huge_value_gives_one_short_line(self, quad_judges, tmp_path, capsys, utilities, field):
+        bad = tmp_path / "huge_judge.json"
+        write_json({"judge_id": "B", "cluster_id": "quad", "utilities": utilities}, bad)
+        args = ["agreement", "--mode", "cbsu", "--annotations", *quad_judges, str(bad), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300
+        assert f"{bad}: {field}" in lines[0]
+
+    @pytest.mark.parametrize("count", [2.5, 4], ids=["not-an-integer", "out-of-range"])
+    def test_huge_idf_term_gives_one_short_line(self, news_cluster_path, tmp_path, capsys, count):
+        idf_path = tmp_path / "idf.json"
+        write_json({"n_docs": 3, "df": {"t" * 1_000_000: count}}, idf_path)
+        assert main(["summarize", str(news_cluster_path), "--idf", str(idf_path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300 and f"{idf_path}: df['ttt" in lines[0]
 
     @pytest.mark.parametrize(
         "subsumers",

@@ -83,6 +83,15 @@ class TestMaxUtility:
     def test_per_judge_maxima(self, judges):
         assert [max_utility(ann, 2) for ann in judges] == [18, 19, 17]
 
+    def test_ranking_and_prefix_sums_are_derived_once(self):
+        ann = UtilityAnnotation("J", "c", (3, 9, 3, 0, 9))
+        assert ann.ranked == (2, 5, 1, 3, 4)  # ties stay in position order
+        assert ann.best == (9, 18, 21, 24, 24)
+        assert [max_utility(ann, k) for k in range(1, 6)] == list(ann.best)
+        # derived fields take no part in equality or repr
+        assert ann == UtilityAnnotation("J", "c", (3, 9, 3, 0, 9))
+        assert repr(ann) == "UtilityAnnotation(judge_id='J', cluster_id='c', utilities=(3, 9, 3, 0, 9))"
+
 
 class TestCrossJudge:
     def test_matrix_diagonal_exactly_one(self, judges):
@@ -278,6 +287,23 @@ class TestSubsumption:
         # 2 repeats 1, 3 repeats 2, but 3 does not repeat 1
         graph = SubsumptionGraph("c", frozenset({(2, 1), (3, 2)}), 1)
         assert extract_utility((1, 3), ann, graph, E=0.0) == 8.0
+
+    def test_neighbour_map_is_undirected(self):
+        graph = SubsumptionGraph("c", frozenset({(2, 1), (3, 2), (4, 4)}), 1)
+        assert graph.neighbours == {1: {2}, 2: {1, 3}, 3: {2}, 4: {4}}
+        assert graph.related(1, 2) and graph.related(2, 1) and not graph.related(1, 3)
+        assert graph == SubsumptionGraph("c", frozenset({(2, 1), (3, 2), (4, 4)}), 1)
+        assert "neighbours" not in repr(graph)
+
+    def test_credit_reads_each_members_edges_not_every_pair(self, monkeypatch):
+        # a 2,000-sentence chain: the pairwise test would make about two
+        # million related() calls; the neighbour map makes none
+        n = 2_000
+        ann = UtilityAnnotation("J", "c", (1,) * n)
+        graph = SubsumptionGraph("c", frozenset((p + 1, p) for p in range(1, n)), 1)
+        monkeypatch.setattr(SubsumptionGraph, "related", lambda *args: pytest.fail("pairwise related() call"))
+        assert extract_utility(range(1, n + 1), ann, graph, E=0.0) == 1.0
+        assert extract_utility(range(1, n + 1, 2), ann, graph, E=0.0) == n / 2
 
     @given(e_pair=st.tuples(st.floats(0, 1), st.floats(0, 1)))
     @settings(max_examples=40)

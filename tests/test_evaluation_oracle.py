@@ -1,8 +1,9 @@
 """Differential tests: the evaluation core against the reference arithmetic.
 
-oracle_evaluation.py keeps the earlier twin exact/table implementations; the
-library must return exactly equal numbers (==, not approx) and raise the same
-errors on every consistent set of judges.
+oracle_evaluation.py keeps the earlier twin exact/table implementations and
+the earlier sort-per-call ranking and pairwise subsumption credit; the library
+must return exactly equal numbers (==, not approx) and raise the same errors on
+every consistent set of judges.
 """
 
 import math
@@ -75,6 +76,46 @@ def test_core_equals_reference(case):
         same("report_system_performance", extract, judges, graph, E)
     same("build_report", judges, systems, r)
     same("build_report", judges, systems, r, graph, E)
+
+
+@st.composite
+def credited_extract(draw):
+    """One judge with many tied utilities, a subsumption graph and an extract.
+
+    The graph mixes mutual edges, chains, cliques, one-way edges, self-loops
+    and edges to positions outside the extract (some beyond n); it is built
+    directly, so no loader or consensus step filters it.
+    """
+    n = draw(st.integers(1, 25))
+    judge = UtilityAnnotation("J", "c", tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))))
+    position = st.integers(1, n + 3)
+    edges = set(draw(st.lists(st.tuples(position, position), max_size=6)))
+    for a, b in draw(st.lists(st.tuples(position, position), max_size=4)):
+        edges |= {(a, b), (b, a)}
+    for chain in draw(st.lists(st.lists(position, min_size=2, max_size=5), max_size=2)):
+        edges |= set(zip(chain, chain[1:]))
+    for clique in draw(st.lists(st.sets(position, min_size=2, max_size=5), max_size=2)):
+        edges |= {(a, b) for a in clique for b in clique if a != b}
+    edges |= {(p, p) for p in draw(st.lists(position, max_size=2))}
+    graph = SubsumptionGraph("c", frozenset(edges), 1)
+    extract = draw(st.lists(st.integers(1, n), max_size=n))  # any order, duplicates allowed
+    E = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 1))
+    return judge, graph, extract, E
+
+
+@given(credited_extract())
+@settings(max_examples=examples(300), deadline=None)
+def test_credit_and_ranking_equal_reference(case):
+    judge, graph, extract, E = case
+    for k in range(judge.n + 2):  # k = 0 and k = n + 1 must raise the same error
+        same("judge_extract", judge, k)
+        same("max_utility", judge, k)
+    for args in [(extract, judge), (extract, judge, None, E), (extract, judge, graph, E)]:
+        # repr tells -0.0 from 0.0 and a float from an int
+        assert repr(cs.extract_utility(*args)) == repr(oracle.extract_utility(*args)), args
+    for a in range(judge.n + 5):
+        for b in range(judge.n + 5):
+            assert graph.related(a, b) == oracle._related(graph, a, b), (a, b)
 
 
 @given(
