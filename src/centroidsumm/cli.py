@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .evaluation import (
     EvaluationError,
@@ -42,7 +42,7 @@ from .summarizer import (
     ScoreWeights,
     compression_size,
     extract,
-    extract_to_dict,
+    extract_json,
     lead_baseline,
     redundancy_rerank,
     score_sentences,
@@ -165,10 +165,10 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
     """Expand "start:stop:step" into an inclusive grid of rates."""
     start, stop, step = _three_numbers(text, ":", "an r grid of three numbers start:stop:step")
     if not (0 < start <= stop <= 1 and step > 0):
-        raise ValueError(f"r grid {text!r} outside 0 < start <= stop <= 1 with step > 0")
+        raise ValueError(f"r grid {reprlib.repr(text)} outside 0 < start <= stop <= 1 with step > 0")
     steps = (stop - start) / step + 0.5
     if steps >= 101:  # checked before the grid is built: a huge grid would exhaust memory
-        raise ValueError(f"r grid {text!r} has more than 101 rates, one per output tag r00..r100")
+        raise ValueError(f"r grid {reprlib.repr(text)} has more than 101 rates, one per output tag r00..r100")
     return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
 
 
@@ -182,7 +182,7 @@ def format_r_grid(grid: tuple[float, ...] | None) -> str:
 
 def parse_on_off(value: str) -> bool:
     if value not in ("on", "off"):
-        raise ValueError(f"expected on or off, got {value!r}")
+        raise ValueError(f"expected on or off, got {reprlib.repr(value)}")
     return value == "on"
 
 
@@ -286,7 +286,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     for r, ext in extracts.items():
         tag = _r_tag(r)
-        write_json(extract_to_dict(ext), out / f"extract_{cluster.cluster_id}_{tag}.json")
+        (out / f"extract_{cluster.cluster_id}_{tag}.json").write_text(extract_json(ext), encoding="utf-8")
         text = summary_text(cluster, ext)
         (out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"{cluster.cluster_id} {tag}: {ext.k} of {cluster.n} sentences -> {sorted(ext.selected)}")
@@ -306,13 +306,34 @@ def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: f
     selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
     if cluster_id != annotations[0].cluster_id:
         raise EvaluationError(
-            f"extract {path} is for cluster {cluster_id!r}, "
-            f"annotations are for {annotations[0].cluster_id!r}"
+            f"extract {path} is for cluster {reprlib.repr(cluster_id)}, "
+            f"annotations are for {reprlib.repr(annotations[0].cluster_id)}"
         )
     k = compression_size(annotations[0].n, r)
     if len(set(selected)) != k:
         raise EvaluationError(f"{path}: extract selects {len(set(selected))} sentences, expected k={k} at r={r:g}")
     return selected
+
+
+def _load_judges(paths: Sequence[str], load: Callable) -> list:
+    """Utility or subsumption files of one cluster, utilities of one size; a mismatch names its file.
+
+    Every file is compared with the first; the library checks the judge count.
+    """
+    judges = [load(path) for path in paths]
+    first = judges[0]
+    for path, judge in zip(paths[1:], judges[1:]):
+        if judge.cluster_id != first.cluster_id:
+            raise EvaluationError(
+                f"{path}: annotations mix clusters {reprlib.repr(first.cluster_id)} "
+                f"and {reprlib.repr(judge.cluster_id)}, the first from {paths[0]}"
+            )
+        if isinstance(judge, UtilityAnnotation) and judge.n != first.n:
+            raise EvaluationError(
+                f"{path}: judge {reprlib.repr(judge.judge_id)} annotated {judge.n} sentences, "
+                f"expected {first.n} as in {paths[0]}"
+            )
+    return judges
 
 
 def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Cluster:
@@ -321,8 +342,8 @@ def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Clus
     judged = annotations[0]
     if (cluster.cluster_id, cluster.n) != (judged.cluster_id, judged.n):
         raise EvaluationError(
-            f"{path}: cluster {cluster.cluster_id!r} has {cluster.n} sentences; the "
-            f"annotations are for cluster {judged.cluster_id!r} with {judged.n}"
+            f"{path}: cluster {reprlib.repr(cluster.cluster_id)} has {cluster.n} sentences; the "
+            f"annotations are for cluster {reprlib.repr(judged.cluster_id)} with {judged.n}"
         )
     return cluster
 
@@ -333,8 +354,8 @@ def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> 
     cluster_id, n = annotations[0].cluster_id, annotations[0].n
     if marks.cluster_id != cluster_id:
         raise EvaluationError(
-            f"{path}: subsumption marks are for cluster {marks.cluster_id!r}, "
-            f"annotations are for {cluster_id!r}"
+            f"{path}: subsumption marks are for cluster {reprlib.repr(marks.cluster_id)}, "
+            f"annotations are for {reprlib.repr(cluster_id)}"
         )
     highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
     if highest > n:
@@ -375,7 +396,7 @@ def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    annotations = [load_utility_annotation(p) for p in args.annotations]
+    annotations = _load_judges(args.annotations, load_utility_annotation)
     graph = None
     if args.subsumption:
         subs = [_judged_subsumption(p, annotations) for p in args.subsumption]
@@ -387,8 +408,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.system and not args.idf:
         raise ValueError("--system needs --idf to score sentences")
     fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
-    lead_cluster = _judged_cluster(args.lead, annotations) if args.lead else None
-    system_cluster = _judged_cluster(args.system, annotations) if args.system else None
+    # --lead and --system often name the same file; each distinct path is parsed once
+    paths = [path for path in dict.fromkeys((args.lead, args.system)) if path]
+    clusters = {path: _judged_cluster(path, annotations) for path in paths}
+    lead_cluster, system_cluster = clusters.get(args.lead), clusters.get(args.system)
     system_extracts = _score_and_select(system_cluster, args.idf, config) if system_cluster else {}
     reports = []
     for r in config.rates:
@@ -415,13 +438,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_agreement(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.mode == "cbsu":
-        annotations = [load_utility_annotation(p) for p in args.annotations]
+        annotations = _load_judges(args.annotations, load_utility_annotation)
         curve = agreement_curve(annotations, config.r_grid)
         path = _out_dir(args) / "agreement_curve.csv"
         _write_csv(path, ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
-    tally = csis_agreement_tally([load_subsumption_annotation(p) for p in args.annotations])
+    tally = csis_agreement_tally(_load_judges(args.annotations, load_subsumption_annotation))
     out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
     rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""

@@ -68,11 +68,11 @@ class UtilityAnnotation:
 
     def __post_init__(self) -> None:
         if not self.utilities:
-            raise ValueError(f"judge {self.judge_id!r}: empty utility vector")
+            raise ValueError(f"judge {reprlib.repr(self.judge_id)}: empty utility vector")
         for i, u in enumerate(self.utilities):
             if not 0 <= u <= 10:
                 raise ValueError(
-                    f"judge {self.judge_id!r}: utility {u} at position {i + 1} outside 0..10"
+                    f"judge {reprlib.repr(self.judge_id)}: utility {u} at position {i + 1} outside 0..10"
                 )
         # a stable sort keeps tied positions ascending
         order = sorted(range(len(self.utilities)), key=self.utilities.__getitem__, reverse=True)
@@ -99,7 +99,7 @@ class SubsumptionAnnotation:
         for position, targets in self.subsumers.items():
             if position in targets:
                 raise ValueError(
-                    f"judge {self.judge_id!r}: sentence {position} cannot subsume itself"
+                    f"judge {reprlib.repr(self.judge_id)}: sentence {position} cannot subsume itself"
                 )
 
     def subsumers_of(self, position: int) -> frozenset[int]:
@@ -190,7 +190,9 @@ def _one_cluster(annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation
     cluster_id = annotations[0].cluster_id
     for ann in annotations[1:]:
         if ann.cluster_id != cluster_id:
-            raise EvaluationError(f"annotations mix clusters {cluster_id!r} and {ann.cluster_id!r}")
+            raise EvaluationError(
+                f"annotations mix clusters {reprlib.repr(cluster_id)} and {reprlib.repr(ann.cluster_id)}"
+            )
     return cluster_id
 
 
@@ -201,7 +203,7 @@ def _check_judges(annotations: Sequence[UtilityAnnotation], minimum: int = 1) ->
     for ann in annotations[1:]:
         if ann.n != first.n:
             raise EvaluationError(
-                f"judge {ann.judge_id!r} annotated {ann.n} sentences, expected {first.n}"
+                f"judge {reprlib.repr(ann.judge_id)} annotated {ann.n} sentences, expected {first.n}"
             )
     return first.n
 
@@ -212,7 +214,7 @@ def _maxima(annotations: Sequence[UtilityAnnotation], k: int) -> list[int]:
     for ann, m in zip(annotations, maxima):
         if m == 0:
             raise EvaluationError(
-                f"judge {ann.judge_id!r} assigns zero utility everywhere; ratios undefined"
+                f"judge {reprlib.repr(ann.judge_id)} assigns zero utility everywhere; ratios undefined"
             )
     return maxima
 
@@ -243,7 +245,7 @@ def _system_ratios(
     n = annotations[0].n
     outside = [pos for pos in positions if not 1 <= pos <= n]
     if outside:
-        raise EvaluationError(f"system {label!r} selects position {outside[0]}, outside 1..{n}")
+        raise EvaluationError(f"system {reprlib.repr(label)} selects position {outside[0]}, outside 1..{n}")
     return [extract_utility(positions, ann, graph, E) / m for ann, m in zip(annotations, maxima)]
 
 
@@ -530,7 +532,7 @@ def build_report(
         positions = sorted(set(systems[label]))
         if len(positions) != k:
             raise EvaluationError(
-                f"system {label!r} selected {len(positions)} sentences, expected k={k}"
+                f"system {reprlib.repr(label)} selected {len(positions)} sentences, expected k={k}"
             )
         s_scores[label] = _table_mean(_system_ratios(label, positions, annotations, maxima))
         if graph is not None:

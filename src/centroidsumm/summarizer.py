@@ -21,14 +21,15 @@ lead+centroid (1, 1, 0).
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from operator import add, mul, truediv
+from operator import add, attrgetter, mul, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lexstats import Centroid
@@ -335,14 +336,52 @@ def lead_baseline(cluster: Cluster, r: float) -> Extract:
     return Extract(cluster_id=cluster.cluster_id, r=r, k=k, selected=tuple(selected), scores=scores)
 
 
+# The fields of an extract file's score row, in the sorted order the file lists them.
+_SCORE_FIELDS = ("base", "c", "f", "final", "p", "penalty", "position")
+_score_values = attrgetter(*_SCORE_FIELDS)
+# One score row at its indent in an extract file; %r spells a finite float, -0.0
+# and an int exactly as json does.
+_SCORE_ROW = "{\n" + ",\n".join(f'      "{name}": %r' for name in _SCORE_FIELDS) + "\n    }"
+_SCORE_ROW_JSON = _SCORE_ROW.replace("%r", "%s")  # the same row, values spelled by json
+
+
 def extract_to_dict(ext: Extract) -> dict:
     return {
         "cluster_id": ext.cluster_id,
         "r": ext.r,
         "k": ext.k,
         "selected": list(ext.selected),
-        "scores": [{**asdict(score), "final": score.final} for score in ext.scores],
+        "scores": [dict(zip(_SCORE_FIELDS, _score_values(score))) for score in ext.scores],
     }
+
+
+def _score_row(values: tuple) -> str:
+    try:
+        if math.isfinite(sum(values)):  # any NaN or infinity makes the sum non-finite
+            return _SCORE_ROW % values
+    except OverflowError:  # an int too large for a float; json writes it whole
+        pass
+    return _SCORE_ROW_JSON % tuple(map(json.dumps, values))  # NaN, Infinity, -Infinity
+
+
+def _json_array(items: list[str]) -> str:
+    """A top-level value's array of already spelled items, laid out as json.dumps(indent=2) does."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def extract_json(ext: Extract) -> str:
+    """The text of an extract file: json.dumps(extract_to_dict(ext), sort_keys=True, indent=2) + newline.
+
+    Built from one row template, not through json's indented encoder, which
+    is pure Python; the header values still go through json, so any
+    cluster_id is escaped exactly as before.
+    """
+    rows = [_score_row(_score_values(score)) for score in ext.scores]
+    return (
+        f'{{\n  "cluster_id": {json.dumps(ext.cluster_id)},\n  "k": {json.dumps(ext.k)},\n'
+        f'  "r": {json.dumps(ext.r)},\n  "scores": {_json_array(rows)},\n'
+        f'  "selected": {_json_array(list(map(repr, ext.selected)))}\n}}\n'
+    )
 
 
 def summary_text(cluster: Cluster, ext: Extract) -> str:

@@ -15,7 +15,9 @@ earlier documents; a sentence's global position is its document's offset plus
 its index_in_doc. Derived fields take no part in equality, hashing or repr.
 
 Every JSON file of the pipeline is read through `read_json`, which names a
-file that does not decode, and written through `write_json`, in one layout.
+file that does not decode, and written in one layout: through `write_json`,
+or, for extract files, through `summarizer.extract_json`, which gives the
+same bytes from a row template.
 
 All types are immutable after construction and safe to share across threads.
 """

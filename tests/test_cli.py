@@ -577,6 +577,36 @@ class TestEvaluateCommand:
                 )
         assert (out / "d_grid.csv").read_text() == "\n".join(expected) + "\n"
 
+    def test_lead_and_system_file_is_parsed_once(self, news_inputs, tmp_path, monkeypatch):
+        cluster_file, idf_path = news_inputs
+        paths = []
+        for judge_id, utilities in {
+            "A": tuple(10 - i // 2 for i in range(20)),
+            "B": tuple(max(10 - i, 1) for i in range(20)),
+            "C": tuple(10 - i // 3 for i in range(20)),
+        }.items():
+            paths.append(str(tmp_path / f"{judge_id}.json"))
+            save_utility_annotation(UtilityAnnotation(judge_id, "alg", utilities), paths[-1])
+        copy = tmp_path / "copy.json"
+        copy.write_bytes(Path(cluster_file).read_bytes())
+        parsed = []
+
+        def counted(path):
+            parsed.append(path)
+            return parse_cluster(path)
+
+        monkeypatch.setattr(centroidsumm.cli, "parse_cluster", counted)
+        grids = []
+        for i, system in enumerate([cluster_file, str(copy)]):
+            parsed.clear()
+            out = tmp_path / f"grid{i}"
+            args = ["evaluate", "--annotations", *paths, "--lead", cluster_file, "--system", system, "--idf", idf_path]
+            assert main([*args, "--preset", "lead-centroid", "--r-grid", "0.1:0.9:0.1", "--out", str(out)]) == 0
+            assert parsed == list(dict.fromkeys([cluster_file, system]))
+            grids.append((out / "d_grid.csv").read_bytes())
+        # one parse for both flags gives the d_grid.csv of two separate parses
+        assert grids[0] == grids[1]
+
     def test_grid_rejects_fixed_extracts(self, quad_judges, tmp_path):
         extract_file = tmp_path / "s14.json"
         write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
@@ -690,6 +720,69 @@ class TestAgreementCommand:
         assert main(["agreement", "--mode", "csis", "--annotations", *paths, "--out", str(out)]) == 3
         assert "annotations mix clusters 'x' and 'y'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestJudgeFiles:
+    """A judge set of mixed clusters or sizes exits 3 naming the file that differs; ids are quoted short."""
+
+    @staticmethod
+    def judge_args(command, paths, tmp_path):
+        if command == "agreement":
+            return ["agreement", "--mode", "cbsu", "--annotations", *paths]
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        return ["evaluate", "--annotations", *paths, "--extract", str(extract_file), "--r", "0.5"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "agreement"])
+    @pytest.mark.parametrize("change", ["n", "cluster_id"])
+    def test_mismatch_names_the_file(self, quad_judges, tmp_path, capsys, command, change):
+        odd = tmp_path / "odd.json"
+        if change == "n":
+            save_utility_annotation(UtilityAnnotation("B", "quad", (5, 3, 1, 0, 2)), odd)
+            expected = f"{odd}: judge 'B' annotated 5 sentences, expected 4 as in {quad_judges[0]}"
+        else:
+            save_utility_annotation(UtilityAnnotation("B", "other", (5, 3, 1, 0)), odd)
+            expected = f"{odd}: annotations mix clusters 'quad' and 'other', the first from {quad_judges[0]}"
+        out = tmp_path / "out"
+        assert main([*self.judge_args(command, [*quad_judges, str(odd)], tmp_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    def test_csis_mismatch_names_the_file(self, subsumption_files, tmp_path, capsys):
+        odd = tmp_path / "odd.json"
+        save_subsumption_annotation(SubsumptionAnnotation("S", "other", {2: frozenset({1})}), odd)
+        out = tmp_path / "out"
+        args = ["agreement", "--mode", "csis", "--annotations", *subsumption_files, str(odd)]
+        assert main([*args, "--out", str(out)]) == 3
+        expected = f"{odd}: annotations mix clusters 'pair' and 'other', the first from {subsumption_files[0]}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, code",
+        [
+            ("agreement", {"judge_id": "B" * 1_000_000, "cluster_id": "quad", "utilities": [5, 3, 1, 0, 2]}, 3),
+            ("agreement", {"judge_id": "B", "cluster_id": "q" * 1_000_000, "utilities": [5, 3, 1, 0]}, 3),
+            ("agreement", {"judge_id": "B" * 1_000_000, "cluster_id": "quad", "utilities": [5, 3, 1, 11]}, 2),
+            ("evaluate", {"judge_id": "B" * 1_000_000, "cluster_id": "quad", "utilities": [5, 3, 1, 0, 2]}, 3),
+        ],
+        ids=["size", "cluster", "utility-range", "evaluate-size"],
+    )
+    def test_huge_id_gives_one_short_line(self, quad_judges, tmp_path, capsys, command, payload, code):
+        odd = tmp_path / "odd.json"
+        write_json(payload, odd)
+        args = self.judge_args(command, [*quad_judges, str(odd)], tmp_path)
+        assert main([*args, "--out", str(tmp_path / "out")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300 and f"{odd}: " in lines[0]
+
+    def test_huge_extract_cluster_id_gives_one_short_line(self, quad_judges, tmp_path, capsys):
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "q" * 1_000_000, "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main(args) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300 and str(extract_file) in lines[0]
 
 
 class TestUndecodableFiles:

@@ -134,6 +134,23 @@ class TestCrossJudge:
         with pytest.raises(EvaluationError, match="annotated 3 sentences"):
             cross_judge_matrix(judges + [other], 0.5)
 
+    def test_huge_ids_and_labels_are_quoted_short(self, judges):
+        huge = "J" * 1_000_000
+        calls = [
+            lambda: cross_judge_matrix(judges + [UtilityAnnotation(huge, "quad", (1, 2, 3))], 0.5),
+            lambda: cross_judge_matrix(judges + [UtilityAnnotation("J9", huge, (1, 2, 3, 4))], 0.5),
+            lambda: cross_judge_matrix(judges + [UtilityAnnotation(huge, "quad", (0, 0, 0, 0))], 0.5),
+            lambda: build_report(judges, {huge: (1,)}, 0.5),
+            lambda: build_report(judges, {huge: (1, 5)}, 0.5),
+            lambda: UtilityAnnotation(huge, "quad", (1, 11)),
+            lambda: UtilityAnnotation(huge, "quad", ()),
+            lambda: SubsumptionAnnotation(huge, "quad", {3: frozenset({3})}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert len(str(caught.value)) < 200 and "JJJ..." in str(caught.value)
+
     def test_rejects_all_zero_judge(self, judges):
         zero = UtilityAnnotation("J0", "quad", (0, 0, 0, 0))
         with pytest.raises(EvaluationError, match="zero utility"):

@@ -8,6 +8,7 @@ which fixes the order of their float sums.
 """
 
 import dataclasses
+import json
 import math
 import random
 import warnings
@@ -96,6 +97,7 @@ def test_scoring_and_selection_equal_reference(docs, idf, score_weights, r, thre
         chosen = getattr(cs, select)(cluster, scores, r)
         assert chosen == getattr(oracle, select)(cluster, scores, r), select
         assert cs.extract_to_dict(chosen) == oracle.extract_to_dict(chosen)
+        assert cs.extract_json(chosen) == extract_file_text(chosen), select
     assert cs.lead_baseline(cluster, r) == oracle.lead_baseline(cluster, r)
 
     sentences = cluster.sentences()
@@ -104,6 +106,53 @@ def test_scoring_and_selection_equal_reference(docs, idf, score_weights, r, thre
             assert outcome(cs.word_overlap, s1, s2) == outcome(
                 oracle.word_overlap, s1, s2
             )
+
+
+def extract_file_text(ext):
+    """An extract file as json writes it: the reference for the template writer."""
+    return json.dumps(oracle.extract_to_dict(ext), sort_keys=True, indent=2) + "\n"
+
+
+# Values json spells unlike repr (NaN, Infinity), the signed zero, the extreme
+# finite floats, and any float at all.
+score_values = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]) | st.floats()
+# Quotes, backslashes, control characters, non-ASCII and astral characters.
+cluster_ids = st.text(st.sampled_from('"\\\x00\n\t\x1f\x7f\u2028é€𝄞 ab') | st.characters(), max_size=12)
+
+
+@st.composite
+def direct_extracts(draw):
+    """Extracts built directly, with values no CLI run produces: the writer must still equal json."""
+    scores = []
+    for _ in range(draw(st.integers(0, 6))):
+        # a term-less cluster gives the integer c = 0 (an empty sum), which json writes as 0, not 0.0
+        c = draw(st.just(0) | score_values)
+        scores.append(cs.SentenceScore(
+            position=draw(st.integers(-3, 10**6) | st.just(2**1100)),  # 2**1100 overflows a float
+            c=c,
+            p=draw(score_values),
+            f=draw(score_values),
+            base=draw(score_values),
+            penalty=draw(score_values),
+        ))
+    return cs.Extract(
+        cluster_id=draw(cluster_ids),
+        r=draw(score_values),
+        k=draw(st.integers(0, 10**6)),
+        selected=tuple(score.position for score in scores),
+        scores=tuple(scores),
+    )
+
+
+@given(direct_extracts())
+@settings(max_examples=examples(300), deadline=None)
+def test_extract_writer_equals_json(ext):
+    expected = extract_file_text(ext)
+    assert cs.extract_json(ext) == expected
+    # the library's dict holds the same values under the same keys
+    assert json.dumps(cs.extract_to_dict(ext), sort_keys=True, indent=2) + "\n" == expected
 
 
 @given(documents(max_docs=8), idf_models(), st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]), thresholds)
