@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .summarizer import compression_size
-from .text import _json_int, _json_str, read_json
+from .text import _all_json_ints, _json_int, _json_str, read_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -69,11 +69,11 @@ class UtilityAnnotation:
     def __post_init__(self) -> None:
         if not self.utilities:
             raise ValueError(f"judge {reprlib.repr(self.judge_id)}: empty utility vector")
-        for i, u in enumerate(self.utilities):
-            if not 0 <= u <= 10:
-                raise ValueError(
-                    f"judge {reprlib.repr(self.judge_id)}: utility {u} at position {i + 1} outside 0..10"
-                )
+        if not all(0 <= u <= 10 for u in self.utilities):
+            i, u = next((i, u) for i, u in enumerate(self.utilities) if not 0 <= u <= 10)
+            raise ValueError(
+                f"judge {reprlib.repr(self.judge_id)}: utility {u} at position {i + 1} outside 0..10"
+            )
         # a stable sort keeps tied positions ascending
         order = sorted(range(len(self.utilities)), key=self.utilities.__getitem__, reverse=True)
         object.__setattr__(self, "ranked", tuple(i + 1 for i in order))
@@ -578,11 +578,17 @@ def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
         raise ValueError(f"{path}: not a utility annotation file: {exc}") from None
     if not isinstance(utilities, list):
         raise ValueError(f"{path}: utilities: must be an array, got {reprlib.repr(utilities)}")
-    values = tuple(_json_int(u, f"{path}: utilities[{i}]") for i, u in enumerate(utilities))
+    if not _all_json_ints(utilities):  # names the first value that is not an integer
+        for i, u in enumerate(utilities):
+            _json_int(u, f"{path}: utilities[{i}]")
     try:
-        return UtilityAnnotation(judge_id=judge_id, cluster_id=cluster_id, utilities=values)
+        return UtilityAnnotation(judge_id=judge_id, cluster_id=cluster_id, utilities=tuple(utilities))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _mark_where(path: str | Path, key: str) -> str:
+    return f"{path}: subsumers[{reprlib.repr(key)}]"
 
 
 def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
@@ -596,14 +602,15 @@ def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
         raise ValueError(f"{path}: not a subsumption annotation file: {exc}") from None
     subsumers = {}
     for key, targets in marks:
-        where = f"{path}: subsumers[{reprlib.repr(key)}]"
         if not isinstance(targets, list):
-            raise ValueError(f"{where}: must be an array, got {reprlib.repr(targets)}")
+            raise ValueError(f"{_mark_where(path, key)}: must be an array, got {reprlib.repr(targets)}")
         position = int(key) if key.isascii() and key.isdigit() else 0
-        found = [_json_int(t, where) for t in targets]
-        if min([position, *found]) < 1:
-            raise ValueError(f"{where}: positions and subsumers must be integers >= 1")
-        subsumers[position] = frozenset(found)
+        if not _all_json_ints(targets):  # names the first subsumer that is not an integer
+            for t in targets:
+                _json_int(t, _mark_where(path, key))
+        if min([position, *targets]) < 1:
+            raise ValueError(f"{_mark_where(path, key)}: positions and subsumers must be integers >= 1")
+        subsumers[position] = frozenset(targets)
     try:
         return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)
     except ValueError as exc:

@@ -16,12 +16,12 @@ import math
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import mul, truediv
+from itertools import chain, compress, repeat
+from operator import ge, mul, truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .text import Cluster, ClusterParseError, Document, _json_int, read_json, write_json
+from .text import Cluster, ClusterParseError, Document, _all_json_ints, _json_int, read_json, write_json
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
@@ -42,9 +42,10 @@ class IdfModel:
     def __post_init__(self) -> None:
         if self.n_docs < 1:
             raise ValueError("IdfModel requires n_docs >= 1")
-        for term, count in self.df.items():
-            if not 1 <= count <= self.n_docs:
-                raise ValueError(f"df[{reprlib.repr(term)}] = {count} outside 1..{self.n_docs}")
+        n_docs = self.n_docs
+        if not all(1 <= count <= n_docs for count in self.df.values()):
+            term, count = next((t, c) for t, c in self.df.items() if not 1 <= c <= n_docs)
+            raise ValueError(f"df[{reprlib.repr(term)}] = {count} outside 1..{n_docs}")
 
     def idf(self, term: str) -> float:
         count = self.df.get(term)
@@ -76,7 +77,7 @@ def build_idf(background: Iterable[Document]) -> IdfModel:
     n_docs = 0
     for document in background:
         n_docs += 1
-        df.update({term for sentence in document.sentences for term in sentence.counts})
+        df.update({term for sentence in document.sentences for term in sentence.terms})
     if n_docs == 0:
         raise ValueError("background corpus is empty")
     return IdfModel(n_docs=n_docs, df=dict(df))
@@ -88,11 +89,20 @@ def _require_finite(**thresholds: float) -> None:
             raise ValueError(f"{name} must be a finite number, got {value}")
 
 
-def _centroid_terms(totals: Counter, d: int, idf_of: Callable[[str], float], threshold: float) -> list:
-    """The one weight formula: (term, count, idf, weight) where (total / d) * idf clears threshold."""
+def _centroid_terms(totals: Counter, d: int, idf_of: Callable[[str], float], threshold: float) -> tuple:
+    """The one weight formula, as columns (terms, counts, idfs, weights), in the key order of totals.
+
+    count = total / d and weight = count * idf; only rows whose weight clears
+    threshold are kept, and the columns are filtered only if some row does not.
+    """
+    terms = list(totals)
     counts = list(map(truediv, totals.values(), repeat(d)))
-    idfs = list(map(idf_of, totals))
-    return [row for row in zip(totals, counts, idfs, map(mul, counts, idfs)) if row[3] >= threshold]
+    idfs = list(map(idf_of, terms))
+    weights = list(map(mul, counts, idfs))
+    if not all(map(ge, weights, repeat(threshold))):
+        keep = list(map(ge, weights, repeat(threshold)))
+        terms, counts, idfs, weights = (list(compress(col, keep)) for col in (terms, counts, idfs, weights))
+    return terms, counts, idfs, weights
 
 
 def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> Centroid:
@@ -107,8 +117,8 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
     totals: Counter = Counter()
     for sentence in cluster.sentences():
         totals.update(sentence.terms)
-    rows = _centroid_terms(totals, cluster.d, idf.idf, threshold)
-    entries = {row[0]: CentroidEntry(*row[1:]) for row in rows}
+    terms, counts, idfs, weights = _centroid_terms(totals, cluster.d, idf.idf, threshold)
+    entries = dict(zip(terms, map(CentroidEntry, counts, idfs, weights)))
     return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
@@ -184,11 +194,14 @@ def incremental_cluster(
             target = f"c{len(members) + 1:03d}"
             members[target] = ([], Counter())
         elif any(member.doc_id == doc.doc_id for member in members[target][0]):
-            raise ClusterParseError(f"cluster {target!r}: duplicate document id {doc.doc_id!r}")
+            raise ClusterParseError(
+                f"cluster {reprlib.repr(target)}: duplicate document id {reprlib.repr(doc.doc_id)}"
+            )
         docs, totals = members[target]
         docs.append(doc)
         totals.update(chain.from_iterable(sentence.terms for sentence in doc.sentences))
-        weights = {row[0]: row[3] for row in _centroid_terms(totals, len(docs), idf_of, centroid_threshold)}
+        terms, _, _, column = _centroid_terms(totals, len(docs), idf_of, centroid_threshold)
+        weights = dict(zip(terms, column))
         vectors[target] = (target, weights, _norm(weights))
     return [Cluster.build(cid, docs) for cid, (docs, _) in members.items()]
 
@@ -204,7 +217,10 @@ def load_idf(path: str | Path) -> IdfModel:
     if not isinstance(data["df"], dict):
         raise ValueError(f"{path}: df: must be an object of term -> count")
     n_docs = _json_int(data["n_docs"], f"{path}: n_docs")
-    df = {term: _json_int(count, f"{path}: df[{reprlib.repr(term)}]") for term, count in data["df"].items()}
+    df = data["df"]
+    if not _all_json_ints(df.values()):  # names the first count that is not an integer
+        for term, count in df.items():
+            _json_int(count, f"{path}: df[{reprlib.repr(term)}]")
     try:
         return IdfModel(n_docs=n_docs, df=df)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import warnings
 from array import array
 from bisect import bisect_right
@@ -108,9 +109,13 @@ def positional_value(sentence: Sentence, cluster: Cluster, c_max: float) -> floa
 
 
 def first_sentence_overlap(sentence: Sentence, cluster: Cluster) -> float:
-    """Count-vector inner product with the first sentence of the sentence's document."""
+    """Count-vector inner product with the first sentence of the sentence's document.
+
+    Summed per term occurrence, which gives the same integer as count times
+    first count per distinct term, so only first sentences build `counts`.
+    """
     first = cluster.document(sentence.doc_id).sentences[0].counts
-    return float(sum(count * first[term] for term, count in sentence.counts.items()))
+    return float(sum(map(first.get, sentence.terms, repeat(0))))
 
 
 def score_sentences(
@@ -119,7 +124,8 @@ def score_sentences(
     """Base scores for all n sentences, in global order; penalties stay 0. A non-finite base raises."""
     if cluster.cluster_id != centroid.cluster_id:
         raise ValueError(
-            f"cluster {cluster.cluster_id!r} does not match centroid {centroid.cluster_id!r}"
+            f"cluster {reprlib.repr(cluster.cluster_id)} does not match centroid "
+            f"{reprlib.repr(centroid.cluster_id)}"
         )
     sentences = list(cluster.sentences())
     c_values = [centroid_value(s, centroid) for s in sentences]
@@ -130,7 +136,7 @@ def score_sentences(
         f = first_sentence_overlap(sentence, cluster)
         base = weights.w_c * c + weights.w_p * p + weights.w_f * f
         if not math.isfinite(base):
-            where = f"cluster {cluster.cluster_id!r}: sentence {position}"
+            where = f"cluster {reprlib.repr(cluster.cluster_id)}: sentence {position}"
             raise ValueError(f"{where}: base score {base} is not finite")
         scores.append(SentenceScore(position=position, c=c, p=p, f=f, base=base))
     return scores

@@ -8,28 +8,36 @@ sentences in original order within each document, positions numbered 1..n.
 
 This module owns two decisions that every later stage reads instead of
 recomputing. A sentence's terms are derived once, when it is constructed: a
-tuple of lowercase word strings in token order (`terms`) and a term -> count
-map (`counts`). A cluster builds its flat sentence tuple and a table from
-doc_id to (document, offset) once, where offset is the number of sentences in
-earlier documents; a sentence's global position is its document's offset plus
-its index_in_doc. Derived fields take no part in equality, hashing or repr.
+tuple of lowercase word strings in token order (`terms`). Its term -> count
+map (`counts`) is built from them on first read and kept, since only the
+first sentence of each document and the redundancy rerank read it. A cluster
+builds its flat sentence tuple and a table from doc_id to (document, offset)
+once, where offset is the number of sentences in earlier documents; a
+sentence's global position is its document's offset plus its index_in_doc.
+Derived fields take no part in equality, hashing or repr.
+
+The loaders check whole arrays at once and format an error message only when
+a check fails; the message names the first bad element.
 
 Every JSON file of the pipeline is read through `read_json`, which names a
 file that does not decode, and written in one layout: through `write_json`,
 or, for extract files, through `summarizer.extract_json`, which gives the
 same bytes from a row template.
 
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction and safe to share across threads
+(two threads that read `counts` first at once may each build the same map).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -43,6 +51,8 @@ class ClusterParseError(ValueError):
 _WORD_RE = re.compile(
     r"[^\W_]+(?:[\u0300-\u036f\u1ab0-\u1aff\u1dc0-\u1dff\u20d0-\u20ff\ufe20-\ufe2f]+[^\W_]*)*"
 )
+# The same words in lowercased ASCII text, where no combining mark can occur.
+_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 # YYYY-MM-DD[Thh:mm[:ss[.f]]][Z|+hh:mm|-hh:mm], .f being 1 to 6 digits; a space may replace T.
 _TIMESTAMP_RE = re.compile(
     r"(\d{4}-\d\d-\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?)?(Z|[+-]\d\d:[0-5]\d)?",
@@ -52,18 +62,20 @@ _TIMESTAMP_RE = re.compile(
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence; its read-only `terms` and `counts` are derived from `text` once."""
+    """One sentence; its read-only `terms` are derived from `text` once, `counts` on first read."""
 
     doc_id: str
     index_in_doc: int  # 1-based position within the document
     text: str
     terms: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    counts: Counter = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        terms = tuple(tokenize(self.text))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "counts", Counter(terms))
+        object.__setattr__(self, "terms", tuple(tokenize(self.text)))
+
+    @functools.cached_property
+    def counts(self) -> Counter:
+        """Term -> count, keys in first-occurrence order; not a field, so outside eq, hash and repr."""
+        return Counter(self.terms)
 
     def norms(self) -> tuple[str, ...]:
         """The normalized terms in token order (the stored `terms` tuple)."""
@@ -93,17 +105,22 @@ class Cluster:
     _offsets: dict[str, tuple[Document, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        where = f"cluster {self.cluster_id!r}"
-        _require(len(self.documents) > 0, f"{where}: has no documents")
+        if not self.documents:
+            raise self._error("has no documents")
         sentences: list[Sentence] = []
         offsets: dict[str, tuple[Document, int]] = {}
         for doc in self.documents:
-            _require(doc.doc_id not in offsets, f"{where}: duplicate document id {doc.doc_id!r}")
-            _require(len(doc.sentences) > 0, f"{where}: document {doc.doc_id!r} has no sentences")
+            if doc.doc_id in offsets:
+                raise self._error(f"duplicate document id {reprlib.repr(doc.doc_id)}")
+            if not doc.sentences:
+                raise self._error(f"document {reprlib.repr(doc.doc_id)} has no sentences")
             offsets[doc.doc_id] = (doc, len(sentences))
             sentences.extend(doc.sentences)
         object.__setattr__(self, "_sentences", tuple(sentences))
         object.__setattr__(self, "_offsets", offsets)
+
+    def _error(self, problem: str) -> ClusterParseError:
+        return ClusterParseError(f"cluster {reprlib.repr(self.cluster_id)}: {problem}")
 
     @property
     def d(self) -> int:
@@ -147,14 +164,14 @@ def tokenize(text: str) -> list[str]:
     decomposed text keeps its words whole: "cafe" plus U+0301 is one term.
     Each match is lowercased on its own. A lowercase form with a combining
     mark, such as that of "İ" (i plus U+0307), stays one word, so tokenizing
-    the joined output again gives the same terms.
+    the joined output again gives the same terms. ASCII text is lowercased
+    whole and then split on [a-z0-9]+, which gives the same terms faster:
+    there its letters and digits are exactly [A-Za-z0-9], and it holds no
+    combining marks.
     """
+    if text.isascii():
+        return _ASCII_WORD_RE.findall(text.lower())
     return [m.lower() for m in _WORD_RE.findall(text)]
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ClusterParseError(message)
 
 
 def _json_int(value: object, where: str) -> int:
@@ -164,6 +181,11 @@ def _json_int(value: object, where: str) -> int:
     return value
 
 
+def _all_json_ints(values: Iterable[object]) -> bool:
+    """Whether _json_int accepts every value; checked in one pass in C, with no message built."""
+    return {int}.issuperset(map(type, values))
+
+
 def _json_str(value: object, where: str) -> str:
     """A JSON string; numbers, arrays and the rest are rejected rather than converted."""
     if not isinstance(value, str):
@@ -171,60 +193,68 @@ def _json_str(value: object, where: str) -> str:
     return value
 
 
+def _require(condition: bool, where: str, problem: str) -> None:
+    """Raise ClusterParseError(where + problem) unless condition holds; the message is joined only then."""
+    if not condition:
+        raise ClusterParseError(where + problem)
+
+
 def _parse_timestamp(raw: object, where: str) -> datetime:
     """Parse the pinned timestamp grammar; a timestamp without a zone is UTC."""
-    _require(isinstance(raw, str), f"{where}: timestamp must be an ISO-8601 string")
-    invalid = f"{where}: invalid ISO-8601 timestamp {reprlib.repr(raw)}"
+    _require(isinstance(raw, str), where, ": timestamp must be an ISO-8601 string")
     match = _TIMESTAMP_RE.fullmatch(str(raw))
-    _require(match is not None, invalid)
-    date, hour, minute, second, fraction, zone = match.groups(default="")
-    # this fully spelled-out form parses the same on every supported Python
-    canonical = f"{date}T{hour or '00'}:{minute or '00'}:{second or '00'}.{fraction:0<6}"
-    try:
-        ts = datetime.fromisoformat(canonical + (zone if zone not in ("", "Z") else "+00:00"))
-        return ts.astimezone(timezone.utc)
-    except (ValueError, OverflowError):  # out-of-range fields or offsets
-        raise ClusterParseError(invalid) from None
+    if match is not None:
+        date, hour, minute, second, fraction, zone = match.groups(default="")
+        # this fully spelled-out form parses the same on every supported Python
+        canonical = f"{date}T{hour or '00'}:{minute or '00'}:{second or '00'}.{fraction:0<6}"
+        try:
+            ts = datetime.fromisoformat(canonical + (zone if zone not in ("", "Z") else "+00:00"))
+            return ts.astimezone(timezone.utc)
+        except (ValueError, OverflowError):  # out-of-range fields or offsets
+            pass
+    raise ClusterParseError(f"{where}: invalid ISO-8601 timestamp {reprlib.repr(raw)}")
 
 
 def document_from_dict(data: object, where: str = "document") -> Document:
-    _require(isinstance(data, dict), f"{where}: expected an object")
+    _require(isinstance(data, dict), where, ": expected an object")
     assert isinstance(data, dict)
     for field_name in ("doc_id", "source", "timestamp", "sentences"):
-        _require(field_name in data, f"{where}: missing field {field_name!r}")
+        if field_name not in data:
+            raise ClusterParseError(f"{where}: missing field {field_name!r}")
     doc_id = data["doc_id"]
-    _require(isinstance(doc_id, str) and doc_id != "", f"{where}.doc_id: must be a non-empty string")
+    _require(isinstance(doc_id, str) and doc_id != "", where, ".doc_id: must be a non-empty string")
     source = data["source"]
-    _require(isinstance(source, str), f"{where}.source: must be a string")
+    _require(isinstance(source, str), where, ".source: must be a string")
     timestamp = _parse_timestamp(data["timestamp"], f"{where}.timestamp")
     raw_sentences = data["sentences"]
-    _require(isinstance(raw_sentences, list), f"{where}.sentences: must be an array")
-    _require(len(raw_sentences) > 0, f"{where}: document has no sentences")
-    sentences = []
-    for i, raw in enumerate(raw_sentences):
-        _require(isinstance(raw, str), f"{where}.sentences[{i}]: must be a string")
-        sentences.append(Sentence(doc_id=doc_id, index_in_doc=i + 1, text=raw))
-    return Document(doc_id=doc_id, source=source, timestamp=timestamp, sentences=tuple(sentences))
+    _require(isinstance(raw_sentences, list), where, ".sentences: must be an array")
+    _require(len(raw_sentences) > 0, where, ": document has no sentences")
+    if not all(map(isinstance, raw_sentences, repeat(str))):
+        i = next(i for i, raw in enumerate(raw_sentences) if not isinstance(raw, str))
+        raise ClusterParseError(f"{where}.sentences[{i}]: must be a string")
+    sentences = tuple(Sentence(doc_id, i, raw) for i, raw in enumerate(raw_sentences, start=1))
+    return Document(doc_id=doc_id, source=source, timestamp=timestamp, sentences=sentences)
 
 
 def cluster_from_dict(data: object, where: str = "cluster") -> Cluster:
-    _require(isinstance(data, dict), f"{where}: expected an object")
+    _require(isinstance(data, dict), where, ": expected an object")
     assert isinstance(data, dict)
-    _require("cluster_id" in data, f"{where}: missing field 'cluster_id'")
+    _require("cluster_id" in data, where, ": missing field 'cluster_id'")
     cluster_id = data["cluster_id"]
-    _require(
-        isinstance(cluster_id, str) and cluster_id != "",
-        f"{where}.cluster_id: must be a non-empty string",
-    )
-    _require("documents" in data, f"{where}: missing field 'documents'")
+    _require(isinstance(cluster_id, str) and cluster_id != "", where, ".cluster_id: must be a non-empty string")
+    _require("documents" in data, where, ": missing field 'documents'")
     raw_docs = data["documents"]
-    _require(isinstance(raw_docs, list), f"{where}.documents: must be an array")
-    _require(len(raw_docs) > 0, f"{where}.documents: cluster has no documents")
+    _require(isinstance(raw_docs, list), where, ".documents: must be an array")
+    _require(len(raw_docs) > 0, where, ".documents: cluster has no documents")
     documents = [
         document_from_dict(raw, f"{where}.documents[{i}]") for i, raw in enumerate(raw_docs)
     ]
-    # Unsorted timestamps are sorted by build(), not rejected.
-    return Cluster.build(cluster_id, documents)
+    # Unsorted timestamps are sorted by build(), not rejected; build()'s own
+    # messages name the cluster and the document, so the path goes before them.
+    try:
+        return Cluster.build(cluster_id, documents)
+    except ClusterParseError as exc:
+        raise ClusterParseError(f"{where}: {exc}") from None
 
 
 def read_json(path: str | Path) -> object:

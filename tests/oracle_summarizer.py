@@ -7,6 +7,11 @@ tokenizer rule (match words, then lowercase each match), term counts with
 fresh Counters, documents and positions by scanning the cluster. The
 differential tests in test_summarizer_oracle.py require the library to return
 exactly equal results; nothing outside the tests imports this module.
+
+`tokenize` is text.tokenize as it stood before its ASCII path, copied
+verbatim with its pattern (renamed `_TOKENIZE_RE`, as `_WORD_RE` here is the
+older rule); test_tokenize_oracle.py requires the library's tokenizer to give
+the same terms.
 """
 
 from __future__ import annotations
@@ -31,6 +36,27 @@ from centroidsumm import (
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 RERANK_ITERATION_CAP = 100
+
+# A run of letters and digits, with combining diacritics that follow a letter
+# or digit kept inside the word (they are not word characters themselves).
+_TOKENIZE_RE = re.compile(
+    r"[^\W_]+(?:[\u0300-\u036f\u1ab0-\u1aff\u1dc0-\u1dff\u20d0-\u20ff\ufe20-\ufe2f]+[^\W_]*)*"
+)
+
+
+def tokenize(text: str) -> list[str]:
+    """Split text into lowercase word strings.
+
+    Splits on any run of non-alphanumeric characters (underscore included),
+    keeps digits, drops empty fragments. No stemming, no stopword removal.
+    Combining diacritical marks (U+0300-036F and the other combining
+    diacritic blocks) directly after a letter or digit stay in its word, so
+    decomposed text keeps its words whole: "cafe" plus U+0301 is one term.
+    Each match is lowercased on its own. A lowercase form with a combining
+    mark, such as that of "İ" (i plus U+0307), stays one word, so tokenizing
+    the joined output again gives the same terms.
+    """
+    return [m.lower() for m in _TOKENIZE_RE.findall(text)]
 
 
 def norms(sentence: Sentence) -> tuple[str, ...]:

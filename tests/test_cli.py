@@ -263,6 +263,18 @@ class TestSummarizeCommand:
         expected = [cluster.sentence_at(p).text for p in payload["selected"]]
         assert (out / "summary_alg_r20.txt").read_text().rstrip("\n").split("\n") == expected
 
+    def test_huge_duplicate_doc_id_gives_one_short_line(self, news_inputs, tmp_path, capsys):
+        _, idf_path = news_inputs
+        doc = {"doc_id": "d" * 1_000_000, "source": "s", "timestamp": "1999-05-20T00:00:00Z", "sentences": ["x"]}
+        cluster_file = tmp_path / "dup.json"
+        write_json({"cluster_id": "c", "documents": [doc, dict(doc)]}, cluster_file)
+        out = tmp_path / "out"
+        assert main(["summarize", str(cluster_file), "--idf", idf_path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300
+        assert lines[0].startswith(f"error: {cluster_file}: cluster 'c': duplicate document id 'ddd")
+        assert not out.exists()
+
     def test_rate_grid_covers_all_sizes(self, news_inputs, tmp_path):
         cluster_file, idf_path = news_inputs
         out = tmp_path / "grid"

@@ -230,6 +230,13 @@ class TestIncrementalCluster:
         with pytest.raises(ClusterParseError, match="^cluster 'c001': duplicate document id 'a'$"):
             incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.5)
 
+    def test_huge_duplicate_doc_id_is_quoted_short(self):
+        doc_id = "a" * 1_000_000
+        docs = [make_document(doc_id, ["storm hits coast"], hour=8), make_document(doc_id, ["storm hits coast"], hour=9)]
+        with pytest.raises(ClusterParseError) as err:
+            incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.5)
+        assert str(err.value) == "cluster 'c001': duplicate document id 'aaaaaaaaaaaa...aaaaaaaaaaaaa'"
+
     def test_duplicate_doc_id_in_another_cluster_is_allowed(self):
         docs = [make_document("a", ["storm hits coast"], hour=8), make_document("a", ["markets rally"], hour=9)]
         clusters = incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.5)

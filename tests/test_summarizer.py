@@ -160,6 +160,15 @@ class TestScoreSentences:
         with pytest.raises(ValueError, match="cluster"):
             score_sentences(cluster, centroid, PURE_CENTROID)
 
+    def test_huge_cluster_ids_are_quoted_short(self):
+        cluster = make_cluster("c" * 1_000_000, {"a": ["words here"]})
+        centroid = centroid_of({"words": 1.0}, cluster_id="o" * 1_000_000)
+        with pytest.raises(ValueError) as err:
+            score_sentences(cluster, centroid, PURE_CENTROID)
+        assert str(err.value) == (
+            "cluster 'cccccccccccc...ccccccccccccc' does not match centroid 'oooooooooooo...ooooooooooooo'"
+        )
+
 
 class TestExtract:
     def test_top_half_of_four(self):

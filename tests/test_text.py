@@ -1,18 +1,25 @@
 import json
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from centroidsumm import (
+    LEAD_CENTROID,
     Cluster,
     ClusterParseError,
     Document,
     Sentence,
+    build_centroid,
+    build_idf,
     cluster_from_dict,
     cluster_to_dict,
     document_from_dict,
+    incremental_cluster,
     parse_cluster,
+    redundancy_rerank,
+    score_sentences,
     tokenize,
 )
 from helpers import make_cluster, make_document
@@ -136,6 +143,37 @@ class TestDerivedFields:
             Cluster("c", (doc, empty))
 
 
+class TestLazyCounts:
+    """`counts` is built on first read: clustering never reads it, scoring only for first sentences."""
+
+    @staticmethod
+    def built(cluster):
+        return [s for s in cluster.sentences() if "counts" in vars(s)]
+
+    def test_clustering_builds_no_counts(self, news_cluster_path):
+        cluster = parse_cluster(news_cluster_path)
+        assert self.built(cluster) == []
+        idf = build_idf(cluster.documents)
+        incremental_cluster(cluster.documents, idf, sim_threshold=0.1)
+        assert self.built(cluster) == []
+
+    def test_scoring_builds_counts_of_first_sentences_only(self, news_cluster_path):
+        cluster = parse_cluster(news_cluster_path)
+        centroid = build_centroid(cluster, build_idf(cluster.documents))
+        scores = score_sentences(cluster, centroid, LEAD_CENTROID)
+        firsts = [doc.sentences[0] for doc in cluster.documents]
+        assert self.built(cluster) == firsts
+        redundancy_rerank(cluster, scores, 0.2)
+        assert self.built(cluster) == list(cluster.sentences())
+
+    def test_counts_equal_a_fresh_counter_in_first_occurrence_order(self, news_cluster_path):
+        for sentence in parse_cluster(news_cluster_path).sentences():
+            counts = sentence.counts
+            assert counts == Counter(sentence.terms)
+            assert list(counts) == list(dict.fromkeys(sentence.terms))
+            assert sentence.counts is counts
+
+
 class TestTimestampGrammar:
     @pytest.mark.parametrize(
         "raw, expected",
@@ -252,6 +290,14 @@ class TestParseCluster:
         doc = {"doc_id": "d", "source": "s", "timestamp": "1999-05-20T00:00:00Z", "sentences": ["x"]}
         with pytest.raises(ClusterParseError, match="duplicate document id"):
             cluster_from_dict({"cluster_id": "c", "documents": [doc, dict(doc)]})
+
+    def test_cluster_errors_name_the_file_and_quote_ids_short(self, tmp_path):
+        doc = {"doc_id": "d" * 1_000_000, "source": "s", "timestamp": "1999-05-20T00:00:00Z", "sentences": ["x"]}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"cluster_id": "c", "documents": [doc, dict(doc)]}))
+        with pytest.raises(ClusterParseError) as err:
+            parse_cluster(path)
+        assert str(err.value) == f"{path}: cluster 'c': duplicate document id 'dddddddddddd...ddddddddddddd'"
 
     def test_missing_field_names_field_and_path(self, tmp_path):
         path = tmp_path / "nofield.json"
