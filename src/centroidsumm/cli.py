@@ -18,7 +18,6 @@ import csv
 import reprlib
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -50,6 +49,7 @@ from .summarizer import (
 )
 from .text import (
     Cluster,
+    _Record,
     _json_int,
     _json_str,
     cluster_from_dict,
@@ -61,34 +61,53 @@ from .text import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Settings shared across subcommands; round-trips through key=value files."""
 
-    w_c: float = 1.0
-    w_p: float = 0.0
-    w_f: float = 0.0
-    r: float = 0.2
-    r_grid: tuple[float, ...] | None = None
-    E: float = 1.0
-    centroid_threshold: float = 0.0
-    sim_threshold: float = 0.1
-    agreement_threshold: int = 3
-    redundancy: bool = False
+    _fields = (
+        "w_c", "w_p", "w_f", "r", "r_grid", "E", "centroid_threshold", "sim_threshold", "agreement_threshold",
+        "redundancy",
+    )
+    w_c: float
+    w_p: float
+    w_f: float
+    r: float
+    r_grid: tuple[float, ...] | None
+    E: float
+    centroid_threshold: float
+    sim_threshold: float
+    agreement_threshold: int
+    redundancy: bool
 
-    def __post_init__(self) -> None:
-        ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
-        for rate in (self.r, *self.rates):
+    def __init__(
+        self,
+        w_c: float = 1.0,
+        w_p: float = 0.0,
+        w_f: float = 0.0,
+        r: float = 0.2,
+        r_grid: tuple[float, ...] | None = None,
+        E: float = 1.0,
+        centroid_threshold: float = 0.0,
+        sim_threshold: float = 0.1,
+        agreement_threshold: int = 3,
+        redundancy: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            w_c=w_c, w_p=w_p, w_f=w_f, r=r, r_grid=r_grid, E=E, centroid_threshold=centroid_threshold,
+            sim_threshold=sim_threshold, agreement_threshold=agreement_threshold, redundancy=redundancy,
+        )
+        ScoreWeights(w_c, w_p, w_f)  # range check
+        for rate in (r, *self.rates):
             compression_size(1, rate)  # range check
-        if not 0 <= self.E <= 1:
-            raise ValueError(f"E must be in [0, 1], got {self.E}")
-        if self.agreement_threshold < 1:
-            raise ValueError(f"agreement_threshold must be >= 1, got {self.agreement_threshold}")
-        _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
+        if not 0 <= E <= 1:
+            raise ValueError(f"E must be in [0, 1], got {E}")
+        if agreement_threshold < 1:
+            raise ValueError(f"agreement_threshold must be >= 1, got {agreement_threshold}")
+        _require_finite(centroid_threshold=centroid_threshold, sim_threshold=sim_threshold)
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:
-            grid = format_r_grid(self.r_grid)
+            grid = format_r_grid(r_grid)
             raise ValueError(f"r grid {grid} gives several rates the output tag {', '.join(shared)}")
 
     @property
@@ -105,8 +124,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         updates: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -191,18 +214,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     Each flag is named after its settings-file key and parsed the same way.
     """
+    if getattr(args, "r", None) is not None and getattr(args, "r_grid", None) is not None:
+        raise ValueError("--r and --r-grid cannot be combined: give one rate or one grid of rates")
     config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    updates = asdict(PRESETS[args.preset]) if getattr(args, "preset", None) else {}
+    settings = {name: getattr(config, name) for name in RunConfig._fields}
+    if getattr(args, "preset", None):
+        preset = PRESETS[args.preset]
+        settings.update(w_c=preset.w_c, w_p=preset.w_p, w_f=preset.w_f)
     if getattr(args, "r", None) is not None:
-        updates["r_grid"] = None  # an explicit rate replaces a configured grid
+        settings["r_grid"] = None  # an explicit rate replaces a configured grid
     for key, (parse, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is not None:
             try:
-                updates.update(parse(value))
+                settings.update(parse(value))
             except ValueError as exc:
                 raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
-    return replace(config, **updates)
+    return RunConfig(**settings)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import accumulate, combinations
 from math import comb, fsum
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .summarizer import compression_size
-from .text import _all_json_ints, _json_int, _json_str, read_json
+from .text import _Record, _all_json_ints, _json_int, _json_str, read_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -50,8 +49,7 @@ class EnumerationCapError(ValueError):
     """Subset enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class UtilityAnnotation:
+class UtilityAnnotation(_Record):
     """One judge's 0-10 utility for every sentence of a cluster.
 
     utilities[i] belongs to global position i + 1; every position gets
@@ -60,24 +58,24 @@ class UtilityAnnotation:
     and `best[k - 1]` is the utility sum of the first k of them.
     """
 
+    _fields = ("judge_id", "cluster_id", "utilities")
     judge_id: str
     cluster_id: str
     utilities: tuple[int, ...]
-    ranked: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    best: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    ranked: tuple[int, ...]
+    best: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.utilities:
-            raise ValueError(f"judge {reprlib.repr(self.judge_id)}: empty utility vector")
-        if not all(0 <= u <= 10 for u in self.utilities):
-            i, u = next((i, u) for i, u in enumerate(self.utilities) if not 0 <= u <= 10)
-            raise ValueError(
-                f"judge {reprlib.repr(self.judge_id)}: utility {u} at position {i + 1} outside 0..10"
-            )
+    def __init__(self, judge_id: str, cluster_id: str, utilities: tuple[int, ...]) -> None:
+        self.__dict__.update(judge_id=judge_id, cluster_id=cluster_id, utilities=utilities)
+        if not utilities:
+            raise ValueError(f"judge {reprlib.repr(judge_id)}: empty utility vector")
+        if not all(0 <= u <= 10 for u in utilities):
+            i, u = next((i, u) for i, u in enumerate(utilities) if not 0 <= u <= 10)
+            raise ValueError(f"judge {reprlib.repr(judge_id)}: utility {u} at position {i + 1} outside 0..10")
         # a stable sort keeps tied positions ascending
-        order = sorted(range(len(self.utilities)), key=self.utilities.__getitem__, reverse=True)
-        object.__setattr__(self, "ranked", tuple(i + 1 for i in order))
-        object.__setattr__(self, "best", tuple(accumulate(map(self.utilities.__getitem__, order))))
+        order = sorted(range(len(utilities)), key=utilities.__getitem__, reverse=True)
+        ranked, best = tuple(i + 1 for i in order), tuple(accumulate(map(utilities.__getitem__, order)))
+        self.__dict__.update(ranked=ranked, best=best)
 
     @property
     def n(self) -> int:
@@ -87,20 +85,19 @@ class UtilityAnnotation:
         return self.utilities[position - 1]
 
 
-@dataclass(frozen=True)
-class SubsumptionAnnotation:
+class SubsumptionAnnotation(_Record):
     """One judge's subsumption marks: position -> the positions subsuming it."""
 
+    _fields = ("judge_id", "cluster_id", "subsumers")
     judge_id: str
     cluster_id: str
     subsumers: Mapping[int, frozenset[int]]
 
-    def __post_init__(self) -> None:
-        for position, targets in self.subsumers.items():
+    def __init__(self, judge_id: str, cluster_id: str, subsumers: Mapping[int, frozenset[int]]) -> None:
+        self.__dict__.update(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)
+        for position, targets in subsumers.items():
             if position in targets:
-                raise ValueError(
-                    f"judge {reprlib.repr(self.judge_id)}: sentence {position} cannot subsume itself"
-                )
+                raise ValueError(f"judge {reprlib.repr(judge_id)}: sentence {position} cannot subsume itself")
 
     def subsumers_of(self, position: int) -> frozenset[int]:
         return self.subsumers.get(position, frozenset())
@@ -109,8 +106,7 @@ class SubsumptionAnnotation:
 _NO_PEERS: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class SubsumptionGraph:
+class SubsumptionGraph(_Record):
     """Consensus subsumption edges: (a, b) means a's content is contained in b's.
 
     Mutual edges are allowed; mutually subsuming sentences form an
@@ -119,17 +115,23 @@ class SubsumptionGraph:
     it is derived from `edges` once.
     """
 
+    _fields = ("cluster_id", "edges", "agreement_threshold")
     cluster_id: str
     edges: frozenset[tuple[int, int]]
     agreement_threshold: int
-    neighbours: dict[int, frozenset[int]] = field(init=False, compare=False, repr=False)
+    neighbours: dict[int, frozenset[int]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cluster_id: str, edges: frozenset[tuple[int, int]], agreement_threshold: int) -> None:
         linked: dict[int, set[int]] = {}
-        for a, b in self.edges:
+        for a, b in edges:
             linked.setdefault(a, set()).add(b)
             linked.setdefault(b, set()).add(a)
-        object.__setattr__(self, "neighbours", {pos: frozenset(peers) for pos, peers in linked.items()})
+        self.__dict__.update(
+            cluster_id=cluster_id,
+            edges=edges,
+            agreement_threshold=agreement_threshold,
+            neighbours={pos: frozenset(peers) for pos, peers in linked.items()},
+        )
 
     def related(self, a: int, b: int) -> bool:
         return b in self.neighbours.get(a, _NO_PEERS)
@@ -424,8 +426,7 @@ def csis_consensus(
     return SubsumptionGraph(cluster_id=cluster_id, edges=edges, agreement_threshold=threshold)
 
 
-@dataclass(frozen=True)
-class SentenceTally:
+class SentenceTally(_Record):
     """Modal agreement on one sentence's subsumption marks.
 
     Exactly one of plus_score / minus_score is set: plus_score counts the
@@ -433,15 +434,22 @@ class SentenceTally:
     judges marking no subsumption when that is the consensus.
     """
 
+    _fields = ("position", "plus_score", "minus_score")
     position: int
     plus_score: int | None
     minus_score: int | None
 
+    def __init__(self, position: int, plus_score: int | None, minus_score: int | None) -> None:
+        self.__dict__.update(position=position, plus_score=plus_score, minus_score=minus_score)
 
-@dataclass(frozen=True)
-class CsisTally:
+
+class CsisTally(_Record):
+    _fields = ("rows", "histogram")
     rows: tuple[SentenceTally, ...]
     histogram: dict[tuple[int, str], int]  # (judges agreeing, "+"/"-") -> sentences
+
+    def __init__(self, rows: tuple[SentenceTally, ...], histogram: dict[tuple[int, str], int]) -> None:
+        self.__dict__.update(rows=rows, histogram=histogram)
 
 
 def csis_agreement_tally(
@@ -489,14 +497,17 @@ def round_half_up(value: float, places: int = 3) -> float:
     return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Record):
     """J/R/S/D for a set of systems against one cluster's judges.
 
     S, R and mean_J are table-rounded; each D is the exact quotient of those
     rounded values (displays round it again).
     """
 
+    _fields = (
+        "cluster_id", "r", "k", "judge_ids", "J_matrix", "J_per_judge", "mean_J", "R", "S", "D", "S_csis",
+        "D_csis", "E",
+    )
     cluster_id: str
     r: float
     k: int
@@ -507,9 +518,32 @@ class EvalReport:
     R: float
     S: dict[str, float]
     D: dict[str, float]
-    S_csis: dict[str, float] = field(default_factory=dict)
-    D_csis: dict[str, float] = field(default_factory=dict)
-    E: float | None = None
+    # S_csis and D_csis are each a new empty dict when not given
+    S_csis: dict[str, float]
+    D_csis: dict[str, float]
+    E: float | None
+
+    def __init__(
+        self,
+        cluster_id: str,
+        r: float,
+        k: int,
+        judge_ids: tuple[str, ...],
+        J_matrix: tuple[tuple[float, ...], ...],
+        J_per_judge: tuple[float, ...],
+        mean_J: float,
+        R: float,
+        S: dict[str, float],
+        D: dict[str, float],
+        S_csis: dict[str, float] | None = None,
+        D_csis: dict[str, float] | None = None,
+        E: float | None = None,
+    ) -> None:
+        self.__dict__.update(
+            cluster_id=cluster_id, r=r, k=k, judge_ids=judge_ids, J_matrix=J_matrix, J_per_judge=J_per_judge,
+            mean_J=mean_J, R=R, S=S, D=D, S_csis={} if S_csis is None else S_csis,
+            D_csis={} if D_csis is None else D_csis, E=E,
+        )
 
 
 def build_report(

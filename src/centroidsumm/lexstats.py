@@ -15,36 +15,35 @@ import functools
 import math
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import ge, mul, truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .text import Cluster, ClusterParseError, Document, _all_json_ints, _json_int, read_json, write_json
+from .text import Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, read_json, write_json
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
 IDF_FLOOR = 0.001
 
 
-@dataclass(frozen=True)
-class IdfModel:
+class IdfModel(_Record):
     """Document frequencies over a background corpus.
 
     idf(w) = log2(n_docs / df(w)), clamped below by IDF_FLOOR. Terms never
     seen in the background get log2(n_docs + 1).
     """
 
+    _fields = ("n_docs", "df")
     n_docs: int
     df: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if self.n_docs < 1:
+    def __init__(self, n_docs: int, df: dict[str, int]) -> None:
+        self.__dict__.update(n_docs=n_docs, df=df)
+        if n_docs < 1:
             raise ValueError("IdfModel requires n_docs >= 1")
-        n_docs = self.n_docs
-        if not all(1 <= count <= n_docs for count in self.df.values()):
-            term, count = next((t, c) for t, c in self.df.items() if not 1 <= c <= n_docs)
+        if not all(1 <= count <= n_docs for count in df.values()):
+            term, count = next((t, c) for t, c in df.items() if not 1 <= c <= n_docs)
             raise ValueError(f"df[{reprlib.repr(term)}] = {count} outside 1..{n_docs}")
 
     def idf(self, term: str) -> float:
@@ -54,17 +53,23 @@ class IdfModel:
         return max(math.log2(self.n_docs / count), IDF_FLOOR)
 
 
-@dataclass(frozen=True)
-class CentroidEntry:
+class CentroidEntry(_Record):
+    _fields = ("count", "idf", "weight")
     count: float  # average occurrences per document across the cluster
     idf: float
     weight: float  # count * idf
 
+    def __init__(self, count: float, idf: float, weight: float) -> None:
+        self.__dict__.update(count=count, idf=idf, weight=weight)
 
-@dataclass(frozen=True)
-class Centroid:
+
+class Centroid(_Record):
+    _fields = ("cluster_id", "entries")
     cluster_id: str
     entries: dict[str, CentroidEntry]
+
+    def __init__(self, cluster_id: str, entries: dict[str, CentroidEntry]) -> None:
+        self.__dict__.update(cluster_id=cluster_id, entries=entries)
 
     def weight(self, term: str) -> float:
         entry = self.entries.get(term)

@@ -28,29 +28,29 @@ import warnings
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from operator import add, attrgetter, mul, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lexstats import Centroid
-from .text import Cluster, Sentence
+from .text import Cluster, Sentence, _Record
 
 RERANK_ITERATION_CAP = 100
 
 
-@dataclass(frozen=True)
-class ScoreWeights:
+class ScoreWeights(_Record):
+    _fields = ("w_c", "w_p", "w_f")
     w_c: float
     w_p: float
     w_f: float
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(w) for w in (self.w_c, self.w_p, self.w_f)):
+    def __init__(self, w_c: float, w_p: float, w_f: float) -> None:
+        self.__dict__.update(w_c=w_c, w_p=w_p, w_f=w_f)
+        if not all(math.isfinite(w) for w in (w_c, w_p, w_f)):
             raise ValueError("score weights must be finite numbers")
-        if min(self.w_c, self.w_p, self.w_f) < 0:
+        if min(w_c, w_p, w_f) < 0:
             raise ValueError("score weights must be non-negative")
-        if self.w_c == self.w_p == self.w_f == 0:
+        if w_c == w_p == w_f == 0:
             raise ValueError("at least one score weight must be positive")
 
 
@@ -63,27 +63,35 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class SentenceScore:
+class SentenceScore(_Record):
+    _fields = ("position", "c", "p", "f", "base", "penalty")
     position: int  # global position 1..n
     c: float
     p: float
     f: float
     base: float
-    penalty: float = 0.0
+    penalty: float
+
+    def __init__(self, position: int, c: float, p: float, f: float, base: float, penalty: float = 0.0) -> None:
+        self.__dict__.update(position=position, c=c, p=p, f=f, base=base, penalty=penalty)
 
     @property
     def final(self) -> float:
         return self.base - self.penalty
 
 
-@dataclass(frozen=True)
-class Extract:
+class Extract(_Record):
+    _fields = ("cluster_id", "r", "k", "selected", "scores")
     cluster_id: str
     r: float
     k: int
     selected: tuple[int, ...]  # global positions, strictly ascending
     scores: tuple[SentenceScore, ...]  # one per selected position, same order
+
+    def __init__(
+        self, cluster_id: str, r: float, k: int, selected: tuple[int, ...], scores: tuple[SentenceScore, ...]
+    ) -> None:
+        self.__dict__.update(cluster_id=cluster_id, r=r, k=k, selected=selected, scores=scores)
 
 
 def compression_size(n: int, r: float) -> int:
@@ -311,7 +319,9 @@ def redundancy_rerank(
             stacklevel=2,
         )
 
-    final_scores = [replace(score, penalty=penalty) for score, penalty in zip(scores, penalties)]
+    final_scores = [
+        SentenceScore(s.position, s.c, s.p, s.f, s.base, penalty) for s, penalty in zip(scores, penalties)
+    ]
     return _build_extract(cluster, final_scores, r, k, selected)
 
 

@@ -35,7 +35,6 @@ import json
 import re
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -60,17 +59,53 @@ _TIMESTAMP_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Sentence:
+class _Record:
+    """Base of the library's immutable value records.
+
+    A subclass lists its fields, in order, in `_fields`, and sets them and
+    any derived attributes in its own `__init__` through `self.__dict__`.
+    Records of one class are equal when their field tuples are equal, and
+    hash as that tuple, so a record holding a dict is unhashable; `repr`
+    shows the fields. Derived attributes stay outside all three. Assigning
+    or deleting any attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Sentence(_Record):
     """One sentence; its read-only `terms` are derived from `text` once, `counts` on first read."""
 
+    _fields = ("doc_id", "index_in_doc", "text")
     doc_id: str
     index_in_doc: int  # 1-based position within the document
     text: str
-    terms: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    terms: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(tokenize(self.text)))
+    def __init__(self, doc_id: str, index_in_doc: int, text: str) -> None:
+        self.__dict__.update(doc_id=doc_id, index_in_doc=index_in_doc, text=text, terms=tuple(tokenize(text)))
 
     @functools.cached_property
     def counts(self) -> Counter:
@@ -82,16 +117,18 @@ class Sentence:
         return self.terms
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
+    _fields = ("doc_id", "source", "timestamp", "sentences")
     doc_id: str
     source: str
     timestamp: datetime  # always timezone-aware UTC
     sentences: tuple[Sentence, ...]
 
+    def __init__(self, doc_id: str, source: str, timestamp: datetime, sentences: tuple[Sentence, ...]) -> None:
+        self.__dict__.update(doc_id=doc_id, source=source, timestamp=timestamp, sentences=sentences)
 
-@dataclass(frozen=True)
-class Cluster:
+
+class Cluster(_Record):
     """An event cluster: documents in chronological order.
 
     `d` is the document count and `n` the total sentence count; both are
@@ -99,25 +136,26 @@ class Cluster:
     at least one document, each with at least one sentence and its own doc_id.
     """
 
+    _fields = ("cluster_id", "documents")
     cluster_id: str
     documents: tuple[Document, ...]
-    _sentences: tuple[Sentence, ...] = field(init=False, compare=False, repr=False)
-    _offsets: dict[str, tuple[Document, int]] = field(init=False, compare=False, repr=False)
+    _sentences: tuple[Sentence, ...]
+    _offsets: dict[str, tuple[Document, int]]
 
-    def __post_init__(self) -> None:
-        if not self.documents:
+    def __init__(self, cluster_id: str, documents: tuple[Document, ...]) -> None:
+        self.__dict__.update(cluster_id=cluster_id, documents=documents)
+        if not documents:
             raise self._error("has no documents")
         sentences: list[Sentence] = []
         offsets: dict[str, tuple[Document, int]] = {}
-        for doc in self.documents:
+        for doc in documents:
             if doc.doc_id in offsets:
                 raise self._error(f"duplicate document id {reprlib.repr(doc.doc_id)}")
             if not doc.sentences:
                 raise self._error(f"document {reprlib.repr(doc.doc_id)} has no sentences")
             offsets[doc.doc_id] = (doc, len(sentences))
             sentences.extend(doc.sentences)
-        object.__setattr__(self, "_sentences", tuple(sentences))
-        object.__setattr__(self, "_offsets", offsets)
+        self.__dict__.update(_sentences=tuple(sentences), _offsets=offsets)
 
     def _error(self, problem: str) -> ClusterParseError:
         return ClusterParseError(f"cluster {reprlib.repr(self.cluster_id)}: {problem}")

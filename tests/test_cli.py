@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -412,6 +415,15 @@ class TestSummarizeCommand:
         assert code == 0
         assert (out2 / "extract_alg_r20.json").exists()
         assert not (out2 / "extract_alg_r50.json").exists()
+
+    def test_flag_rate_replaces_a_configured_grid(self, news_inputs, tmp_path):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r_grid=0.1:0.3:0.1\n")
+        out = tmp_path / "out"
+        args = ["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--r", "0.5", "--out", str(out)]
+        assert main(args) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["extract_alg_r50.json", "summary_alg_r50.txt"]
 
     def test_grid_with_colliding_tags_exits_2_before_writing(self, news_inputs, tmp_path, capsys):
         cluster_file, idf_path = news_inputs
@@ -868,6 +880,37 @@ class TestArgumentErrors:
         assert f"error: {cfg}:2: {key}: " in err and repr(value) in err
         assert not out.exists()
 
+    def test_config_not_utf8_names_the_file(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"r=0.2\n\xff\n")
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: ") and "can't decode byte 0xff" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "evaluate"])
+    def test_rate_and_grid_flags_together_exit_2(self, news_inputs, tmp_path, capsys, command):
+        cluster_file, idf_path = news_inputs
+        judges = []
+        vectors = {"A": [10 - i // 2 for i in range(20)], "B": [max(10 - i, 1) for i in range(20)]}
+        for judge_id, utilities in vectors.items():
+            judges.append(str(tmp_path / f"{judge_id}.json"))
+            save_utility_annotation(UtilityAnnotation(judge_id, "alg", tuple(utilities)), judges[-1])
+        inputs = {
+            "summarize": ["summarize", cluster_file, "--idf", idf_path],
+            "evaluate": ["evaluate", "--annotations", *judges, "--system", cluster_file, "--idf", idf_path],
+        }
+        out = tmp_path / "out"
+        # either flag alone is accepted
+        assert main([*inputs[command], "--r", "0.3", "--out", str(tmp_path / "rate")]) == 0
+        assert main([*inputs[command], "--r-grid", "0.1:0.2:0.1", "--out", str(tmp_path / "grid")]) == 0
+        assert main([*inputs[command], "--r", "0.3", "--r-grid", "0.1:0.2:0.1", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --r and --r-grid cannot be combined")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["x" * 1_000_000, "x" * 1_000_000 + "=1"], ids=["no-equals", "unknown-key"])
     def test_huge_config_line_gives_one_short_error(self, news_inputs, tmp_path, capsys, line):
         cluster_file, idf_path = news_inputs
@@ -1053,3 +1096,13 @@ class TestNonFiniteSettings:
         write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
         args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
         assert main([*args, "--E", "nan"]) == 2
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    """Each CLI process imports the package, so a module it needs nowhere is start-up time wasted."""
+    code = "import sys; before = set(sys.modules); import centroidsumm.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(Path(centroidsumm.cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(result.stdout.split())
+    assert "centroidsumm.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)

@@ -7,7 +7,6 @@ approx), including the key order of centroid entries and document vectors,
 which fixes the order of their float sums.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -333,7 +332,7 @@ def test_clustering_equals_reference_on_large_streams(data, docs, idf, sim_thres
             group = cs.Cluster.build(f"g{i:02d}", distinct[start:start + size])
             centroids.append(oracle.build_centroid(group, idf, centroid_threshold))
             start += size
-    centroids.append(dataclasses.replace(centroids[0], cluster_id="again"))
+    centroids.append(cs.Centroid("again", centroids[0].entries))
     weights = [{term: entry.weight for term, entry in c.entries.items()} for c in centroids]
     for doc in docs:
         vector = oracle.document_vector(doc, idf)
