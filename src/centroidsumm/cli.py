@@ -62,52 +62,32 @@ from .text import (
 
 
 class RunConfig(_Record):
-    """Settings shared across subcommands; round-trips through key=value files."""
+    """Settings shared across subcommands; round-trips through key=value files (see `_SETTINGS`)."""
 
-    _fields = (
-        "w_c", "w_p", "w_f", "r", "r_grid", "E", "centroid_threshold", "sim_threshold", "agreement_threshold",
-        "redundancy",
-    )
-    w_c: float
-    w_p: float
-    w_f: float
-    r: float
-    r_grid: tuple[float, ...] | None
-    E: float
-    centroid_threshold: float
-    sim_threshold: float
-    agreement_threshold: int
-    redundancy: bool
+    w_c: float = 1.0
+    w_p: float = 0.0
+    w_f: float = 0.0
+    r: float = 0.2
+    r_grid: tuple[float, ...] | None = None
+    E: float = 1.0
+    centroid_threshold: float = 0.0
+    sim_threshold: float = 0.1
+    agreement_threshold: int = 3
+    redundancy: bool = False
 
-    def __init__(
-        self,
-        w_c: float = 1.0,
-        w_p: float = 0.0,
-        w_f: float = 0.0,
-        r: float = 0.2,
-        r_grid: tuple[float, ...] | None = None,
-        E: float = 1.0,
-        centroid_threshold: float = 0.0,
-        sim_threshold: float = 0.1,
-        agreement_threshold: int = 3,
-        redundancy: bool = False,
-    ) -> None:
-        self.__dict__.update(
-            w_c=w_c, w_p=w_p, w_f=w_f, r=r, r_grid=r_grid, E=E, centroid_threshold=centroid_threshold,
-            sim_threshold=sim_threshold, agreement_threshold=agreement_threshold, redundancy=redundancy,
-        )
-        ScoreWeights(w_c, w_p, w_f)  # range check
-        for rate in (r, *self.rates):
+    def __post_init__(self) -> None:
+        ScoreWeights(self.w_c, self.w_p, self.w_f)  # range check
+        for rate in (self.r, *self.rates):
             compression_size(1, rate)  # range check
-        if not 0 <= E <= 1:
-            raise ValueError(f"E must be in [0, 1], got {E}")
-        if agreement_threshold < 1:
-            raise ValueError(f"agreement_threshold must be >= 1, got {agreement_threshold}")
-        _require_finite(centroid_threshold=centroid_threshold, sim_threshold=sim_threshold)
+        if not 0 <= self.E <= 1:
+            raise ValueError(f"E must be in [0, 1], got {self.E}")
+        if self.agreement_threshold < 1:
+            raise ValueError(f"agreement_threshold must be >= 1, got {self.agreement_threshold}")
+        _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:
-            grid = format_r_grid(r_grid)
+            grid = format_r_grid(self.r_grid)
             raise ValueError(f"r grid {grid} gives several rates the output tag {', '.join(shared)}")
 
     @property
@@ -119,8 +99,9 @@ class RunConfig(_Record):
         return self.r_grid if self.r_grid is not None else (self.r,)
 
     def to_file(self, path: str | Path) -> None:
-        lines = [f"{key}={format_(self)}" for key, (_, format_) in _SETTINGS.items()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        settings = [(key, entry) for key, entry in _SETTINGS.items() if entry.format is not None]
+        lines = [f"{key}={entry.format(*map(self.__dict__.get, entry.fields))}\n" for key, entry in settings]
+        Path(path).write_text("".join(lines), encoding="utf-8")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -128,65 +109,44 @@ class RunConfig(_Record):
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        updates: dict = {}
+        config = cls()
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SETTINGS:
+            key, _, value = map(str.strip, line.partition("="))
+            if getattr(_SETTINGS.get(key), "format", None) is None:  # preset is a flag only
                 raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
-            try:
-                updates.update(_SETTINGS[key][0](value))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        return cls(**updates)
+            config = _set(config, _SETTINGS[key], value, f"{path}:{lineno}: {key}")
+        return config
 
 
-def _field(name: str, parse=float, format_=lambda value: f"{value:g}"):
-    return lambda text: {name: parse(text)}, lambda config: format_(getattr(config, name))
-
-
-# Settings-file key -> (parse its value into RunConfig fields, format it back).
-# Entries call functions by name, so wrapped or patched ones see every call.
-_SETTINGS = {
-    "weights": (
-        lambda text: dict(zip(("w_c", "w_p", "w_f"), parse_weights(text))),
-        lambda c: f"{c.w_c:g},{c.w_p:g},{c.w_f:g}",
-    ),
-    "r": _field("r"),
-    "r_grid": _field(
-        "r_grid", lambda text: parse_r_grid(text) if text else None, lambda grid: format_r_grid(grid)
-    ),
-    "E": _field("E"),
-    "centroid_threshold": _field("centroid_threshold"),
-    "sim_threshold": _field("sim_threshold"),
-    "agreement_threshold": _field("agreement_threshold", int, str),
-    "redundancy": _field("redundancy", lambda text: parse_on_off(text), lambda on: "on" if on else "off"),
-}
-
-
-def _three_numbers(text: str, sep: str, form: str) -> tuple[float, float, float]:
-    """The three numbers `text` holds between `sep`s; anything else is an error quoting `text`."""
+def _numbers(text: str, form: str = "a number", sep: str = ",", count: int = 1, kind: type = float) -> tuple:
+    """The `count` numbers `text` holds between `sep`s; anything else is an error quoting `text`."""
     parts = text.split(sep)
-    if len(parts) == 3:
+    if len(parts) == count:
         try:
-            return tuple(map(float, parts))  # type: ignore[return-value]
+            return tuple(map(kind, parts))
         except ValueError:
             pass
     raise ValueError(f"expected {form}, got {reprlib.repr(text)}")
 
 
+def _choose(text: str, options: dict):
+    if text not in options:
+        raise ValueError(f"expected {' or '.join(options)}, got {reprlib.repr(text)}")
+    return options[text]
+
+
 def parse_weights(text: str) -> tuple[float, float, float]:
-    return _three_numbers(text, ",", "three comma-separated numbers w_c,w_p,w_f")
+    return _numbers(text, "three comma-separated numbers w_c,w_p,w_f", count=3)  # type: ignore[return-value]
 
 
 def parse_r_grid(text: str) -> tuple[float, ...]:
     """Expand "start:stop:step" into an inclusive grid of rates."""
-    start, stop, step = _three_numbers(text, ":", "an r grid of three numbers start:stop:step")
+    start, stop, step = _numbers(text, "an r grid of three numbers start:stop:step", ":", 3)
     if not (0 < start <= stop <= 1 and step > 0):
         raise ValueError(f"r grid {reprlib.repr(text)} outside 0 < start <= stop <= 1 with step > 0")
     steps = (stop - start) / step + 0.5
@@ -195,42 +155,89 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
     return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
 
 
-def format_r_grid(grid: tuple[float, ...] | None) -> str:
-    if grid is None:
-        return ""
+def format_r_grid(grid: tuple[float, ...]) -> str:
     if len(grid) == 1:
         return f"{grid[0]:g}:{grid[0]:g}:1"
     return f"{grid[0]:g}:{grid[-1]:g}:{grid[1] - grid[0]:.10g}"
 
 
 def parse_on_off(value: str) -> bool:
-    if value not in ("on", "off"):
-        raise ValueError(f"expected on or off, got {reprlib.repr(value)}")
-    return value == "on"
+    return _choose(value, {"on": True, "off": False})
+
+
+class _Setting(_Record):
+    """A setting: the RunConfig fields it sets, the subcommands with its flag, and the flag's help.
+
+    `parse` turns text into the fields' values, `format` prints them back (None: no settings-file
+    key), and the flag also resets `resets` to their defaults: an explicit rate replaces a grid.
+    """
+
+    fields: tuple[str, ...]
+    commands: str
+    help: str
+    parse: Callable[[str], tuple] = _numbers
+    format: Callable[..., str] | None = "{:g}".format
+    resets: tuple[str, ...] = ()
+
+
+def _set(config: RunConfig, entry: _Setting, text: str, where: str, resets: Sequence[str] = ()) -> RunConfig:
+    """`config` with the entry's fields parsed from `text` and `resets` at their defaults, range-checked.
+
+    The rest of `config` passed the same checks, so an error is the entry's; it starts with `where`.
+    """
+    try:
+        values = dict(zip(entry.fields, entry.parse(text)))
+        return RunConfig(**{**config.__dict__, **{name: getattr(RunConfig, name) for name in resets}, **values})
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+# Settings-file key -> setting, in file order. Entries call public functions by name: wrapped ones see every call.
+_SETTINGS = {
+    "weights": _Setting(
+        ("w_c", "w_p", "w_f"), "summarize evaluate", "w_c,w_p,w_f", lambda text: parse_weights(text),
+        lambda *weights: ",".join(f"{w:g}" for w in weights),
+    ),
+    "preset": _Setting(
+        ("w_c", "w_p", "w_f"), "summarize evaluate", f"named weights: {' or '.join(PRESETS)}",
+        lambda text: _choose(text, PRESETS)._values(), None,
+    ),
+    "r": _Setting(("r",), "summarize evaluate", "compression rate in (0, 1]", resets=("r_grid",)),
+    "r_grid": _Setting(
+        ("r_grid",), "summarize evaluate agreement", "rate grid start:stop:step, e.g. 0.1:0.9:0.1",
+        lambda text: (parse_r_grid(text) if text else None,), lambda grid: format_r_grid(grid) if grid else "",
+    ),
+    "E": _Setting(("E",), "evaluate", "subsumption discount factor in [0, 1]"),
+    "centroid_threshold": _Setting(("centroid_threshold",), "cluster summarize evaluate", "least term weight"),
+    "sim_threshold": _Setting(("sim_threshold",), "cluster", "least similarity that joins an open cluster"),
+    "agreement_threshold": _Setting(
+        ("agreement_threshold",), "evaluate", "judges needed for a consensus subsumption edge",
+        lambda text: _numbers(text, "an integer", kind=int), str,
+    ),
+    "redundancy": _Setting(
+        ("redundancy",), "summarize evaluate", "on or off: rerank with the redundancy penalty",
+        lambda text: (parse_on_off(text),), lambda on: "on" if on else "off",
+    ),
+}
+_FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by --config file, overridden by explicit flags.
+    """Defaults, overridden by --config file lines, overridden by explicit flags.
 
-    Each flag is named after its settings-file key and parsed the same way.
+    A line and a flag take the same `_set` step, which parses and range-checks the value; an
+    error starts with `path:line: key:` or `--flag:`. Flags setting the same field cannot be combined.
     """
-    if getattr(args, "r", None) is not None and getattr(args, "r_grid", None) is not None:
-        raise ValueError("--r and --r-grid cannot be combined: give one rate or one grid of rates")
-    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    settings = {name: getattr(config, name) for name in RunConfig._fields}
-    if getattr(args, "preset", None):
-        preset = PRESETS[args.preset]
-        settings.update(w_c=preset.w_c, w_p=preset.w_p, w_f=preset.w_f)
-    if getattr(args, "r", None) is not None:
-        settings["r_grid"] = None  # an explicit rate replaces a configured grid
-    for key, (parse, _) in _SETTINGS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            try:
-                settings.update(parse(value))
-            except ValueError as exc:
-                raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
-    return RunConfig(**settings)
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    claimed: dict[str, str] = {}
+    for key, entry in _SETTINGS.items():
+        text, flag = getattr(args, key, None), _FLAGS[key]
+        if text is not None:
+            for name in (*entry.fields, *entry.resets):
+                if claimed.setdefault(name, flag) != flag:
+                    raise ValueError(f"{claimed[name]} and {flag} cannot be combined: both set {name}")
+            config = _set(config, entry, text, flag, entry.resets)
+    return config
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -281,10 +288,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     documents = _load_corpus_documents(args.docs_dir)
     idf = load_idf(args.idf)
     clusters = incremental_cluster(
-        documents,
-        idf,
-        sim_threshold=config.sim_threshold,
-        centroid_threshold=config.centroid_threshold,
+        documents, idf, sim_threshold=config.sim_threshold, centroid_threshold=config.centroid_threshold
     )
     out = _out_dir(args)
     for cluster in clusters:
@@ -472,6 +476,8 @@ def cmd_agreement(args: argparse.Namespace) -> int:
         _write_csv(path, ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
+    if args.r_grid is not None:
+        raise ValueError("--r-grid applies to --mode cbsu only")
     tally = csis_agreement_tally(_load_judges(args.annotations, load_subsumption_annotation))
     out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
@@ -485,20 +491,6 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, rates: bool = False, scoring: bool = False) -> None:
-    parser.add_argument("--config", help="key=value settings file; flags override it")
-    parser.add_argument("--out", help="output directory (default: current directory)")
-    if rates:
-        parser.add_argument("--r", type=float, help="compression rate in (0, 1]")
-        parser.add_argument("--r-grid", dest="r_grid", help="rate grid start:stop:step, e.g. 0.1:0.9:0.1")
-    if scoring:
-        group = parser.add_mutually_exclusive_group()
-        group.add_argument("--preset", choices=sorted(PRESETS), help="named weight combination")
-        group.add_argument("--weights", help="w_c,w_p,w_f")
-        parser.add_argument("--redundancy", choices=["on", "off"], help="rerank with the redundancy penalty")
-        parser.add_argument("--centroid-threshold", dest="centroid_threshold", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centroidsumm",
@@ -508,23 +500,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_idf = sub.add_parser("idf", help="build an IDF model from a corpus directory")
     p_idf.add_argument("corpus_dir")
-    p_idf.add_argument("--out", help="output directory (default: current directory)")
     p_idf.set_defaults(func=cmd_idf)
-
     p_cluster = sub.add_parser("cluster", help="group documents into event clusters")
     p_cluster.add_argument("docs_dir")
     p_cluster.add_argument("--idf", required=True, help="IDF model file")
-    p_cluster.add_argument("--sim-threshold", dest="sim_threshold", type=float)
-    p_cluster.add_argument("--centroid-threshold", dest="centroid_threshold", type=float)
-    _add_common(p_cluster)
     p_cluster.set_defaults(func=cmd_cluster)
-
     p_sum = sub.add_parser("summarize", help="extract a summary from a cluster file")
     p_sum.add_argument("cluster_file")
     p_sum.add_argument("--idf", required=True, help="IDF model file")
-    _add_common(p_sum, rates=True, scoring=True)
     p_sum.set_defaults(func=cmd_summarize)
-
     p_eval = sub.add_parser("evaluate", help="score extracts and baselines against judges")
     p_eval.add_argument("--annotations", nargs="+", required=True, help="utility annotation files")
     p_eval.add_argument("--extract", action="append", help="extract file to evaluate (repeatable)")
@@ -532,24 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--system", help="cluster file; evaluate a freshly scored extract")
     p_eval.add_argument("--idf", help="IDF model file (needed with --system)")
     p_eval.add_argument("--subsumption", nargs="+", help="subsumption annotation files")
-    p_eval.add_argument("--E", dest="E", type=float, help="subsumption discount factor in [0, 1]")
-    p_eval.add_argument("--agreement-threshold", dest="agreement_threshold", type=int)
-    _add_common(p_eval, rates=True, scoring=True)
     p_eval.set_defaults(func=cmd_evaluate)
-
     p_agree = sub.add_parser("agreement", help="inter-judge agreement tables")
     p_agree.add_argument("--mode", choices=["cbsu", "csis"], required=True)
     p_agree.add_argument("--annotations", nargs="+", required=True)
-    p_agree.add_argument("--r-grid", dest="r_grid", help="rate grid start:stop:step")
-    _add_common(p_agree)
     p_agree.set_defaults(func=cmd_agreement)
-
+    for command, command_parser in sub.choices.items():
+        if command != "idf":
+            command_parser.add_argument("--config", help="key=value settings file; flags override it")
+        command_parser.add_argument("--out", help="output directory (default: current directory)")
+        for key, entry in _SETTINGS.items():
+            if command in entry.commands.split():
+                command_parser.add_argument(_FLAGS[key], help=entry.help)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors

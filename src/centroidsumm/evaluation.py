@@ -58,15 +58,15 @@ class UtilityAnnotation(_Record):
     and `best[k - 1]` is the utility sum of the first k of them.
     """
 
-    _fields = ("judge_id", "cluster_id", "utilities")
+    _derived = ("ranked", "best")
     judge_id: str
     cluster_id: str
     utilities: tuple[int, ...]
     ranked: tuple[int, ...]
     best: tuple[int, ...]
 
-    def __init__(self, judge_id: str, cluster_id: str, utilities: tuple[int, ...]) -> None:
-        self.__dict__.update(judge_id=judge_id, cluster_id=cluster_id, utilities=utilities)
+    def __post_init__(self) -> None:
+        judge_id, utilities = self.judge_id, self.utilities
         if not utilities:
             raise ValueError(f"judge {reprlib.repr(judge_id)}: empty utility vector")
         if not all(0 <= u <= 10 for u in utilities):
@@ -88,16 +88,14 @@ class UtilityAnnotation(_Record):
 class SubsumptionAnnotation(_Record):
     """One judge's subsumption marks: position -> the positions subsuming it."""
 
-    _fields = ("judge_id", "cluster_id", "subsumers")
     judge_id: str
     cluster_id: str
     subsumers: Mapping[int, frozenset[int]]
 
-    def __init__(self, judge_id: str, cluster_id: str, subsumers: Mapping[int, frozenset[int]]) -> None:
-        self.__dict__.update(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)
-        for position, targets in subsumers.items():
+    def __post_init__(self) -> None:
+        for position, targets in self.subsumers.items():
             if position in targets:
-                raise ValueError(f"judge {reprlib.repr(judge_id)}: sentence {position} cannot subsume itself")
+                raise ValueError(f"judge {reprlib.repr(self.judge_id)}: sentence {position} cannot subsume itself")
 
     def subsumers_of(self, position: int) -> frozenset[int]:
         return self.subsumers.get(position, frozenset())
@@ -115,23 +113,18 @@ class SubsumptionGraph(_Record):
     it is derived from `edges` once.
     """
 
-    _fields = ("cluster_id", "edges", "agreement_threshold")
+    _derived = ("neighbours",)
     cluster_id: str
     edges: frozenset[tuple[int, int]]
     agreement_threshold: int
     neighbours: dict[int, frozenset[int]]
 
-    def __init__(self, cluster_id: str, edges: frozenset[tuple[int, int]], agreement_threshold: int) -> None:
+    def __post_init__(self) -> None:
         linked: dict[int, set[int]] = {}
-        for a, b in edges:
+        for a, b in self.edges:
             linked.setdefault(a, set()).add(b)
             linked.setdefault(b, set()).add(a)
-        self.__dict__.update(
-            cluster_id=cluster_id,
-            edges=edges,
-            agreement_threshold=agreement_threshold,
-            neighbours={pos: frozenset(peers) for pos, peers in linked.items()},
-        )
+        self.__dict__["neighbours"] = {pos: frozenset(peers) for pos, peers in linked.items()}
 
     def related(self, a: int, b: int) -> bool:
         return b in self.neighbours.get(a, _NO_PEERS)
@@ -434,22 +427,14 @@ class SentenceTally(_Record):
     judges marking no subsumption when that is the consensus.
     """
 
-    _fields = ("position", "plus_score", "minus_score")
     position: int
     plus_score: int | None
     minus_score: int | None
 
-    def __init__(self, position: int, plus_score: int | None, minus_score: int | None) -> None:
-        self.__dict__.update(position=position, plus_score=plus_score, minus_score=minus_score)
-
 
 class CsisTally(_Record):
-    _fields = ("rows", "histogram")
     rows: tuple[SentenceTally, ...]
     histogram: dict[tuple[int, str], int]  # (judges agreeing, "+"/"-") -> sentences
-
-    def __init__(self, rows: tuple[SentenceTally, ...], histogram: dict[tuple[int, str], int]) -> None:
-        self.__dict__.update(rows=rows, histogram=histogram)
 
 
 def csis_agreement_tally(
@@ -504,10 +489,6 @@ class EvalReport(_Record):
     rounded values (displays round it again).
     """
 
-    _fields = (
-        "cluster_id", "r", "k", "judge_ids", "J_matrix", "J_per_judge", "mean_J", "R", "S", "D", "S_csis",
-        "D_csis", "E",
-    )
     cluster_id: str
     r: float
     k: int
@@ -518,32 +499,12 @@ class EvalReport(_Record):
     R: float
     S: dict[str, float]
     D: dict[str, float]
-    # S_csis and D_csis are each a new empty dict when not given
-    S_csis: dict[str, float]
-    D_csis: dict[str, float]
-    E: float | None
+    S_csis: dict[str, float] | None = None  # None: a new empty dict, as for D_csis
+    D_csis: dict[str, float] | None = None
+    E: float | None = None
 
-    def __init__(
-        self,
-        cluster_id: str,
-        r: float,
-        k: int,
-        judge_ids: tuple[str, ...],
-        J_matrix: tuple[tuple[float, ...], ...],
-        J_per_judge: tuple[float, ...],
-        mean_J: float,
-        R: float,
-        S: dict[str, float],
-        D: dict[str, float],
-        S_csis: dict[str, float] | None = None,
-        D_csis: dict[str, float] | None = None,
-        E: float | None = None,
-    ) -> None:
-        self.__dict__.update(
-            cluster_id=cluster_id, r=r, k=k, judge_ids=judge_ids, J_matrix=J_matrix, J_per_judge=J_per_judge,
-            mean_J=mean_J, R=R, S=S, D=D, S_csis={} if S_csis is None else S_csis,
-            D_csis={} if D_csis is None else D_csis, E=E,
-        )
+    def __post_init__(self) -> None:
+        self.__dict__.update({name: {} for name in ("S_csis", "D_csis") if self.__dict__[name] is None})
 
 
 def build_report(

@@ -34,12 +34,11 @@ class IdfModel(_Record):
     seen in the background get log2(n_docs + 1).
     """
 
-    _fields = ("n_docs", "df")
     n_docs: int
     df: dict[str, int]
 
-    def __init__(self, n_docs: int, df: dict[str, int]) -> None:
-        self.__dict__.update(n_docs=n_docs, df=df)
+    def __post_init__(self) -> None:
+        n_docs, df = self.n_docs, self.df
         if n_docs < 1:
             raise ValueError("IdfModel requires n_docs >= 1")
         if not all(1 <= count <= n_docs for count in df.values()):
@@ -54,22 +53,14 @@ class IdfModel(_Record):
 
 
 class CentroidEntry(_Record):
-    _fields = ("count", "idf", "weight")
     count: float  # average occurrences per document across the cluster
     idf: float
     weight: float  # count * idf
 
-    def __init__(self, count: float, idf: float, weight: float) -> None:
-        self.__dict__.update(count=count, idf=idf, weight=weight)
-
 
 class Centroid(_Record):
-    _fields = ("cluster_id", "entries")
     cluster_id: str
     entries: dict[str, CentroidEntry]
-
-    def __init__(self, cluster_id: str, entries: dict[str, CentroidEntry]) -> None:
-        self.__dict__.update(cluster_id=cluster_id, entries=entries)
 
     def weight(self, term: str) -> float:
         entry = self.entries.get(term)

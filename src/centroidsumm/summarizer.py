@@ -39,18 +39,16 @@ RERANK_ITERATION_CAP = 100
 
 
 class ScoreWeights(_Record):
-    _fields = ("w_c", "w_p", "w_f")
     w_c: float
     w_p: float
     w_f: float
 
-    def __init__(self, w_c: float, w_p: float, w_f: float) -> None:
-        self.__dict__.update(w_c=w_c, w_p=w_p, w_f=w_f)
-        if not all(math.isfinite(w) for w in (w_c, w_p, w_f)):
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self._values())):
             raise ValueError("score weights must be finite numbers")
-        if min(w_c, w_p, w_f) < 0:
+        if min(self._values()) < 0:
             raise ValueError("score weights must be non-negative")
-        if w_c == w_p == w_f == 0:
+        if not any(self._values()):
             raise ValueError("at least one score weight must be positive")
 
 
@@ -64,16 +62,12 @@ PRESETS = {
 
 
 class SentenceScore(_Record):
-    _fields = ("position", "c", "p", "f", "base", "penalty")
     position: int  # global position 1..n
     c: float
     p: float
     f: float
     base: float
-    penalty: float
-
-    def __init__(self, position: int, c: float, p: float, f: float, base: float, penalty: float = 0.0) -> None:
-        self.__dict__.update(position=position, c=c, p=p, f=f, base=base, penalty=penalty)
+    penalty: float = 0.0
 
     @property
     def final(self) -> float:
@@ -81,17 +75,11 @@ class SentenceScore(_Record):
 
 
 class Extract(_Record):
-    _fields = ("cluster_id", "r", "k", "selected", "scores")
     cluster_id: str
     r: float
     k: int
     selected: tuple[int, ...]  # global positions, strictly ascending
     scores: tuple[SentenceScore, ...]  # one per selected position, same order
-
-    def __init__(
-        self, cluster_id: str, r: float, k: int, selected: tuple[int, ...], scores: tuple[SentenceScore, ...]
-    ) -> None:
-        self.__dict__.update(cluster_id=cluster_id, r=r, k=k, selected=selected, scores=scores)
 
 
 def compression_size(n: int, r: float) -> int:

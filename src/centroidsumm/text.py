@@ -14,7 +14,6 @@ first sentence of each document and the redundancy rerank read it. A cluster
 builds its flat sentence tuple and a table from doc_id to (document, offset)
 once, where offset is the number of sentences in earlier documents; a
 sentence's global position is its document's offset plus its index_in_doc.
-Derived fields take no part in equality, hashing or repr.
 
 The loaders check whole arrays at once and format an error message only when
 a check fails; the message names the first bad element.
@@ -62,15 +61,28 @@ _TIMESTAMP_RE = re.compile(
 class _Record:
     """Base of the library's immutable value records.
 
-    A subclass lists its fields, in order, in `_fields`, and sets them and
-    any derived attributes in its own `__init__` through `self.__dict__`.
-    Records of one class are equal when their field tuples are equal, and
-    hash as that tuple, so a record holding a dict is unhashable; `repr`
-    shows the fields. Derived attributes stay outside all three. Assigning
-    or deleting any attribute raises AttributeError.
+    A subclass declares its fields in order as annotations, defaults as class attributes; names
+    starting with "_" or listed in `_derived` are derived attributes. Without its own `__init__` it
+    gets a dataclass-like one that sets the fields, then calls `__post_init__`, if defined, to check
+    them and set derived attributes. Equality, hashing (so a record holding a dict is unhashable) and
+    `repr` use the fields; assigning or deleting any attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(name for name in cls.__annotations__ if name[0] != "_" and name not in cls._derived)
+        cls._fields = fields or cls._fields  # a subclass without annotations keeps its parent's
+        if fields and "__init__" not in cls.__dict__:
+            # one compiled def, as dataclasses build it, so a call costs what a hand-written __init__ does
+            params = ", ".join(f"{name}=_cls.{name}" if name in cls.__dict__ else name for name in fields)
+            binds = ", ".join(f"{name}={name}" for name in fields)
+            post_init = "; self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+            namespace = {"__name__": cls.__module__, "_cls": cls}
+            exec(f"def __init__(self, {params}):\n    self.__dict__.update({binds}){post_init}", namespace)
+            namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = namespace["__init__"]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -96,9 +108,9 @@ class _Record:
 
 
 class Sentence(_Record):
-    """One sentence; its read-only `terms` are derived from `text` once, `counts` on first read."""
+    """One sentence; its own hot-path __init__ derives read-only `terms` from `text`; `counts` on first read."""
 
-    _fields = ("doc_id", "index_in_doc", "text")
+    _derived = ("terms",)
     doc_id: str
     index_in_doc: int  # 1-based position within the document
     text: str
@@ -118,14 +130,10 @@ class Sentence(_Record):
 
 
 class Document(_Record):
-    _fields = ("doc_id", "source", "timestamp", "sentences")
     doc_id: str
     source: str
     timestamp: datetime  # always timezone-aware UTC
     sentences: tuple[Sentence, ...]
-
-    def __init__(self, doc_id: str, source: str, timestamp: datetime, sentences: tuple[Sentence, ...]) -> None:
-        self.__dict__.update(doc_id=doc_id, source=source, timestamp=timestamp, sentences=sentences)
 
 
 class Cluster(_Record):
@@ -136,19 +144,17 @@ class Cluster(_Record):
     at least one document, each with at least one sentence and its own doc_id.
     """
 
-    _fields = ("cluster_id", "documents")
     cluster_id: str
     documents: tuple[Document, ...]
     _sentences: tuple[Sentence, ...]
     _offsets: dict[str, tuple[Document, int]]
 
-    def __init__(self, cluster_id: str, documents: tuple[Document, ...]) -> None:
-        self.__dict__.update(cluster_id=cluster_id, documents=documents)
-        if not documents:
+    def __post_init__(self) -> None:
+        if not self.documents:
             raise self._error("has no documents")
         sentences: list[Sentence] = []
         offsets: dict[str, tuple[Document, int]] = {}
-        for doc in documents:
+        for doc in self.documents:
             if doc.doc_id in offsets:
                 raise self._error(f"duplicate document id {reprlib.repr(doc.doc_id)}")
             if not doc.sentences:
@@ -256,7 +262,7 @@ def _parse_timestamp(raw: object, where: str) -> datetime:
 def document_from_dict(data: object, where: str = "document") -> Document:
     _require(isinstance(data, dict), where, ": expected an object")
     assert isinstance(data, dict)
-    for field_name in ("doc_id", "source", "timestamp", "sentences"):
+    for field_name in Document._fields:
         if field_name not in data:
             raise ClusterParseError(f"{where}: missing field {field_name!r}")
     doc_id = data["doc_id"]

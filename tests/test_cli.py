@@ -729,6 +729,17 @@ class TestAgreementCommand:
             "2,-,1\n"
         )
 
+    def test_csis_rejects_a_rate_grid_flag(self, subsumption_files, tmp_path, capsys):
+        args = ["agreement", "--mode", "csis", "--annotations", *subsumption_files]
+        out = tmp_path / "out"
+        assert main([*args, "--r-grid", "0.1:0.9:0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --r-grid ")
+        assert not out.exists()
+        # a settings file shared with the other commands may still hold a grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r_grid=0.1:0.9:0.1\n")
+        assert main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_reruns_are_byte_identical(self, subsumption_files, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -878,6 +889,48 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         key, _, value = line.partition("=")
         assert f"error: {cfg}:2: {key}: " in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [("line", "E=2"), ("line", "r=5"), ("line", "agreement_threshold=0"), ("line", "weights=0,0,0"),
+         ("--r", "5"), ("--weights", "0,0,0"), ("--centroid-threshold", "nan"), ("--r-grid", "0.1:0.104:0.001")],
+    )
+    def test_out_of_range_value_names_its_source(self, news_inputs, tmp_path, capsys, source, value):
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# sweep settings\n{value}\n")
+        setting = ["--config", str(cfg)] if source == "line" else [f"{source}={value}"]
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, *setting, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        prefix = f"error: {cfg}:2: {value.partition('=')[0]}: " if source == "line" else f"error: {source}: "
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("weights", "1,x,0"), ("r", "abc"), ("r_grid", "0.1:y:0.1"), ("E", "abc"), ("E", "-1"),
+         ("centroid_threshold", "abc"), ("sim_threshold", "inf"), ("agreement_threshold", "2.5"),
+         ("redundancy", "yes")],
+    )
+    def test_flag_and_config_line_give_the_same_error(self, tmp_path, capsys, key, value):
+        # the settings are resolved before any input is read, so the inputs need not exist
+        command = {
+            "sim_threshold": ["cluster", "docs", "--idf", "idf.json"],
+            "E": ["evaluate", "--annotations", "a.json"],
+            "agreement_threshold": ["evaluate", "--annotations", "a.json"],
+        }.get(key, ["summarize", "c.json", "--idf", "idf.json"])
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "out"
+        assert main([*command, f"{flag}={value}", "--out", str(out)]) == 2
+        from_flag = capsys.readouterr().err
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        from_line = capsys.readouterr().err
+        assert from_flag.startswith(f"error: {flag}: ") and from_flag.count("\n") == 1
+        assert from_line == from_flag.replace(f"error: {flag}: ", f"error: {cfg}:1: {key}: ", 1)
         assert not out.exists()
 
     def test_config_not_utf8_names_the_file(self, news_inputs, tmp_path, capsys):
