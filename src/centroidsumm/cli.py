@@ -18,6 +18,7 @@ import csv
 import reprlib
 import sys
 import warnings
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -178,6 +179,7 @@ class _Setting(_Record):
     parse: Callable[[str], tuple] = _numbers
     format: Callable[..., str] | None = "{:g}".format
     resets: tuple[str, ...] = ()
+    needs: str | None = None  # an input flag: a subcommand that has it reads the setting only with it
 
 
 def _set(config: RunConfig, entry: _Setting, text: str, where: str, resets: Sequence[str] = ()) -> RunConfig:
@@ -196,27 +198,29 @@ def _set(config: RunConfig, entry: _Setting, text: str, where: str, resets: Sequ
 _SETTINGS = {
     "weights": _Setting(
         ("w_c", "w_p", "w_f"), "summarize evaluate", "w_c,w_p,w_f", lambda text: parse_weights(text),
-        lambda *weights: ",".join(f"{w:g}" for w in weights),
+        lambda *weights: ",".join(f"{w:g}" for w in weights), needs="system",
     ),
     "preset": _Setting(
         ("w_c", "w_p", "w_f"), "summarize evaluate", f"named weights: {' or '.join(PRESETS)}",
-        lambda text: _choose(text, PRESETS)._values(), None,
+        lambda text: _choose(text, PRESETS)._values(), None, needs="system",
     ),
     "r": _Setting(("r",), "summarize evaluate", "compression rate in (0, 1]", resets=("r_grid",)),
     "r_grid": _Setting(
         ("r_grid",), "summarize evaluate agreement", "rate grid start:stop:step, e.g. 0.1:0.9:0.1",
         lambda text: (parse_r_grid(text) if text else None,), lambda grid: format_r_grid(grid) if grid else "",
     ),
-    "E": _Setting(("E",), "evaluate", "subsumption discount factor in [0, 1]"),
-    "centroid_threshold": _Setting(("centroid_threshold",), "cluster summarize evaluate", "least term weight"),
+    "E": _Setting(("E",), "evaluate", "subsumption discount factor in [0, 1]", needs="subsumption"),
+    "centroid_threshold": _Setting(
+        ("centroid_threshold",), "cluster summarize evaluate", "least term weight", needs="system"
+    ),
     "sim_threshold": _Setting(("sim_threshold",), "cluster", "least similarity that joins an open cluster"),
     "agreement_threshold": _Setting(
         ("agreement_threshold",), "evaluate", "judges needed for a consensus subsumption edge",
-        lambda text: _numbers(text, "an integer", kind=int), str,
+        lambda text: _numbers(text, "an integer", kind=int), str, needs="subsumption",
     ),
     "redundancy": _Setting(
         ("redundancy",), "summarize evaluate", "on or off: rerank with the redundancy penalty",
-        lambda text: (parse_on_off(text),), lambda on: "on" if on else "off",
+        lambda text: (parse_on_off(text),), lambda on: "on" if on else "off", needs="system",
     ),
 }
 _FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
@@ -225,8 +229,8 @@ _FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by --config file lines, overridden by explicit flags.
 
-    A line and a flag take the same `_set` step, which parses and range-checks the value; an
-    error starts with `path:line: key:` or `--flag:`. Flags setting the same field cannot be combined.
+    A line and a flag take the same `_set` step, which parses and range-checks the value; an error
+    starts with `path:line: key:` or `--flag:`. Flags setting one field, or a flag without its `needs`, fail.
     """
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     claimed: dict[str, str] = {}
@@ -237,6 +241,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 if claimed.setdefault(name, flag) != flag:
                     raise ValueError(f"{claimed[name]} and {flag} cannot be combined: both set {name}")
             config = _set(config, entry, text, flag, entry.resets)
+            if entry.needs and not getattr(args, entry.needs, True):
+                raise ValueError(f"{flag} applies only with --{entry.needs}")
     return config
 
 
@@ -428,6 +434,11 @@ def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    labelled = [(Path(path).stem, path) for path in args.extract or []]
+    labelled += [(label, f"--{label} {path}") for label, path in (("lead", args.lead), ("system", args.system)) if path]
+    for (label, first), (other, second) in combinations(labelled, 2):
+        if label == other:
+            raise ValueError(f"{first} and {second} both give the report label {reprlib.repr(label)}")
     annotations = _load_judges(args.annotations, load_utility_annotation)
     graph = None
     if args.subsumption:

@@ -10,13 +10,13 @@ cluster order.
 The optional redundancy pass subtracts a penalty, scaled by the maximum base
 score, from every sentence that overlaps an extract member with a strictly
 higher score, then reselects, repeating until the selected set stabilizes or
-repeats. It never caches sentence pairs: a term index built once per call
-gives each extract member one row of integer shared counts, hence of overlaps
-with every sentence, and each round reads those rows column by column over
-the members ranked above a sentence. The overlaps are the exact floats of
-word_overlap, so the result equals the pairwise definition bit for bit. Two
-named weight presets are evaluated throughout: pure-centroid (1, 0, 0) and
-lead+centroid (1, 1, 0).
+repeats. It never caches sentence pairs: a term index built once per call,
+common terms packed into integers with a slot per sentence, gives each
+extract member one row of overlaps with every sentence, and each round reads
+those rows column by column over the members ranked above a sentence. The
+overlaps are the exact floats of word_overlap, so the result equals the
+pairwise definition bit for bit. Two named weight presets are evaluated
+throughout: pure-centroid (1, 0, 0) and lead+centroid (1, 1, 0).
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 import warnings
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from functools import cache
 from itertools import chain, repeat
-from operator import add, attrgetter, mul, truediv
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter, truediv
+from typing import Callable, Sequence
 
 from .lexstats import Centroid
 from .text import Cluster, Sentence, _Record
@@ -165,15 +167,6 @@ def extract(cluster: Cluster, scores: Sequence[SentenceScore], r: float) -> Extr
     return _build_extract(cluster, scores, r, k, selected)
 
 
-def _overlap_ratios(len_a: int, shared: Iterable[int], lengths: Iterable[int]) -> Iterator[float]:
-    """2 * shared / (len_a + len_b) for each shared count and length: the one overlap formula.
-
-    Built from operator functions, so a whole row of ratios is computed in C;
-    each ratio is the same float as the expression written out in Python.
-    """
-    return map(truediv, map(mul, repeat(2.0), shared), map(add, repeat(len_a), lengths))
-
-
 def word_overlap(s1: Sentence, s2: Sentence) -> float:
     """Cross-sentence word overlap: 2 * shared / (len1 + len2), in [0, 1].
 
@@ -185,37 +178,44 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
         raise ValueError("word_overlap requires non-empty sentences")
     counts2 = s2.counts
     shared = sum(min(count, counts2[term]) for term, count in s1.counts.items())
-    (ratio,) = _overlap_ratios(len1, [shared], [len2])
-    return ratio
+    return (2 * shared) / (len1 + len2)
 
 
 def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
     """Index the sentences' terms once; return the function giving one sentence's overlap row.
 
-    postings[term, j] lists the indices of the sentences holding term more
-    than j times. Concatenating postings[term, j] for j < count over one
-    sentence's term counts lists index i exactly sum(min(count, count_i))
-    times, so counting the concatenation (in C, through Counter) gives the
-    integer shared count with every sentence at once. The row is the
-    word_overlap of the sentence with each sentence, 0.0 where either has no
-    terms, and 1.0 at its own index.
+    postings[term, j] lists the sentences holding term more than j times, so a
+    sentence's keys (term, j < its count of term) list sentence i exactly
+    sum(min(count, count_i)) times: their shared count. A key held by at least
+    n/64 sentences is one int instead, 2 in the slot of each sentence holding
+    it; slots fit 2 * the longest length, so a sum of packed keys never carries
+    between slots. The other keys' short lists are counted and added in. The
+    row is the word_overlap with each sentence, 0.0 where either has no terms.
     """
+    n = len(sentences)
+    lengths = [len(sentence.terms) for sentence in sentences]
+    code = next(code for code in "BHIQ" if 2 * max(lengths, default=0) < 256 ** array(code).itemsize)
+    width = array(code).itemsize * n
     postings: dict[tuple[str, int], list[int]] = {}
     for i, sentence in enumerate(sentences):
         for term, count in sentence.counts.items():
             for j in range(count):
                 postings.setdefault((term, j), []).append(i)
-    lengths = [len(sentence.terms) for sentence in sentences]
-    n = len(sentences)
+    packed: dict[tuple[str, int], int] = {}
+    for key in [key for key, holders in postings.items() if 64 * len(holders) >= n]:
+        slots = array(code, bytes(width))
+        for i in postings.pop(key):
+            slots[i] = 2
+        packed[key] = int.from_bytes(slots, sys.byteorder)
+    # len_a + len_b for each sentence b; two sentences without terms share nothing, and 0 / 1 is 0.0
+    sums = cache(lambda len_a: [max(1, len_a + len_b) for len_b in lengths])
 
     def row(i: int) -> array:
-        counts = sentences[i].counts
-        if not counts:  # a sentence without terms shares nothing; the ratio would be 0/0
-            return array("d", [0.0]) * n
-        shared = Counter(
-            chain.from_iterable(postings[term, j] for term, count in counts.items() for j in range(count))
-        )
-        return array("d", _overlap_ratios(lengths[i], map(shared.get, range(n), repeat(0)), lengths))
+        keys = [(term, j) for term, count in sentences[i].counts.items() for j in range(count)]
+        doubled = array(code, sum(packed.get(key, 0) for key in keys).to_bytes(width, sys.byteorder))
+        for b, shared in Counter(chain.from_iterable(postings.get(key, ()) for key in keys)).items():
+            doubled[b] += 2 * shared
+        return array("d", map(truediv, doubled, sums(lengths[i])))
 
     return row
 
@@ -243,20 +243,21 @@ def redundancy_rerank(
     RerankCapWarning names the cluster and the cap.
 
     No pair of sentences is compared on its own. `_overlap_rows` indexes the
-    terms once; a member's overlaps with all n sentences then come as one row,
-    built the first time the member's final is above some sentence's and kept
-    for later rounds. Each round ranks the members by final, highest first.
-    The members with a strictly higher final than a sentence are a prefix of
-    that ranking, whose length bisection finds, and the sentence's largest
-    overlap is the max of its column (the rows zipped, in C) over that prefix.
+    terms once, common ones as packed integers; a member's overlaps with all n
+    sentences then come as one row, built the first time the member's final
+    is above some sentence's and kept for later rounds. Each round ranks the
+    members by final, highest first. Those with a strictly higher final than a
+    sentence are a prefix of that ranking, whose length bisection finds, and
+    its largest overlap is the max of its column (rows zipped, in C) over it.
 
-    Exactness: shared counts are integers and every overlap goes through the
-    ratio formula of `word_overlap`, so each row holds the very floats the
-    pairwise computation gives; a max of floats does not depend on the order
-    it is taken in; and the prefix holds exactly the members with a strictly
-    higher final (a NaN final is higher than none and lower than none, as in
-    a direct comparison). Penalties, finals and selections are therefore
-    equal, bit for bit, to comparing every sentence with every member.
+    Exactness: shared counts are exact integers (packed slots never carry), and
+    each overlap is (2 * shared) / (len_a + len_b) as in `word_overlap`, one
+    rational correctly rounded, so rows hold the very floats the pairwise
+    computation gives; a max of floats does not depend on its order; and the
+    prefix holds exactly the members with a strictly higher final (a NaN final
+    is higher than none and lower than none, as in a direct comparison).
+    Penalties, finals and selections are therefore equal, bit for bit, to
+    comparing every sentence with every member.
     """
     if len(scores) != cluster.n:
         raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")

@@ -56,6 +56,8 @@ _TIMESTAMP_RE = re.compile(
     r"(\d{4}-\d\d-\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?)?(Z|[+-]\d\d:[0-5]\d)?",
     re.ASCII,
 )
+_CLUSTER_ID_RE = re.compile(r"(?!\.\.?\Z)[^/\x00-\x1f\x7f-\x9f\ud800-\udfff]+")  # a cluster id names output files
+_BAD_ID = ".cluster_id: must be a file name of at most 200 UTF-8 bytes: not . or .., no /, control char or surrogate"
 
 
 class _Record:
@@ -286,6 +288,7 @@ def cluster_from_dict(data: object, where: str = "cluster") -> Cluster:
     _require("cluster_id" in data, where, ": missing field 'cluster_id'")
     cluster_id = data["cluster_id"]
     _require(isinstance(cluster_id, str) and cluster_id != "", where, ".cluster_id: must be a non-empty string")
+    _require(_CLUSTER_ID_RE.fullmatch(cluster_id) is not None and len(cluster_id.encode()) <= 200, where, _BAD_ID)
     _require("documents" in data, where, ": missing field 'documents'")
     raw_docs = data["documents"]
     _require(isinstance(raw_docs, list), where, ".documents: must be an array")

@@ -8,6 +8,12 @@ fresh Counters, documents and positions by scanning the cluster. The
 differential tests in test_summarizer_oracle.py require the library to return
 exactly equal results; nothing outside the tests imports this module.
 
+`_overlap_ratios` and `_overlap_rows` are the summarizer's overlap rows as they
+stood before dense postings were packed into integers, copied verbatim: one
+Counter over a member's posting lists per row, then the ratios from operator
+functions. test_summarizer_oracle.py requires the library's rows to hold the
+same bytes.
+
 `tokenize` is text.tokenize as it stood before its ASCII path, copied
 verbatim with its pattern (renamed `_TOKENIZE_RE`, as `_WORD_RE` here is the
 older rule); test_tokenize_oracle.py requires the library's tokenizer to give
@@ -18,8 +24,11 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from operator import add, mul, truediv
+from typing import Callable, Iterable, Iterator, Sequence
 
 from centroidsumm import (
     Centroid,
@@ -227,6 +236,46 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
     counts2 = Counter(norms(s2))
     shared = sum(min(count, counts2[term]) for term, count in counts1.items())
     return 2.0 * shared / (len1 + len2)
+
+
+def _overlap_ratios(len_a: int, shared: Iterable[int], lengths: Iterable[int]) -> Iterator[float]:
+    """2 * shared / (len_a + len_b) for each shared count and length: the one overlap formula.
+
+    Built from operator functions, so a whole row of ratios is computed in C;
+    each ratio is the same float as the expression written out in Python.
+    """
+    return map(truediv, map(mul, repeat(2.0), shared), map(add, repeat(len_a), lengths))
+
+
+def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
+    """Index the sentences' terms once; return the function giving one sentence's overlap row.
+
+    postings[term, j] lists the indices of the sentences holding term more
+    than j times. Concatenating postings[term, j] for j < count over one
+    sentence's term counts lists index i exactly sum(min(count, count_i))
+    times, so counting the concatenation (in C, through Counter) gives the
+    integer shared count with every sentence at once. The row is the
+    word_overlap of the sentence with each sentence, 0.0 where either has no
+    terms, and 1.0 at its own index.
+    """
+    postings: dict[tuple[str, int], list[int]] = {}
+    for i, sentence in enumerate(sentences):
+        for term, count in sentence.counts.items():
+            for j in range(count):
+                postings.setdefault((term, j), []).append(i)
+    lengths = [len(sentence.terms) for sentence in sentences]
+    n = len(sentences)
+
+    def row(i: int) -> array:
+        counts = sentences[i].counts
+        if not counts:  # a sentence without terms shares nothing; the ratio would be 0/0
+            return array("d", [0.0]) * n
+        shared = Counter(
+            chain.from_iterable(postings[term, j] for term, count in counts.items() for j in range(count))
+        )
+        return array("d", _overlap_ratios(lengths[i], map(shared.get, range(n), repeat(0)), lengths))
+
+    return row
 
 
 def redundancy_rerank(

@@ -278,6 +278,35 @@ class TestSummarizeCommand:
         assert lines[0].startswith(f"error: {cluster_file}: cluster 'c': duplicate document id 'ddd")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cluster_id",
+        ["a/b", "/", "a\x00b", "a\nb", "tab\t", "\x7f", "\x85", "\ud800", ".", "..", "x" * 201, "é" * 101],
+        ids=["slash-inside", "slash", "nul", "newline", "tab", "del", "c1-control", "lone-surrogate", "dot",
+             "dot-dot", "201-bytes", "202-bytes-utf8"],
+    )
+    def test_cluster_id_that_is_no_file_name_exits_2(self, news_inputs, tmp_path, capsys, cluster_id):
+        cluster_file, idf_path = news_inputs
+        renamed = tmp_path / "renamed.json"
+        write_json({**json.loads(Path(cluster_file).read_text()), "cluster_id": cluster_id}, renamed)
+        out = tmp_path / "out"
+        assert main(["summarize", str(renamed), "--idf", idf_path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {renamed}.cluster_id: must be a file name of at most 200")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cluster_id", ["...", ".a", "a b", "é€𝄞", "x" * 200, "é" * 100],
+        ids=["three-dots", "leading-dot", "space", "non-ascii", "200-bytes", "200-bytes-utf8"],
+    )
+    def test_cluster_id_names_the_output_files(self, news_inputs, tmp_path, cluster_id):
+        cluster_file, idf_path = news_inputs
+        renamed = tmp_path / "renamed.json"
+        write_json({**json.loads(Path(cluster_file).read_text()), "cluster_id": cluster_id}, renamed)
+        out = tmp_path / "out"
+        assert main(["summarize", str(renamed), "--idf", idf_path, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [f"extract_{cluster_id}_r20.json",
+                                                               f"summary_{cluster_id}_r20.txt"]
+
     def test_rate_grid_covers_all_sizes(self, news_inputs, tmp_path):
         cluster_file, idf_path = news_inputs
         out = tmp_path / "grid"
@@ -641,6 +670,61 @@ class TestEvaluateCommand:
 
     def test_grid_needs_a_system(self, quad_judges):
         assert main(["evaluate", "--annotations", *quad_judges, "--r-grid", "0.25:0.75:0.25"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, needs",
+        [("--E", "0.5", "--subsumption"), ("--agreement-threshold", "2", "--subsumption"),
+         ("--weights", "0,1,0", "--system"), ("--preset", "lead-centroid", "--system"),
+         ("--redundancy", "on", "--system"), ("--centroid-threshold", "5", "--system")],
+    )
+    def test_setting_without_the_input_that_reads_it_exits_2(self, quad_judges, tmp_path, capsys, flag, value, needs):
+        extract_file = tmp_path / "s14.json"
+        write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
+        out = tmp_path / "eval"
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} applies only with {needs}\n"
+        assert not out.exists()
+
+    def test_config_lines_for_settings_a_run_does_not_read_are_accepted(self, quad_judges, tmp_path):
+        # a settings file is shared by every subcommand, so its lines stay accepted
+        extract_file = tmp_path / "s14.json"
+        write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("E=0.5\nagreement_threshold=2\nweights=0,1,0\nredundancy=on\ncentroid_threshold=5\n")
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "with")]) == 0
+        assert main([*args, "--out", str(tmp_path / "without")]) == 0
+        assert (tmp_path / "with" / "report.json").read_bytes() == (tmp_path / "without" / "report.json").read_bytes()
+
+    def test_two_extract_files_with_one_label_exit_2(self, quad_judges, tmp_path, capsys):
+        paths = []
+        for folder, selected in (("a", [1, 4]), ("b", [1, 2])):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "extract_g00_r20.json")
+            write_json({"cluster_id": "quad", "selected": selected}, paths[-1])
+        out = tmp_path / "eval"
+        args = ["--extract", str(paths[0]), "--extract", str(paths[1]), "--r", "0.5", "--out", str(out)]
+        assert main(["evaluate", "--annotations", *quad_judges, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[0]} and {paths[1]} both give the report label 'extract_g00_r20'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["lead", "system"])
+    def test_extract_file_named_like_a_baseline_exits_2(self, news_inputs, tmp_path, capsys, label):
+        cluster_file, idf_path = news_inputs
+        extract_file = tmp_path / f"{label}.json"
+        write_json({"cluster_id": "alg", "selected": [1, 2, 3, 4]}, extract_file)
+        judges = []
+        for judge_id in ("A", "B"):
+            judges.append(str(tmp_path / f"{judge_id}.json"))
+            save_utility_annotation(UtilityAnnotation(judge_id, "alg", tuple(i % 11 for i in range(20))), judges[-1])
+        out = tmp_path / "eval"
+        args = ["--extract", str(extract_file), f"--{label}", cluster_file, "--idf", idf_path, "--out", str(out)]
+        assert main(["evaluate", "--annotations", *judges, *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {extract_file} and --{label} {cluster_file} both give the report label '{label}'\n"
+        assert not out.exists()
 
     def test_lead_baseline_grid(self, tmp_path, news_cluster_path):
         # three judges who rank the sentences identically, so their mutual

@@ -2,8 +2,9 @@
 
 Each example runs one subcommand through main() in-process, with one of its
 input files corrupted (truncated, deeply nested, not UTF-8, or with one value
-of the wrong JSON type) or with its flags drawn at random. Whatever the input,
-the command exits 0, 2 or 3. A failure prints exactly one stderr line, which
+of the wrong JSON type), with its flags drawn at random, or with a cluster id
+drawn from pieces that break a file name. Whatever the input, the command
+exits 0, 2 or 3. A failure prints exactly one stderr line, which
 starts with "error:" and, for a corrupted file, names that file; it prints no
 traceback and leaves no --out directory behind.
 """
@@ -199,3 +200,29 @@ def test_flag_values(inputs, data):
         shutil.copytree(inputs, workdir)
         code, err = run(workdir, [*argv, *extra])
         check_outcome(code, err, workdir, None)
+
+
+# Pieces that break a file name (a separator, NUL, controls, a lone surrogate, dot names, long runs)
+# and pieces that do not.
+hostile_ids = st.lists(
+    st.sampled_from(["/", "\0", "\n", "\x1f", "\x7f", "\x85", "\ud800", ".", "..", "a", "é", "𝄞", "x" * 60, "é" * 40]),
+    min_size=1, max_size=6,
+).map("".join)
+
+
+@given(cluster_id=hostile_ids, command=st.sampled_from(["summarize", "evaluate"]))
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_hostile_cluster_id(inputs, cluster_id, command):
+    """A cluster id becomes part of output file names: either every file lands inside --out, or the run fails."""
+    argv, _ = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp) / "work"
+        shutil.copytree(inputs, workdir)
+        write_json({**json.loads((inputs / "cluster.json").read_text()), "cluster_id": cluster_id},
+                   workdir / "cluster.json")
+        code, err = run(workdir, argv)
+        check_outcome(code, err, workdir, "cluster.json")
+        if code == 0:
+            out = workdir / "out"
+            assert all(path.parent == out for path in out.rglob("*"))
+            assert command == "summarize" and len(list(out.iterdir())) == 2

@@ -11,11 +11,14 @@ import json
 import math
 import random
 import warnings
+from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import centroidsumm as cs
 import oracle_summarizer as oracle
+from centroidsumm import summarizer
 from helpers import examples
 
 # Mixed case, a digit run, and a capital whose lowercase form carries a
@@ -162,6 +165,73 @@ def test_clustering_equals_reference(docs, idf, sim_threshold, centroid_threshol
         assert list(vector.items()) == list(oracle.document_vector(doc, idf).items())
     got = cs.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
     assert got == oracle.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
+
+
+# --- overlap rows from packed postings --------------------------------------
+
+ROW_WORDS = ["the", "flood", "river", "dam", "rain", "2024", "warning", "city"]
+
+
+def row_sentences(texts):
+    return [cs.Sentence(doc_id="d", index_in_doc=i, text=text) for i, text in enumerate(texts, 1)]
+
+
+def check_rows(sentences):
+    """Every overlap row holds the oracle's bytes and the pairwise word_overlap, 0.0 next to an empty sentence."""
+    row, expected_row = summarizer._overlap_rows(sentences), oracle._overlap_rows(sentences)
+    for i, s1 in enumerate(sentences):
+        got = row(i).tobytes()
+        assert got == expected_row(i).tobytes(), i
+        pairwise = [cs.word_overlap(s1, s2) if s1.terms and s2.terms else 0.0 for s2 in sentences]
+        assert got == array("d", pairwise).tobytes(), i
+
+
+def unique_words(i, count):
+    """`count` words that no other sentence i holds: keys of one sentence each."""
+    return " ".join(f"s{i}w{j % 7}" for j in range(count))
+
+
+ROW_CASES = {
+    "one sentence": ["the flood"],
+    "one empty sentence": ["..."],
+    "empty sentences among others": ["...", "the flood", "- -", "the river flood", "..."],
+    "130 tokens, 2-byte slots": [" ".join(ROW_WORDS * 16 + ["dam", "dam"]), "the flood dam", "dam " * 40],
+    "one term 300 times": ["dam " * 300, "dam " * 299 + "flood", "dam", "the dam"],
+    # n <= 64: each key is held by at least n/64 sentences, so every key is packed
+    "all dense": [" ".join(ROW_WORDS[: 1 + i % 8] * (1 + i % 3)) for i in range(64)],
+    # n > 64 and each key in one sentence: no key is packed, every count comes from the lists
+    "all sparse": [unique_words(i, i % 9) for i in range(80)],
+    "all sparse, 200 tokens": [unique_words(i, 200 if i == 5 else i % 4) for i in range(70)],
+    "dense and sparse": [f"{ROW_WORDS[i % 8]} the {unique_words(i, 2)} flood " * (1 + i % 2) for i in range(130)],
+}
+
+
+@pytest.mark.parametrize("texts", ROW_CASES.values(), ids=ROW_CASES.keys())
+def test_overlap_rows_equal_reference(texts):
+    check_rows(row_sentences(texts))
+
+
+@st.composite
+def row_clusters(draw):
+    """Sentences over a few common words and many rare ones, some empty, some of 128 or more tokens.
+
+    The texts come from a drawn seed, not word by word: drawing thousands of words would cost more
+    than the check.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 20, 64, 65, 100]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vocabulary = ROW_WORDS + [f"rare{j}" for j in range(draw(st.sampled_from([1, n, 4 * n])))]
+    weights = [draw(st.sampled_from([1, 20, 200]))] * len(ROW_WORDS) + [1] * (len(vocabulary) - len(ROW_WORDS))
+    lengths = [rng.randrange(13) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):  # a long sentence: wider slots
+        lengths[rng.randrange(n)] = rng.randrange(128, 321)
+    return row_sentences([" ".join(rng.choices(vocabulary, weights, k=length)) for length in lengths])
+
+
+@given(row_clusters())
+@settings(max_examples=examples(25), deadline=None)
+def test_overlap_rows_equal_reference_on_drawn_clusters(sentences):
+    check_rows(sentences)
 
 
 # --- the redundancy rerank at a realistic size ------------------------------
