@@ -18,7 +18,8 @@ import csv
 import reprlib
 import sys
 import warnings
-from itertools import combinations
+from contextlib import suppress
+from itertools import combinations, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +41,6 @@ from .summarizer import (
     Extract,
     RerankCapWarning,
     ScoreWeights,
-    compression_size,
     extract,
     extract_json,
     lead_baseline,
@@ -54,6 +54,7 @@ from .text import (
     _json_int,
     _json_str,
     cluster_from_dict,
+    compression_size,
     document_from_dict,
     parse_cluster,
     read_json,
@@ -63,7 +64,7 @@ from .text import (
 
 
 class RunConfig(_Record):
-    """Settings shared across subcommands; round-trips through key=value files (see `_SETTINGS`)."""
+    """Settings shared across subcommands, read from key=value files and flags (see `_SETTINGS`)."""
 
     w_c: float = 1.0
     w_p: float = 0.0
@@ -99,11 +100,6 @@ class RunConfig(_Record):
     def rates(self) -> tuple[float, ...]:
         return self.r_grid if self.r_grid is not None else (self.r,)
 
-    def to_file(self, path: str | Path) -> None:
-        settings = [(key, entry) for key, entry in _SETTINGS.items() if entry.format is not None]
-        lines = [f"{key}={entry.format(*map(self.__dict__.get, entry.fields))}\n" for key, entry in settings]
-        Path(path).write_text("".join(lines), encoding="utf-8")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
@@ -118,7 +114,7 @@ class RunConfig(_Record):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
             key, _, value = map(str.strip, line.partition("="))
-            if getattr(_SETTINGS.get(key), "format", None) is None:  # preset is a flag only
+            if key not in _SETTINGS or key == "preset":  # preset is a flag only
                 raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
             config = _set(config, _SETTINGS[key], value, f"{path}:{lineno}: {key}")
         return config
@@ -169,15 +165,14 @@ def parse_on_off(value: str) -> bool:
 class _Setting(_Record):
     """A setting: the RunConfig fields it sets, the subcommands with its flag, and the flag's help.
 
-    `parse` turns text into the fields' values, `format` prints them back (None: no settings-file
-    key), and the flag also resets `resets` to their defaults: an explicit rate replaces a grid.
+    `parse` turns text into the fields' values, and the flag also resets `resets` to their
+    defaults: an explicit rate replaces a grid.
     """
 
     fields: tuple[str, ...]
     commands: str
     help: str
     parse: Callable[[str], tuple] = _numbers
-    format: Callable[..., str] | None = "{:g}".format
     resets: tuple[str, ...] = ()
     needs: str | None = None  # an input flag: a subcommand that has it reads the setting only with it
 
@@ -194,20 +189,19 @@ def _set(config: RunConfig, entry: _Setting, text: str, where: str, resets: Sequ
         raise ValueError(f"{where}: {exc}") from None
 
 
-# Settings-file key -> setting, in file order. Entries call public functions by name: wrapped ones see every call.
+# Settings-file key -> setting. Entries call public functions by name: wrapped ones see every call.
 _SETTINGS = {
     "weights": _Setting(
-        ("w_c", "w_p", "w_f"), "summarize evaluate", "w_c,w_p,w_f", lambda text: parse_weights(text),
-        lambda *weights: ",".join(f"{w:g}" for w in weights), needs="system",
+        ("w_c", "w_p", "w_f"), "summarize evaluate", "w_c,w_p,w_f", lambda text: parse_weights(text), needs="system"
     ),
     "preset": _Setting(
         ("w_c", "w_p", "w_f"), "summarize evaluate", f"named weights: {' or '.join(PRESETS)}",
-        lambda text: _choose(text, PRESETS)._values(), None, needs="system",
+        lambda text: _choose(text, PRESETS)._values(), needs="system",
     ),
     "r": _Setting(("r",), "summarize evaluate", "compression rate in (0, 1]", resets=("r_grid",)),
     "r_grid": _Setting(
         ("r_grid",), "summarize evaluate agreement", "rate grid start:stop:step, e.g. 0.1:0.9:0.1",
-        lambda text: (parse_r_grid(text) if text else None,), lambda grid: format_r_grid(grid) if grid else "",
+        lambda text: (parse_r_grid(text) if text else None,),
     ),
     "E": _Setting(("E",), "evaluate", "subsumption discount factor in [0, 1]", needs="subsumption"),
     "centroid_threshold": _Setting(
@@ -216,11 +210,11 @@ _SETTINGS = {
     "sim_threshold": _Setting(("sim_threshold",), "cluster", "least similarity that joins an open cluster"),
     "agreement_threshold": _Setting(
         ("agreement_threshold",), "evaluate", "judges needed for a consensus subsumption edge",
-        lambda text: _numbers(text, "an integer", kind=int), str, needs="subsumption",
+        lambda text: _numbers(text, "an integer", kind=int), needs="subsumption",
     ),
     "redundancy": _Setting(
         ("redundancy",), "summarize evaluate", "on or off: rerank with the redundancy penalty",
-        lambda text: (parse_on_off(text),), lambda on: "on" if on else "off", needs="system",
+        lambda text: (parse_on_off(text),), needs="system",
     ),
 }
 _FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
@@ -247,9 +241,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The --out directory, made with its missing parents; `main` removes what a failed command adds."""
     out = Path(getattr(args, "out", None) or ".")
+    made = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))  # deepest first
+    args.created = out, made, set(out.iterdir()) if out.is_dir() else set()
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _remove_created(args: argparse.Namespace) -> None:
+    """Remove the files a failed command added to --out, then the directories `_out_dir` made."""
+    out, made, kept = getattr(args, "created", (None, [], set()))
+    with suppress(OSError):  # what cannot be removed stays; the command's own error is the one reported
+        for path in set(out.iterdir()) - kept if out and out.is_dir() else ():
+            path.unlink()
+        for directory in made:
+            directory.rmdir()
 
 
 def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -342,11 +349,7 @@ def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: f
     if not isinstance(positions, list):
         raise ValueError(f"{path}: selected: must be an array of integers, got {reprlib.repr(positions)}")
     selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
-    if cluster_id != annotations[0].cluster_id:
-        raise EvaluationError(
-            f"extract {path} is for cluster {reprlib.repr(cluster_id)}, "
-            f"annotations are for {reprlib.repr(annotations[0].cluster_id)}"
-        )
+    _require_judged(path, annotations, "extract is for cluster", cluster_id)
     k = compression_size(annotations[0].n, r)
     if len(set(selected)) != k:
         raise EvaluationError(f"{path}: extract selects {len(set(selected))} sentences, expected k={k} at r={r:g}")
@@ -374,27 +377,22 @@ def _load_judges(paths: Sequence[str], load: Callable) -> list:
     return judges
 
 
-def _judged_cluster(path: str, annotations: Sequence[UtilityAnnotation]) -> Cluster:
-    """Parse a cluster file and require it to be the one the judges annotated."""
-    cluster = parse_cluster(path)
+def _require_judged(path: str, annotations: Sequence, what: str, cluster_id: str, n: int | None = None) -> None:
+    """Exit 3 unless a file is for the judged cluster and, given n, of its size; `what` words the file's side."""
     judged = annotations[0]
-    if (cluster.cluster_id, cluster.n) != (judged.cluster_id, judged.n):
+    if cluster_id != judged.cluster_id or n not in (None, judged.n):
+        sizes = ("", "") if n is None else (f" has {n} sentences", f" with {judged.n}")
         raise EvaluationError(
-            f"{path}: cluster {reprlib.repr(cluster.cluster_id)} has {cluster.n} sentences; the "
-            f"annotations are for cluster {reprlib.repr(judged.cluster_id)} with {judged.n}"
+            f"{path}: {what} {reprlib.repr(cluster_id)}{sizes[0]}; the annotations are for cluster "
+            f"{reprlib.repr(judged.cluster_id)}{sizes[1]}"
         )
-    return cluster
 
 
 def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> SubsumptionAnnotation:
     """Load subsumption marks and require them to be for the judged cluster and its positions."""
     marks = load_subsumption_annotation(path)
-    cluster_id, n = annotations[0].cluster_id, annotations[0].n
-    if marks.cluster_id != cluster_id:
-        raise EvaluationError(
-            f"{path}: subsumption marks are for cluster {reprlib.repr(marks.cluster_id)}, "
-            f"annotations are for {reprlib.repr(cluster_id)}"
-        )
+    _require_judged(path, annotations, "subsumption marks are for cluster", marks.cluster_id)
+    n = annotations[0].n
     highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
     if highest > n:
         raise EvaluationError(f"{path}: subsumption position {highest} outside 1..{n} of the annotations")
@@ -448,12 +446,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")
     if config.r_grid is not None and not (args.lead or args.system):
         raise ValueError("--r-grid needs --lead and/or --system")
-    if args.system and not args.idf:
-        raise ValueError("--system needs --idf to score sentences")
+    if bool(args.idf) != bool(args.system):
+        raise ValueError("--idf applies only with --system" if args.idf else "--system needs --idf to score sentences")
     fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
     # --lead and --system often name the same file; each distinct path is parsed once
     paths = [path for path in dict.fromkeys((args.lead, args.system)) if path]
-    clusters = {path: _judged_cluster(path, annotations) for path in paths}
+    clusters = {}
+    for path in paths:
+        clusters[path] = cluster = parse_cluster(path)
+        _require_judged(path, annotations, "cluster", cluster.cluster_id, cluster.n)
     lead_cluster, system_cluster = clusters.get(args.lead), clusters.get(args.system)
     system_extracts = _score_and_select(system_cluster, args.idf, config) if system_cluster else {}
     reports = []
@@ -547,6 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors
+        _remove_created(args)
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EvaluationError) else 2
 

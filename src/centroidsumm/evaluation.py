@@ -35,8 +35,7 @@ from math import comb, fsum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .summarizer import compression_size
-from .text import _Record, _all_json_ints, _json_int, _json_str, read_json
+from .text import _Record, _all_json_ints, _json_int, _json_str, compression_size, read_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -263,6 +262,11 @@ def _exact_mean(values: Sequence[float]) -> float:
     return fsum(values) / len(values)
 
 
+def round_half_up(value: float) -> float:
+    """Round to 3 decimals with ties away from zero (table style)."""
+    return float(Decimal(str(value)).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
+
+
 def _table_mean(values: Iterable[float]) -> float:
     """Round each value, then round the Decimal mean of the rounded values."""
     rounded = [Decimal(str(v)).quantize(_QUANTUM, rounding=ROUND_HALF_UP) for v in values]
@@ -474,12 +478,6 @@ def csis_agreement_tally(
 
 
 # --- report construction -----------------------------------------------------
-
-
-def round_half_up(value: float, places: int = 3) -> float:
-    """Round to `places` decimals with ties away from zero (table style)."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 class EvalReport(_Record):

@@ -118,12 +118,8 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
     return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
-def document_vector(document: Document, idf: IdfModel) -> dict[str, float]:
-    """count*IDF vector of a single document, terms in first-occurrence order."""
-    return _document_vector(document, idf.idf)
-
-
 def _document_vector(document: Document, idf_of: Callable[[str], float]) -> dict[str, float]:
+    """count*IDF vector of a single document, terms in first-occurrence order."""
     counts: Counter = Counter()
     for sentence in document.sentences:
         counts.update(sentence.terms)
@@ -165,7 +161,7 @@ def assign_document(
     _require_finite(sim_threshold=sim_threshold)
     weights = [(c.cluster_id, {t: e.weight for t, e in c.entries.items()}) for c in centroids]
     candidates = [(cluster_id, w, _norm(w)) for cluster_id, w in weights]
-    return _best_match(document_vector(doc, idf), candidates, sim_threshold)
+    return _best_match(_document_vector(doc, idf.idf), candidates, sim_threshold)
 
 
 def incremental_cluster(

@@ -35,7 +35,7 @@ from operator import attrgetter, truediv
 from typing import Callable, Sequence
 
 from .lexstats import Centroid
-from .text import Cluster, Sentence, _Record
+from .text import Cluster, Sentence, _Record, compression_size
 
 RERANK_ITERATION_CAP = 100
 
@@ -82,13 +82,6 @@ class Extract(_Record):
     k: int
     selected: tuple[int, ...]  # global positions, strictly ascending
     scores: tuple[SentenceScore, ...]  # one per selected position, same order
-
-
-def compression_size(n: int, r: float) -> int:
-    """k = round-half-up(n*r), never below 1."""
-    if not 0 < r <= 1:
-        raise ValueError(f"compression rate must be in (0, 1], got {r}")
-    return max(1, math.floor(n * r + 0.5))
 
 
 def centroid_value(sentence: Sentence, centroid: Centroid) -> float:

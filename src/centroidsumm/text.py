@@ -14,6 +14,7 @@ first sentence of each document and the redundancy rerank read it. A cluster
 builds its flat sentence tuple and a table from doc_id to (document, offset)
 once, where offset is the number of sentences in earlier documents; a
 sentence's global position is its document's offset plus its index_in_doc.
+It also fixes the extract size k = round-half-up(n*r) (`compression_size`).
 
 The loaders check whole arrays at once and format an error message only when
 a check fails; the message names the first bad element.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import reprlib
 from collections import Counter
@@ -198,6 +200,13 @@ class Cluster(_Record):
         """Construct a cluster with its documents sorted by (timestamp, doc_id)."""
         docs = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
         return cls(cluster_id=cluster_id, documents=tuple(docs))
+
+
+def compression_size(n: int, r: float) -> int:
+    """k = round-half-up(n*r), never below 1: the extract size a summary is selected and scored at."""
+    if not 0 < r <= 1:
+        raise ValueError(f"compression rate must be in (0, 1], got {r}")
+    return max(1, math.floor(n * r + 0.5))
 
 
 def tokenize(text: str) -> list[str]:

@@ -4,7 +4,8 @@ These are the declarations of Sentence, Document, Cluster, IdfModel,
 CentroidEntry, Centroid, ScoreWeights, SentenceScore, Extract,
 UtilityAnnotation, SubsumptionAnnotation, SubsumptionGraph, SentenceTally,
 CsisTally, EvalReport and RunConfig as they stood while the library built
-them with `@dataclass(frozen=True)`, copied verbatim. The library now writes
+them with `@dataclass(frozen=True)`, copied verbatim (RunConfig without its
+settings-file methods, which no record check calls). The library now writes
 each record's `__init__` by hand on one immutable-record base;
 test_records_oracle.py requires both to give the same repr, equality,
 hashing, attributes, validation errors and refusal to be modified. The
@@ -21,13 +22,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import accumulate
-from pathlib import Path
 from typing import Iterable, Mapping
 
-from centroidsumm.cli import _SETTINGS, _r_tag, format_r_grid
+from centroidsumm.cli import _r_tag, format_r_grid
 from centroidsumm.lexstats import IDF_FLOOR, _require_finite
-from centroidsumm.summarizer import compression_size
-from centroidsumm.text import ClusterParseError, tokenize
+from centroidsumm.text import ClusterParseError, compression_size, tokenize
 
 
 @dataclass(frozen=True)
@@ -335,7 +334,7 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared across subcommands; round-trips through key=value files."""
+    """Settings shared across subcommands."""
 
     w_c: float = 1.0
     w_p: float = 0.0
@@ -370,26 +369,3 @@ class RunConfig:
     @property
     def rates(self) -> tuple[float, ...]:
         return self.r_grid if self.r_grid is not None else (self.r,)
-
-    def to_file(self, path: str | Path) -> None:
-        lines = [f"{key}={format_(self)}" for key, (_, format_) in _SETTINGS.items()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        updates: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
-            try:
-                updates.update(_SETTINGS[key][0](value))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        return cls(**updates)

@@ -67,17 +67,24 @@ def subsumption_files(tmp_path):
 
 
 class TestRunConfig:
+    """A file that states all eight keys reads back as the config it spells out."""
+
     def test_round_trip_with_grid(self, tmp_path):
-        config = RunConfig(w_c=1, w_p=1, w_f=0, r=0.3, r_grid=(0.1, 0.2, 0.3), redundancy=True)
         path = tmp_path / "run.cfg"
-        config.to_file(path)
+        path.write_text(
+            "weights=1,1,0\nr=0.3\nr_grid=0.1:0.3:0.1\nE=1\ncentroid_threshold=0\nsim_threshold=0.1\n"
+            "agreement_threshold=3\nredundancy=on\n"
+        )
+        config = RunConfig(w_c=1, w_p=1, w_f=0, r=0.3, r_grid=(0.1, 0.2, 0.3), redundancy=True)
         assert RunConfig.from_file(path) == config
 
     def test_round_trip_without_grid(self, tmp_path):
-        config = RunConfig(r=0.25, sim_threshold=0.4)
         path = tmp_path / "run.cfg"
-        config.to_file(path)
-        assert RunConfig.from_file(path) == config
+        path.write_text(
+            "weights=1,0,0\nr=0.25\nr_grid=\nE=1\ncentroid_threshold=0\nsim_threshold=0.4\n"
+            "agreement_threshold=3\nredundancy=off\n"
+        )
+        assert RunConfig.from_file(path) == RunConfig(r=0.25, sim_threshold=0.4)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -588,10 +595,28 @@ class TestEvaluateCommand:
             cluster_id = "other" if change == "cluster_id" else "alg"
             save_utility_annotation(UtilityAnnotation(judge_id, cluster_id, tuple(i % 11 for i in range(n))), path)
             judges.append(str(path))
-        args = ["evaluate", "--annotations", *judges, flag, cluster_file, "--idf", idf_path, "--r", "0.2"]
+        args = ["evaluate", "--annotations", *judges, flag, cluster_file, "--r", "0.2"]
+        args += ["--idf", idf_path] if flag == "--system" else []
         assert main(args + ["--out", str(tmp_path / "eval")]) == 3
         assert f"{cluster_file}: cluster 'alg' has 20 sentences" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--lead", "--system", "--extract", "--subsumption"])
+    def test_input_of_another_cluster_exits_3_naming_it_and_both_ids(self, quad_judges, tmp_path, capsys, flag):
+        path = tmp_path / "other.json"
+        if flag == "--extract":
+            write_json({"cluster_id": "other", "selected": [1, 2]}, path)
+        elif flag == "--subsumption":
+            save_subsumption_annotation(SubsumptionAnnotation("S1", "other", {2: frozenset({1})}), path)
+        else:
+            write_json(cluster_to_dict(make_cluster("other", {"d1": ["One.", "Two.", "Three.", "Four."]})), path)
+        args = ["evaluate", "--annotations", *quad_judges, flag, str(path), "--r", "0.5"]
+        args += ["--idf", str(tmp_path / "unread_idf.json")] if flag == "--system" else []  # checked before it is read
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "'other'" in err and "'quad'" in err
+        assert not out.exists()
 
     def test_system_grid_scores_once(self, news_inputs, tmp_path, monkeypatch):
         cluster_file, idf_path = news_inputs
@@ -675,7 +700,8 @@ class TestEvaluateCommand:
         "flag, value, needs",
         [("--E", "0.5", "--subsumption"), ("--agreement-threshold", "2", "--subsumption"),
          ("--weights", "0,1,0", "--system"), ("--preset", "lead-centroid", "--system"),
-         ("--redundancy", "on", "--system"), ("--centroid-threshold", "5", "--system")],
+         ("--redundancy", "on", "--system"), ("--centroid-threshold", "5", "--system"),
+         ("--idf", "no_such_model.json", "--system")],
     )
     def test_setting_without_the_input_that_reads_it_exits_2(self, quad_judges, tmp_path, capsys, flag, value, needs):
         extract_file = tmp_path / "s14.json"
@@ -1185,6 +1211,33 @@ class TestStrictNumbers:
         assert main([*args, "--subsumption", str(late), "--out", str(tmp_path / "out")]) == 3
         assert f"{late}: subsumption position" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestFailedRunsLeaveNothing:
+    """A command that fails after it began writing removes what it created; what was there stays."""
+
+    def test_failed_write_removes_the_files_it_wrote(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "p"
+        (out / "summary_alg_r20.txt").mkdir(parents=True)  # the second write cannot replace a directory
+        (out / "earlier.txt").write_text("kept")
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--r", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(path.name for path in out.iterdir()) == ["earlier.txt", "summary_alg_r20.txt"]
+        assert (out / "earlier.txt").read_text() == "kept"
+
+    def test_failed_write_removes_a_nested_out(self, quad_judges, tmp_path, capsys, monkeypatch):
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(centroidsumm.cli, "_write_csv", full)  # report.csv, written after report.json
+        extract_file = tmp_path / "s14.json"
+        write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
+        out = tmp_path / "a" / "b" / "c"
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert not (tmp_path / "a").exists()
 
 
 class TestNonFiniteSettings:

@@ -402,10 +402,6 @@ class TestRounding:
         assert round_half_up(0.0005) == 0.001
         assert round_half_up(0.9265) == 0.927
 
-    def test_places_parameter(self):
-        assert round_half_up(0.85, places=1) == 0.9
-        assert round_half_up(12.345678, places=2) == 12.35
-
 
 class TestBuildReport:
     def test_reference_report(self, judges):
