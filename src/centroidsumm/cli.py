@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import os
+import re
 import reprlib
 import sys
 import warnings
@@ -240,6 +243,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+_CLUSTER_FILE = re.compile(r"c[0-9]{3,}\.json")  # the names `cluster` gives its files
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     """The --out directory, made with its missing parents; `main` removes what a failed command adds."""
     out = Path(getattr(args, "out", None) or ".")
@@ -249,8 +255,26 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _staged(args: argparse.Namespace, path: Path) -> Path:
+    """A new temporary name in --out that a command writes `path` under; `_commit` gives it its name."""
+    temp = path.with_name(f".{path.name}.tmp")
+    while temp.exists():  # never a file that was there before
+        temp = temp.with_name("." + temp.name)
+    args.staged.append((temp, path))
+    return temp
+
+
+def _commit(args: argparse.Namespace) -> None:
+    """After a command's last write, rename each staged file, unless a directory holds one of the names."""
+    for _, path in args.staged:
+        if path.is_dir():  # a rename would fail there, after the earlier names were replaced
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for temp, path in args.staged:
+        temp.replace(path)
+
+
 def _remove_created(args: argparse.Namespace) -> None:
-    """Remove the files a failed command added to --out, then the directories `_out_dir` made."""
+    """Remove the files a failed command added to --out, staged ones too, then the directories `_out_dir` made."""
     out, made, kept = getattr(args, "created", (None, [], set()))
     with suppress(OSError):  # what cannot be removed stays; the command's own error is the one reported
         for path in set(out.iterdir()) - kept if out and out.is_dir() else ():
@@ -291,7 +315,7 @@ def cmd_idf(args: argparse.Namespace) -> int:
     documents = _load_corpus_documents(args.corpus_dir)
     model = build_idf(documents)
     out = _out_dir(args) / "idf.json"
-    save_idf(model, out)
+    save_idf(model, _staged(args, out))
     print(f"wrote {out} ({model.n_docs} documents, {len(model.df)} terms)")
     return 0
 
@@ -304,8 +328,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         documents, idf, sim_threshold=config.sim_threshold, centroid_threshold=config.centroid_threshold
     )
     out = _out_dir(args)
+    names = {f"{cluster.cluster_id}.json" for cluster in clusters}
+    for path in sorted(out.iterdir()):
+        if _CLUSTER_FILE.fullmatch(path.name) and path.name not in names:
+            raise ValueError(f"{path}: a cluster file that this run does not write; remove it or use another --out")
     for cluster in clusters:
-        write_cluster(cluster, out / f"{cluster.cluster_id}.json")
+        write_cluster(cluster, _staged(args, out / f"{cluster.cluster_id}.json"))
         print(f"{cluster.cluster_id}: {cluster.d} documents, {cluster.n} sentences")
     print(f"{len(clusters)} clusters")
     return 0
@@ -331,9 +359,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     for r, ext in extracts.items():
         tag = _r_tag(r)
-        (out / f"extract_{cluster.cluster_id}_{tag}.json").write_text(extract_json(ext), encoding="utf-8")
+        extract_path = _staged(args, out / f"extract_{cluster.cluster_id}_{tag}.json")
+        extract_path.write_text(extract_json(ext), encoding="utf-8")
         text = summary_text(cluster, ext)
-        (out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
+        _staged(args, out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"{cluster.cluster_id} {tag}: {ext.k} of {cluster.n} sentences -> {sorted(ext.selected)}")
     return 0
 
@@ -467,12 +496,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         reports.append(report_to_dict(build_report(annotations, systems, r, graph, config.E)))
     out = _out_dir(args)
     if config.r_grid is not None:
-        _write_d_grid(reports, out / "d_grid.csv")
+        _write_d_grid(reports, _staged(args, out / "d_grid.csv"))
         print(f"wrote {out / 'd_grid.csv'}")
         return 0
     report = reports[0]
-    write_json(report, out / "report.json")
-    _write_report_csv(report, out / "report.csv")
+    write_json(report, _staged(args, out / "report.json"))
+    _write_report_csv(report, _staged(args, out / "report.csv"))
     print(f"mean_j={report['mean_j']:.3f} random={report['random']:.3f}")
     for label, figures in sorted(report["systems"].items()):
         print(f"{label}: s={figures['s']:.3f} d={figures['d']:.3f}")
@@ -485,7 +514,7 @@ def cmd_agreement(args: argparse.Namespace) -> int:
         annotations = _load_judges(args.annotations, load_utility_annotation)
         curve = agreement_curve(annotations, config.r_grid)
         path = _out_dir(args) / "agreement_curve.csv"
-        _write_csv(path, ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
+        _write_csv(_staged(args, path), ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
     if args.r_grid is not None:
@@ -494,11 +523,11 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
     rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""
-    _write_csv(tally_path, ["position", "plus_score", "minus_score"], rows)
+    _write_csv(_staged(args, tally_path), ["position", "plus_score", "minus_score"], rows)
     hist_path = out / "csis_histogram.csv"
     histogram = sorted(tally.histogram.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
     rows = [[level, sign, count] for (level, sign), count in histogram]
-    _write_csv(hist_path, ["agreement", "sign", "sentences"], rows)
+    _write_csv(_staged(args, hist_path), ["agreement", "sign", "sentences"], rows)
     print(f"wrote {tally_path} and {hist_path}")
     return 0
 
@@ -545,8 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.staged = []
     try:
-        return args.func(args)
+        code = args.func(args)
+        _commit(args)
+        return code
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors
         _remove_created(args)
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,15 @@ cluster order.
 The optional redundancy pass subtracts a penalty, scaled by the maximum base
 score, from every sentence that overlaps an extract member with a strictly
 higher score, then reselects, repeating until the selected set stabilizes or
-repeats. It never caches sentence pairs: a term index built once per call,
-common terms packed into integers with a slot per sentence, gives each
-extract member one row of overlaps with every sentence, and each round reads
-those rows column by column over the members ranked above a sentence. The
-overlaps are the exact floats of word_overlap, so the result equals the
-pairwise definition bit for bit. Two named weight presets are evaluated
+repeats. It never caches sentence pairs or builds a float per pair: a term
+index built once per call, common terms packed into integers with a slot
+per sentence, gives each extract member one integer row of doubled shared
+counts with every sentence. Each round a member reads its own row at the
+members ranked above it, and every other sentence reads one running slotwise
+maximum of those rows per member length. A count becomes an overlap through
+a table of d / (len_a + len_b), built once per sum of lengths; these are the
+exact floats of word_overlap, so the result equals the pairwise definition
+bit for bit. Two named weight presets are evaluated
 throughout: pure-centroid (1, 0, 0) and lead+centroid (1, 1, 0).
 """
 
@@ -31,7 +34,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cache
 from itertools import chain, repeat
-from operator import attrgetter, truediv
+from operator import add, attrgetter, getitem, itemgetter
 from typing import Callable, Sequence
 
 from .lexstats import Centroid
@@ -174,20 +177,46 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
     return (2 * shared) / (len1 + len2)
 
 
+def _quotient_columns(lengths: list[int]) -> Callable[[int], list[list[float]]]:
+    """Return column(length), whose item i lists d / (lengths[i] + length) for d = 0, 1, ...
+
+    Each d / total is the float word_overlap gives for a doubled shared count d
+    and the two lengths' sum. A table is built once per total and shared; total
+    0 (two sentences without terms) has [0.0]. Two sentences share at most the
+    shorter one's tokens, so a table stops at 2 * the second-longest length.
+    """
+    tables = {0: [0.0]}
+    limit = 2 * min(sorted(lengths)[-2:], default=0)
+    distinct = list(set(lengths))
+
+    @cache
+    def column(length: int) -> list[list[float]]:
+        totals = list(map(add, distinct, repeat(length)))
+        for total in set(totals).difference(tables):
+            tables[total] = [d / total for d in range(min(total, limit) + 1)]
+        return list(map(dict(zip(distinct, map(tables.__getitem__, totals))).__getitem__, lengths))
+
+    return column
+
+
 def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
-    """Index the sentences' terms once; return the function giving one sentence's overlap row.
+    """Index the sentences' terms once; return the function giving one sentence's row of doubled shared counts.
 
     postings[term, j] lists the sentences holding term more than j times, so a
     sentence's keys (term, j < its count of term) list sentence i exactly
     sum(min(count, count_i)) times: their shared count. A key held by at least
     n/64 sentences is one int instead, 2 in the slot of each sentence holding
-    it; slots fit 2 * the longest length, so a sum of packed keys never carries
-    between slots. The other keys' short lists are counted and added in. The
-    row is the word_overlap with each sentence, 0.0 where either has no terms.
+    it; the other keys' short lists are counted and added in. A slot's range
+    exceeds 4 * the longest length, so a doubled count (at most the sum of
+    the two lengths) never carries into the next slot, and the slot's top bit,
+    the guard bit of the rerank's packed maxima, stays clear. A row's own slot
+    is 0: no sentence penalizes itself. The overlap of sentences a and b is
+    column(len_a)[b][row_a[b]] for column = _quotient_columns(lengths), 0.0
+    where either has no terms.
     """
     n = len(sentences)
-    lengths = [len(sentence.terms) for sentence in sentences]
-    code = next(code for code in "BHIQ" if 2 * max(lengths, default=0) < 256 ** array(code).itemsize)
+    longest = max((len(sentence.terms) for sentence in sentences), default=0)
+    code = next(code for code in "BHIQ" if 4 * longest < 256 ** array(code).itemsize)
     width = array(code).itemsize * n
     postings: dict[tuple[str, int], list[int]] = {}
     for i, sentence in enumerate(sentences):
@@ -200,17 +229,80 @@ def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
         for i in postings.pop(key):
             slots[i] = 2
         packed[key] = int.from_bytes(slots, sys.byteorder)
-    # len_a + len_b for each sentence b; two sentences without terms share nothing, and 0 / 1 is 0.0
-    sums = cache(lambda len_a: [max(1, len_a + len_b) for len_b in lengths])
 
     def row(i: int) -> array:
         keys = [(term, j) for term, count in sentences[i].counts.items() for j in range(count)]
         doubled = array(code, sum(packed.get(key, 0) for key in keys).to_bytes(width, sys.byteorder))
         for b, shared in Counter(chain.from_iterable(postings.get(key, ()) for key in keys)).items():
             doubled[b] += 2 * shared
-        return array("d", map(truediv, doubled, sums(lengths[i])))
+        doubled[i] = 0
+        return doubled
 
     return row
+
+
+def _largest_overlaps(
+    ranked: list[int],
+    above: list[int],
+    rows: dict[int, array],
+    lengths: list[int],
+    column: Callable[[int], list[list[float]]],
+    divided: dict[tuple[int, int], list[float]],
+) -> list[float]:
+    """Each sentence i's largest overlap with the first above[i] ranked members, 0.0 if there are none.
+
+    column(length)[i] is sentence i's quotient table for a partner of that
+    length. A ranked member with a row reads that row at the positions of the
+    members above it: overlap is symmetric bit for bit. The other sentences
+    share a few counts. Walking the ranking up to each such count, one running
+    packed maximum of the rows per member length (a slotwise max, with a guard
+    bit per slot) holds every sentence's largest doubled count with those
+    members, and one pass over all sentences divides it. `divided` keeps
+    those quotients from the last round, where most lengths have the same
+    members again.
+    """
+    worst = [0.0] * len(above)
+    order = [member - 1 for member in ranked]  # 0-based positions, highest final first
+    own = rows.keys() & ranked
+    waiting: dict[int, list[int]] = {}  # count -> 0-based positions of the other sentences with that count
+    for i, count in enumerate(above):
+        if count and i + 1 not in own:
+            waiting.setdefault(count, []).append(i)
+
+    for member in own:
+        if count := above[member - 1]:
+            # the first index once more, so that one index still gives a tuple
+            read = itemgetter(*order[:count], order[0])
+            worst[member - 1] = max(map(getitem, read(column(lengths[member - 1])), read(rows[member])))
+
+    kept = dict(divided)
+    divided.clear()
+    if waiting:
+        code = rows[ranked[0]].typecode
+        bits, width = 8 * array(code).itemsize, array(code).itemsize * len(above)
+        guard = int.from_bytes(array(code, [1 << (bits - 1)]) * len(above), sys.byteorder)
+        running: dict[int, int] = {}  # member length -> the slotwise max of the rows walked
+        walked = 0
+        for count, group in sorted(waiting.items()):
+            for member in ranked[walked:count]:
+                length, b = lengths[member - 1], int.from_bytes(rows[member], sys.byteorder)
+                if length in running:
+                    a = running[length]
+                    t = ((a | guard) - b) & guard  # a slot's guard bit is set where a >= b
+                    b ^= (a ^ b) & (t - (t >> (bits - 1)))  # a there, b elsewhere
+                running[length] = b
+            walked = count
+            columns = []
+            for key in running.items():
+                if key not in divided:
+                    divided[key] = kept.get(key) or list(
+                        map(getitem, column(key[0]), array(code, key[1].to_bytes(width, sys.byteorder)))
+                    )
+                columns.append(divided[key])
+            largest = list(map(max, repeat(0.0), *columns))
+            for i in group:
+                worst[i] = largest[i]
+    return worst
 
 
 class RerankCapWarning(RuntimeWarning):
@@ -235,22 +327,32 @@ def redundancy_rerank(
     rounds pass without either, the last selection is kept and a
     RerankCapWarning names the cluster and the cap.
 
-    No pair of sentences is compared on its own. `_overlap_rows` indexes the
-    terms once, common ones as packed integers; a member's overlaps with all n
-    sentences then come as one row, built the first time the member's final
-    is above some sentence's and kept for later rounds. Each round ranks the
-    members by final, highest first. Those with a strictly higher final than a
-    sentence are a prefix of that ranking, whose length bisection finds, and
-    its largest overlap is the max of its column (rows zipped, in C) over it.
+    No pair of sentences is compared on its own, and no float is built per
+    pair. `_overlap_rows` indexes the terms once, common ones as packed
+    integers; a member's doubled shared counts with all n sentences then come
+    as one integer row, built the first time the member's final is above some
+    sentence's and kept for later rounds. Each round ranks the members by
+    final, highest first, and counts for each sentence the members with a
+    strictly higher final, a prefix of that ranking. `_largest_overlaps` then
+    takes two paths. A member with a row reads its own row at the positions
+    of the members above it. Every other sentence is grouped by its count and
+    reads, per member length, the slotwise maximum of the rows of the members
+    of that length above it. A count d becomes an overlap through
+    `_quotient_columns`: the table of d / (len_a + len_b) for that pair of
+    lengths, built once per sum.
 
-    Exactness: shared counts are exact integers (packed slots never carry), and
-    each overlap is (2 * shared) / (len_a + len_b) as in `word_overlap`, one
-    rational correctly rounded, so rows hold the very floats the pairwise
-    computation gives; a max of floats does not depend on its order; and the
-    prefix holds exactly the members with a strictly higher final (a NaN final
-    is higher than none and lower than none, as in a direct comparison).
-    Penalties, finals and selections are therefore equal, bit for bit, to
-    comparing every sentence with every member.
+    Exactness: shared counts are exact integers (packed slots never carry),
+    and each table entry is d / (len_a + len_b) with d = 2 * shared as in
+    `word_overlap`, one rational correctly rounded, so it is the very float
+    the pairwise computation gives. Overlap is symmetric bit for bit, so a
+    member may read its own row. Correctly rounded division by a fixed
+    denominator never decreases as d grows, so the quotient of the largest
+    count among members of one length is the largest of their quotients, and
+    a max of floats does not depend on its order. The prefix holds exactly
+    the members with a strictly higher final (a NaN final is higher than none
+    and lower than none, as in a direct comparison). Penalties, finals and
+    selections are therefore equal, bit for bit, to comparing every sentence
+    with every member.
     """
     if len(scores) != cluster.n:
         raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")
@@ -260,8 +362,12 @@ def redundancy_rerank(
     k = compression_size(n, r)
     base = [score.base for score in scores]
     w_r = max(base)
-    overlap_row = _overlap_rows(cluster.sentences())
-    rows: dict[int, array] = {}  # member position -> its overlap row
+    sentences = cluster.sentences()
+    lengths = [len(sentence.terms) for sentence in sentences]
+    overlap_row = _overlap_rows(sentences)
+    rows: dict[int, array] = {}  # member position -> its doubled shared counts
+    column = _quotient_columns(lengths)
+    divided: dict[tuple[int, int], list[float]] = {}
 
     finals = list(base)
     penalties = [0.0] * n
@@ -277,14 +383,10 @@ def redundancy_rerank(
         higher = sorted(finals[m - 1] for m in ranked)
         # how many ranked members have a strictly higher final than each sentence
         above = [len(ranked) - bisect_right(higher, final) for final in finals]
-        needed = ranked[: max(above)]  # the rest are higher than no sentence
-        for member in needed:
+        for member in ranked[: max(above)]:  # the rest are higher than no sentence
             if member not in rows:
                 rows[member] = overlap_row(member - 1)
-        # column i holds 0.0, then each needed member's overlap with sentence i
-        columns = zip(repeat(0.0, n), *(rows[member] for member in needed))
-        worst_at = [max(column[: count + 1]) for column, count in zip(columns, above)]
-        penalties = [w_r * value for value in worst_at]
+        penalties = [w_r * value for value in _largest_overlaps(ranked, above, rows, lengths, column, divided)]
         finals = [b - p for b, p in zip(base, penalties)]
         reselected = _select_top(finals, k)
         if reselected == selected or reselected in seen:

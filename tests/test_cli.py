@@ -230,6 +230,20 @@ class TestClusterCommand:
         assert "2 clusters" in capsys.readouterr().out
         assert (out / "c001.json").exists() and (out / "c002.json").exists()
 
+    def test_cluster_file_of_an_earlier_run_exits_2(self, tmp_path, news_cluster_path, capsys):
+        docs_dir, idf_path = self.prepare(tmp_path, news_cluster_path)
+        out = tmp_path / "clusters"
+        args = ["cluster", str(docs_dir), "--idf", str(idf_path), "--out", str(out)]
+        assert main([*args, "--sim-threshold", "0.99"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["c001.json", "c002.json"]
+        capsys.readouterr()
+        # one cluster now: c002.json would be left over, holding a document c001.json also holds
+        assert main([*args, "--sim-threshold", "0.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'c002.json'}: ") and "does not write" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_empty_dir_exits_2(self, tmp_path, news_cluster_path, capsys):
         _, idf_path = self.prepare(tmp_path, news_cluster_path)
         empty = tmp_path / "none"
@@ -1225,6 +1239,30 @@ class TestFailedRunsLeaveNothing:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(path.name for path in out.iterdir()) == ["earlier.txt", "summary_alg_r20.txt"]
         assert (out / "earlier.txt").read_text() == "kept"
+
+    def test_failed_write_keeps_the_files_it_would_replace(self, news_inputs, tmp_path, capsys):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "p"
+        (out / "summary_alg_r20.txt").mkdir(parents=True)
+        (out / "extract_alg_r20.json").write_text("old")
+        (out / ".extract_alg_r20.json.tmp").write_text("a file of the same name as a temporary one")
+        before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--r", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'summary_alg_r20.txt'}'\n"
+        assert sorted(path.name for path in out.iterdir()) == sorted([*before, "summary_alg_r20.txt"])
+        assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+    def test_written_files_replace_the_old_and_leave_no_temporary_file(self, news_inputs, tmp_path):
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "p"
+        out.mkdir()
+        (out / "extract_alg_r20.json").write_text("old")
+        (out / ".summary_alg_r20.txt.tmp").write_text("kept")
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--r", "0.2", "--out", str(out)]) == 0
+        names = [".summary_alg_r20.txt.tmp", "extract_alg_r20.json", "summary_alg_r20.txt"]
+        assert sorted(path.name for path in out.iterdir()) == names
+        assert (out / ".summary_alg_r20.txt.tmp").read_text() == "kept"
+        assert json.loads((out / "extract_alg_r20.json").read_text())["cluster_id"] == "alg"
 
     def test_failed_write_removes_a_nested_out(self, quad_judges, tmp_path, capsys, monkeypatch):
         def full(*args):

@@ -12,6 +12,7 @@ import math
 import random
 import warnings
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,13 +178,21 @@ def row_sentences(texts):
 
 
 def check_rows(sentences):
-    """Every overlap row holds the oracle's bytes and the pairwise word_overlap, 0.0 next to an empty sentence."""
+    """Each row holds twice the shared counts with every other sentence and 0 in its own slot; the
+    quotient tables turn it into the oracle's overlap row and the pairwise word_overlap, 0.0 next to
+    an empty sentence."""
     row, expected_row = summarizer._overlap_rows(sentences), oracle._overlap_rows(sentences)
+    counts = [Counter(oracle.norms(sentence)) for sentence in sentences]
+    lengths = [len(sentence.terms) for sentence in sentences]
+    column = summarizer._quotient_columns(lengths)
     for i, s1 in enumerate(sentences):
-        got = row(i).tobytes()
-        assert got == expected_row(i).tobytes(), i
-        pairwise = [cs.word_overlap(s1, s2) if s1.terms and s2.terms else 0.0 for s2 in sentences]
-        assert got == array("d", pairwise).tobytes(), i
+        doubled, expected = row(i), expected_row(i)
+        shared = [sum((counts[i] & other).values()) for other in counts]
+        assert list(doubled) == [0 if b == i else 2 * s for b, s in enumerate(shared)], i
+        overlaps = array("d", [table[d] for table, d in zip(column(lengths[i]), doubled)])
+        pairwise = array("d", [cs.word_overlap(s1, s2) if s1.terms and s2.terms else 0.0 for s2 in sentences])
+        del overlaps[i], expected[i], pairwise[i]  # the oracle's row holds the sentence's overlap with itself
+        assert overlaps.tobytes() == expected.tobytes() == pairwise.tobytes(), i
 
 
 def unique_words(i, count):
@@ -197,6 +206,9 @@ ROW_CASES = {
     "empty sentences among others": ["...", "the flood", "- -", "the river flood", "..."],
     "130 tokens, 2-byte slots": [" ".join(ROW_WORDS * 16 + ["dam", "dam"]), "the flood dam", "dam " * 40],
     "one term 300 times": ["dam " * 300, "dam " * 299 + "flood", "dam", "the dam"],
+    # 4 * the longest length must stay below a slot's range: 63 tokens fit a byte, 64 do not
+    "63 tokens, 1-byte slots": [" ".join(ROW_WORDS * 8)[:-5], " ".join(ROW_WORDS * 8)[:-5], "the city"],
+    "64 tokens, 2-byte slots": [" ".join(ROW_WORDS * 8), " ".join(ROW_WORDS * 8), "the city"],
     # n <= 64: each key is held by at least n/64 sentences, so every key is packed
     "all dense": [" ".join(ROW_WORDS[: 1 + i % 8] * (1 + i % 3)) for i in range(64)],
     # n > 64 and each key in one sentence: no key is packed, every count comes from the lists
@@ -209,6 +221,13 @@ ROW_CASES = {
 @pytest.mark.parametrize("texts", ROW_CASES.values(), ids=ROW_CASES.keys())
 def test_overlap_rows_equal_reference(texts):
     check_rows(row_sentences(texts))
+
+
+@pytest.mark.parametrize("name, code", [("63 tokens, 1-byte slots", "B"), ("64 tokens, 2-byte slots", "H")])
+def test_row_slots_leave_a_guard_bit(name, code):
+    sentences = row_sentences(ROW_CASES[name])
+    assert max(len(sentence.terms) for sentence in sentences) == (63 if code == "B" else 64)
+    assert summarizer._overlap_rows(sentences)(0).typecode == code
 
 
 @st.composite
@@ -299,6 +318,45 @@ def test_rerank_equals_reference_on_large_clusters(data, cluster, r, max_iterati
     assert repr(got) == repr(expected)
     if all(math.isfinite(score.base) for score in scores):
         assert got == expected
+
+
+def direct_scores(bases):
+    return [cs.SentenceScore(position=i, c=b, p=0.0, f=0.0, base=b) for i, b in enumerate(bases, 1)]
+
+
+def distinct_member_lengths():
+    """40 sentences over a few words; the 8 with the highest bases, the extract at r = 0.2, are 1 to 8 tokens
+    long, so each member length has one member. The other bases are close below, so penalties reselect."""
+    rng = random.Random(5)
+    texts = [" ".join(rng.choices(ROW_WORDS, k=rng.randint(2, 9))) for _ in range(40)]
+    for length, i in enumerate(range(0, 40, 5), 1):
+        texts[i] = " ".join(rng.choices(ROW_WORDS, k=length))
+    bases = [10.0 + i / 100 if i % 5 == 0 else 9.0 + rng.random() for i in range(40)]
+    return texts, bases, 0.2
+
+
+def tied_finals(r):
+    """Sentence 3 repeats member 2 with the same base but is not selected (ties go to the earlier position),
+    so it has one member strictly above it, not two (r = 0.3, k = 2); sentence 6 ties member 5 (r = 0.7, k = 5)."""
+    texts = ["troops entered the city", "aid convoys waited outside", "aid convoys waited outside",
+             "the river flood", "river dam", "river dam", "officials said on the dam"]
+    return texts, [9.0, 5.0, 5.0, 1.0, 0.5, 0.5, 0.25], r
+
+
+RERANK_CASES = {
+    "distinct member lengths": distinct_member_lengths(),
+    "tied finals, k=2": tied_finals(0.3),
+    "tied finals, k=5": tied_finals(0.7),
+}
+
+
+@pytest.mark.parametrize("texts, bases, r", RERANK_CASES.values(), ids=RERANK_CASES.keys())
+def test_rerank_equals_reference_on_cases(texts, bases, r):
+    doc = cs.document_from_dict({"doc_id": "d", "source": "wire", "timestamp": "1999-05-20T00:00:00Z",
+                                 "sentences": texts})
+    cluster = cs.Cluster.build("case", [doc])
+    scores = direct_scores(bases)
+    assert repr(cs.redundancy_rerank(cluster, scores, r)) == repr(oracle.redundancy_rerank(cluster, scores, r))
 
 
 # --- incremental clustering at a realistic size -----------------------------
