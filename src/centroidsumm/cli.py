@@ -295,17 +295,25 @@ def _r_tag(r: float) -> str:
 
 
 def _load_corpus_documents(corpus_dir: str) -> list:
-    """Documents from a directory of document and/or cluster JSON files; none is an error."""
+    """Documents from a directory of document and/or cluster JSON files; none, or one doc_id twice, is an error."""
     root = Path(corpus_dir)
     if not root.is_dir():
         raise ValueError(f"{corpus_dir}: not a directory")
     documents = []
+    held_by: dict[str, Path] = {}  # doc_id -> the file that holds it
     for path in sorted(root.glob("*.json")):
         data = read_json(path)
-        if isinstance(data, dict) and "documents" in data:
-            documents.extend(cluster_from_dict(data, where=str(path)).documents)
-        else:
-            documents.append(document_from_dict(data, where=str(path)))
+        is_cluster = isinstance(data, dict) and "documents" in data
+        found = cluster_from_dict(data, str(path)).documents if is_cluster else (document_from_dict(data, str(path)),)
+        for doc in found:
+            if held_by.setdefault(doc.doc_id, path) != path:  # a cluster file's own ids are already distinct
+                field = "doc_id"
+                if is_cluster:  # documents are sorted by time; name the entry as the file orders it
+                    field = f"documents[{[raw['doc_id'] for raw in data['documents']].index(doc.doc_id)}].doc_id"
+                raise ValueError(
+                    f"{path}.{field}: duplicate document id {reprlib.repr(doc.doc_id)}, also in {held_by[doc.doc_id]}"
+                )
+        documents.extend(found)
     if not documents:
         raise ValueError(f"{corpus_dir}: no documents found")
     return documents

@@ -14,13 +14,25 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+import sys
 from collections import Counter
 from itertools import chain, compress, repeat
-from operator import ge, mul, truediv
+from operator import add, ge, mul, truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .text import Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, read_json, write_json
+
+
+def _add_from_the_left(values: Iterable[float]) -> float:
+    """0 + values[0] + values[1] + ..., one rounding per addition, in order."""
+    return functools.reduce(add, values, 0)
+
+
+# Every float sum that reaches an output adds left to right, so outputs hold the same bytes on every
+# Python: 3.12 made the built-in sum compensated (Neumaier), which moves scores and cosines in the last
+# digits. Up to 3.11 the built-in already adds that way, in C.
+left_sum: Callable[[Iterable[float]], float] = sum if sys.version_info < (3, 12) else _add_from_the_left
 
 # idf floor for terms present in every background document: log2(1) would be 0,
 # which the model forbids (idf values must stay strictly positive).
@@ -127,7 +139,7 @@ def _document_vector(document: Document, idf_of: Callable[[str], float]) -> dict
 
 
 def _norm(vector: dict[str, float]) -> float:
-    return math.sqrt(sum(map(mul, vector.values(), vector.values())))
+    return math.sqrt(left_sum(map(mul, vector.values(), vector.values())))
 
 
 def _best_match(vector: dict[str, float], candidates: Iterable[tuple], sim_threshold: float) -> str | None:
@@ -141,7 +153,7 @@ def _best_match(vector: dict[str, float], candidates: Iterable[tuple], sim_thres
         if norm == 0.0 or weights_norm == 0.0:
             continue  # similarity 0.0 never beats best_sim
         short, long = (weights, vector) if len(weights) < len(vector) else (vector, weights)
-        sim = sum(map(mul, short.values(), map(long.get, short, repeat(0.0)))) / (norm * weights_norm)
+        sim = left_sum(map(mul, short.values(), map(long.get, short, repeat(0.0)))) / (norm * weights_norm)
         if sim > best_sim:
             best_id, best_sim = cluster_id, sim
     return best_id if best_sim >= sim_threshold else None

@@ -37,7 +37,7 @@ from itertools import chain, repeat
 from operator import add, attrgetter, getitem, itemgetter
 from typing import Callable, Sequence
 
-from .lexstats import Centroid
+from .lexstats import Centroid, left_sum
 from .text import Cluster, Sentence, _Record, compression_size
 
 RERANK_ITERATION_CAP = 100
@@ -93,7 +93,7 @@ def centroid_value(sentence: Sentence, centroid: Centroid) -> float:
     Each occurrence counts, so repeated central vocabulary keeps adding. The
     sum runs in token order, not as count * weight, so its rounding is fixed.
     """
-    return sum(centroid.weight(term) for term in sentence.terms)
+    return left_sum(map(centroid.weight, sentence.terms))
 
 
 def positional_value(sentence: Sentence, cluster: Cluster, c_max: float) -> float:

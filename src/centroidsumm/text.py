@@ -8,7 +8,13 @@ sentences in original order within each document, positions numbered 1..n.
 
 This module owns two decisions that every later stage reads instead of
 recomputing. A sentence's terms are derived once, when it is constructed: a
-tuple of lowercase word strings in token order (`terms`). Its term -> count
+tuple of lowercase word strings in token order (`terms`). Each term passes
+through `sys.intern`, so all occurrences of a term in a process, across
+sentences, documents and files, are one `str` object: memory holds each term
+once, and a dict lookup between two terms compares identities, not bytes.
+Interned strings are freed once nothing refers to them, except on CPython
+3.12, which makes them immortal, so a 3.12 process keeps every term it has
+seen until it exits. Its term -> count
 map (`counts`) is built from them on first read and kept, since only the
 first sentence of each document and the redundancy rerank read it. A cluster
 builds its flat sentence tuple and a table from doc_id to (document, offset)
@@ -35,11 +41,12 @@ import json
 import math
 import re
 import reprlib
+import sys
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class ClusterParseError(ValueError):
@@ -121,7 +128,7 @@ class Sentence(_Record):
     terms: tuple[str, ...]
 
     def __init__(self, doc_id: str, index_in_doc: int, text: str) -> None:
-        self.__dict__.update(doc_id=doc_id, index_in_doc=index_in_doc, text=text, terms=tuple(tokenize(text)))
+        self.__dict__.update(doc_id=doc_id, index_in_doc=index_in_doc, text=text, terms=tuple(_terms(text)))
 
     @functools.cached_property
     def counts(self) -> Counter:
@@ -223,10 +230,18 @@ def tokenize(text: str) -> list[str]:
     whole and then split on [a-z0-9]+, which gives the same terms faster:
     there its letters and digits are exactly [A-Za-z0-9], and it holds no
     combining marks.
+
+    Every term is interned (`sys.intern`), so equal terms are one object in
+    the whole process; on CPython 3.12 that object is never freed.
     """
+    return list(_terms(text))
+
+
+def _terms(text: str) -> Iterator[str]:
+    """tokenize's interned terms, lazily, so Sentence builds its tuple in one pass."""
     if text.isascii():
-        return _ASCII_WORD_RE.findall(text.lower())
-    return [m.lower() for m in _WORD_RE.findall(text)]
+        return map(sys.intern, _ASCII_WORD_RE.findall(text.lower()))
+    return map(sys.intern, map(str.lower, _WORD_RE.findall(text)))
 
 
 def _json_int(value: object, where: str) -> int:

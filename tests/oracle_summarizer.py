@@ -18,6 +18,10 @@ same bytes.
 verbatim with its pattern (renamed `_TOKENIZE_RE`, as `_WORD_RE` here is the
 older rule); test_tokenize_oracle.py requires the library's tokenizer to give
 the same terms.
+
+Float sums add left to right through `_sum_left`, a plain loop, as the
+built-in `sum` did up to Python 3.11; 3.12's built-in compensates, which would
+move the oracle's scores and cosines in the last digits.
 """
 
 from __future__ import annotations
@@ -107,12 +111,19 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
     return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
+def _sum_left(values: Iterable[float]) -> float:
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _cosine(vec_a: dict[str, float], vec_b: dict[str, float]) -> float:
     if len(vec_b) < len(vec_a):
         vec_a, vec_b = vec_b, vec_a
-    dot = sum(value * vec_b.get(term, 0.0) for term, value in vec_a.items())
-    norm_a = math.sqrt(sum(v * v for v in vec_a.values()))
-    norm_b = math.sqrt(sum(v * v for v in vec_b.values()))
+    dot = _sum_left(value * vec_b.get(term, 0.0) for term, value in vec_a.items())
+    norm_a = math.sqrt(_sum_left(v * v for v in vec_a.values()))
+    norm_b = math.sqrt(_sum_left(v * v for v in vec_b.values()))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
@@ -170,7 +181,7 @@ def incremental_cluster(
 
 
 def centroid_value(sentence: Sentence, centroid: Centroid) -> float:
-    return sum(centroid.weight(norm) for norm in norms(sentence))
+    return _sum_left(centroid.weight(norm) for norm in norms(sentence))
 
 
 def positional_value(sentence: Sentence, cluster: Cluster, c_max: float) -> float:

@@ -181,6 +181,17 @@ class TestIdfCommand:
         assert main(["idf", str(empty), "--out", str(tmp_path / "out")]) == 2
         assert "no documents" in capsys.readouterr().err
 
+    def test_doc_id_in_two_files_exits_2(self, tmp_path, news_cluster_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        data = json.loads(news_cluster_path.read_text())
+        write_json(data["documents"][1], corpus / "a.json")
+        write_json(data, corpus / "b.json")  # the cluster file holds the same document as its second entry
+        assert main(["idf", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        doc_id = data["documents"][1]["doc_id"]
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus / 'b.json'}.documents[1].doc_id: duplicate document id {doc_id!r}, also in {corpus / 'a.json'}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_flag_rejected(self, tmp_path, news_cluster_path):
         garbage = tmp_path / "garbage.cfg"
@@ -243,6 +254,21 @@ class TestClusterCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out / 'c002.json'}: ") and "does not write" in err
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_doc_id_in_two_files_exits_2(self, tmp_path, news_cluster_path, capsys):
+        docs_dir, idf_path = self.prepare(tmp_path, news_cluster_path)
+        first = sorted(docs_dir.iterdir())[0]
+        copy = docs_dir / f"{first.stem}_copy.json"  # sorts after the original
+        other_event = ["Heavy rain caused flooding in parts of the city over the weekend."]
+        write_json({**json.loads(first.read_text()), "sentences": other_event}, copy)
+        capsys.readouterr()
+        out = tmp_path / "clusters"
+        # the two texts share no cluster, so without the check each would be written, under one doc_id
+        assert main(["cluster", str(docs_dir), "--idf", str(idf_path), "--sim-threshold", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {copy}.doc_id: duplicate document id {first.stem!r}, also in {first}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_empty_dir_exits_2(self, tmp_path, news_cluster_path, capsys):
         _, idf_path = self.prepare(tmp_path, news_cluster_path)

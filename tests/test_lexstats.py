@@ -1,8 +1,9 @@
 import math
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from centroidsumm import (
     IDF_FLOOR,
@@ -16,7 +17,32 @@ from centroidsumm import (
     save_idf,
     tokenize,
 )
+from centroidsumm.lexstats import _add_from_the_left, left_sum
 from helpers import background_documents, make_cluster, make_document
+
+
+class TestLeftSum:
+    """Float sums that reach outputs add left to right on every Python, as the built-in sum did up to 3.11."""
+
+    @staticmethod
+    def loop(values):
+        total = 0
+        for value in values:
+            total += value
+        return total
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    @example([0.1] * 10)  # 0.9999999999999999 left to right; 1.0 compensated
+    @example([1e100, 1.0, -1e100])
+    @example([])
+    def test_both_branches_equal_a_plain_loop(self, values):
+        expected = self.loop(values)
+        for add_all in (left_sum, _add_from_the_left):
+            total = add_all(iter(values))
+            assert total == expected and type(total) is type(expected)
+
+    def test_older_pythons_keep_the_builtin(self):
+        assert (left_sum is sum) == (sys.version_info < (3, 12))
 
 
 class TestIdfModel:

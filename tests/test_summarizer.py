@@ -17,6 +17,7 @@ from centroidsumm import (
     ScoreWeights,
     SentenceScore,
     build_centroid,
+    build_idf,
     centroid_value,
     compression_size,
     enumerate_extracts,
@@ -102,6 +103,13 @@ class TestCentroidValue:
         cluster = make_cluster("c", {"a": ["belgium belgium gia"]})
         centroid = centroid_of({"belgium": 76.86, "gia": 62.90})
         assert centroid_value(cluster.sentence_at(1), centroid) == pytest.approx(216.62)
+
+    def test_fixture_values_are_left_to_right_sums_on_every_python(self, news_cluster):
+        # a compensated sum (the built-in sum from Python 3.12) gives 4.562 and 7.5125 here
+        centroid = build_centroid(news_cluster, build_idf(news_cluster.documents))
+        values = [centroid_value(sentence, centroid) for sentence in news_cluster.sentences()]
+        assert values[1] == 4.562000000000002
+        assert values[10] == 7.512500000000001
 
 
 class TestPositionalValue:

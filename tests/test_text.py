@@ -16,12 +16,14 @@ from centroidsumm import (
     cluster_from_dict,
     cluster_to_dict,
     document_from_dict,
+    document_to_dict,
     incremental_cluster,
     parse_cluster,
     redundancy_rerank,
     score_sentences,
     tokenize,
 )
+from centroidsumm.cli import _load_corpus_documents
 from helpers import make_cluster, make_document
 
 
@@ -172,6 +174,35 @@ class TestLazyCounts:
             assert counts == Counter(sentence.terms)
             assert list(counts) == list(dict.fromkeys(sentence.terms))
             assert sentence.counts is counts
+
+
+class TestOneObjectPerTerm:
+    """Equal terms are one str object, across sentences, documents and files, on both tokenizer paths."""
+
+    # "paris" and "the" come from ASCII and from non-ASCII sentences; decomposed "café" only from the latter
+    TEXTS = {
+        "a": ["The cafe\u0301 in Paris opened.", "The CAFE\u0301 noir closed."],
+        "b": ["Paris cafe\u0301 prices rose.", "The prices in Paris fell."],
+    }
+
+    @staticmethod
+    def assert_one_object_per_term(documents):
+        first = {}
+        for doc in documents:
+            for sentence in doc.sentences:
+                for term in sentence.terms:
+                    assert first.setdefault(term, term) is term
+        assert {"the", "paris", "prices", "cafe\u0301"} <= set(first)
+
+    def test_within_a_parsed_cluster(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cluster_to_dict(make_cluster("c", self.TEXTS))), encoding="utf-8")
+        self.assert_one_object_per_term(parse_cluster(path).documents)
+
+    def test_across_the_files_of_a_corpus_directory(self, tmp_path):
+        for doc in make_cluster("c", self.TEXTS).documents:
+            (tmp_path / f"{doc.doc_id}.json").write_text(json.dumps(document_to_dict(doc)), encoding="utf-8")
+        self.assert_one_object_per_term(_load_corpus_documents(str(tmp_path)))
 
 
 class TestTimestampGrammar:
