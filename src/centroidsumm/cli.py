@@ -54,6 +54,7 @@ from .summarizer import (
 from .text import (
     Cluster,
     _Record,
+    _first_repeat,
     _json_int,
     _json_str,
     cluster_from_dict,
@@ -376,7 +377,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: float) -> list[int]:
-    """An extract file's positions; it must be for the judged cluster and hold k(r) of them."""
+    """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones."""
     data = read_json(path)
     try:
         cluster_id, positions = data["cluster_id"], data["selected"]
@@ -385,18 +386,22 @@ def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: f
     _json_str(cluster_id, f"{path}: cluster_id")
     if not isinstance(positions, list):
         raise ValueError(f"{path}: selected: must be an array of integers, got {reprlib.repr(positions)}")
-    selected = sorted(_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions))
+    selected = [_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions)]
+    repeat = _first_repeat(selected)
+    if repeat is not None:
+        raise ValueError(f"{path}: selected[{repeat}]: position {selected[repeat]} is selected twice")
     _require_judged(path, annotations, "extract is for cluster", cluster_id)
     k = compression_size(annotations[0].n, r)
-    if len(set(selected)) != k:
-        raise EvaluationError(f"{path}: extract selects {len(set(selected))} sentences, expected k={k} at r={r:g}")
-    return selected
+    if len(selected) != k:
+        raise EvaluationError(f"{path}: extract selects {len(selected)} sentences, expected k={k} at r={r:g}")
+    return sorted(selected)
 
 
 def _load_judges(paths: Sequence[str], load: Callable) -> list:
-    """Utility or subsumption files of one cluster, utilities of one size; a mismatch names its file.
+    """Utility or subsumption files of one cluster, utilities of one size, each of its own judge.
 
-    Every file is compared with the first; the library checks the judge count.
+    Every file is compared with the first, and a judge id with the file that first gave it; a
+    mismatch or a repeat names the files. The library checks the judge count.
     """
     judges = [load(path) for path in paths]
     first = judges[0]
@@ -411,6 +416,11 @@ def _load_judges(paths: Sequence[str], load: Callable) -> list:
                 f"{path}: judge {reprlib.repr(judge.judge_id)} annotated {judge.n} sentences, "
                 f"expected {first.n} as in {paths[0]}"
             )
+    ids = [judge.judge_id for judge in judges]
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        judge, first_path = reprlib.repr(ids[repeat]), paths[ids.index(ids[repeat])]
+        raise EvaluationError(f"{paths[repeat]}: judge {judge} is already the judge of {first_path}")
     return judges
 
 
@@ -477,7 +487,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     annotations = _load_judges(args.annotations, load_utility_annotation)
     graph = None
     if args.subsumption:
-        subs = [_judged_subsumption(p, annotations) for p in args.subsumption]
+        subs = _load_judges(args.subsumption, lambda path: _judged_subsumption(path, annotations))
         graph = csis_consensus(subs, config.agreement_threshold)
     if config.r_grid is not None and args.extract:
         raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")

@@ -585,7 +585,7 @@ def _mark_where(path: str | Path, key: str) -> str:
 
 
 def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
-    """Load one judge's marks; every position and subsumer is an integer >= 1."""
+    """Load one judge's marks; every position and subsumer is an integer >= 1, a key in plain decimal."""
     data = read_json(path)
     try:
         judge_id = _json_str(data["judge_id"], f"{path}: judge_id")
@@ -598,6 +598,8 @@ def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
         if not isinstance(targets, list):
             raise ValueError(f"{_mark_where(path, key)}: must be an array, got {reprlib.repr(targets)}")
         position = int(key) if key.isascii() and key.isdigit() else 0
+        if position and key != str(position):  # "02" would merge with "2"
+            raise ValueError(f"{_mark_where(path, key)}: a position is written without leading zeros")
         if not _all_json_ints(targets):  # names the first subsumer that is not an integer
             for t in targets:
                 _json_int(t, _mark_where(path, key))

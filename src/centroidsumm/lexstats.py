@@ -5,8 +5,12 @@ clears a threshold; it represents the topical core shared by all documents
 in a cluster. Incremental clustering streams documents in chronological
 order into the most similar open cluster (cosine over count*IDF vectors) or
 a new one. An open cluster keeps running integer term totals, in the key
-order a rebuild would give, and its weight vector and norm; an assignment
-updates only that cluster's, with build_centroid's formula, to the same bit.
+order a rebuild would give, and totals * IDF over the terms its centroid
+keeps; an assignment updates only the joining document's terms. Cosines
+against those vectors skip the clusters that cannot be the best, and near
+ties fall back to the rebuilt centroids. Every decision, and so every
+cluster file, is the one a rebuild gives; the cosines behind a decision may
+differ in the last bits, and never reach an output.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import math
 import reprlib
 import sys
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, ge, mul, truediv
+from operator import add, and_, ge, lt, mul, truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -132,10 +137,8 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
 
 def _document_vector(document: Document, idf_of: Callable[[str], float]) -> dict[str, float]:
     """count*IDF vector of a single document, terms in first-occurrence order."""
-    counts: Counter = Counter()
-    for sentence in document.sentences:
-        counts.update(sentence.terms)
-    return {term: count * idf_of(term) for term, count in counts.items()}
+    counts = Counter(chain.from_iterable(sentence.terms for sentence in document.sentences))
+    return dict(zip(counts, map(mul, counts.values(), map(idf_of, counts))))
 
 
 def _norm(vector: dict[str, float]) -> float:
@@ -176,6 +179,112 @@ def assign_document(
     return _best_match(_document_vector(doc, idf.idf), candidates, sim_threshold)
 
 
+# The document terms whose products with a cluster enter its cosine bound; the other terms enter it
+# through their norm. On the benchmark's 190-term documents, 48 leaves 2,169 of 10,543 products to
+# compute; 32 makes as many dict lookups in all but computes 2,580.
+_HEAD_TERMS = 48
+
+# A term whose unscaled weight is at least threshold * d * _SURE clears the threshold at d for sure:
+# the factor covers the five roundings between that product and _centroid_terms' weight.
+_SURE = 1 + 2**-49
+
+
+class _OpenCluster:
+    """An open cluster: its members, integer term totals and running unscaled vector.
+
+    unscaled[t] = totals[t] * idf(t) over exactly the terms that _centroid_terms keeps, so it is the
+    centroid's weight vector times d, up to rounding; norm is its norm. due is a min-heap of
+    (unscaled[t], t) over the kept terms that could still fall below the threshold in this stream,
+    plus stale entries of terms since dropped or updated, which are skipped.
+    """
+
+    __slots__ = ("docs", "totals", "unscaled", "norm", "due")
+
+    def __init__(self) -> None:
+        self.docs: list[Document] = []
+        self.totals: Counter = Counter()
+        self.unscaled: dict[str, float] = {}
+        self.norm = 0.0
+        self.due: list[tuple[float, str]] = []
+
+    def add(
+        self, doc: Document, terms: list[str], idf_of: Callable[[str], float], threshold: float, horizon: float
+    ) -> None:
+        """Count doc, whose distinct terms are terms, then restore the kept set, the vector and its norm.
+
+        A term whose unscaled weight is at least threshold * d * _SURE clears the threshold for sure;
+        a term of doc below that bound is tested with _centroid_terms' own float test. A term not in
+        doc keeps its total while d grows, so its weight can only fall: a dropped term stays out,
+        and a kept one is tested again once its entry in due falls below the bound. Only kept terms
+        below horizon, the bound at the stream's last d, can ever leave, so only they enter due.
+        """
+        totals, unscaled, due = self.totals, self.unscaled, self.due
+        self.docs.append(doc)
+        d = len(self.docs)
+        totals.update(chain.from_iterable(sentence.terms for sentence in doc.sentences))
+        values = list(map(mul, map(totals.__getitem__, terms), map(idf_of, terms)))
+        unscaled.update(zip(terms, values))
+        limit, still = threshold * d * _SURE, []
+        smallest = min(values, default=math.inf)
+        if smallest < limit:
+            low = list(compress(terms, map(lt, values, repeat(limit))))
+            weights = map(mul, map(truediv, map(totals.__getitem__, low), repeat(d)), map(idf_of, low))
+            for term in compress(low, map(lt, weights, repeat(threshold))):
+                del unscaled[term]
+        if smallest < horizon:
+            near = map(and_, map(lt, values, repeat(horizon)), map(unscaled.__contains__, terms))
+            for entry in compress(zip(values, terms), near):
+                heappush(due, entry)
+        while due and due[0][0] < limit:
+            value, term = heappop(due)
+            if unscaled.get(term) != value:
+                continue  # the term was dropped, or pushed again with a new total
+            if totals[term] / d * idf_of(term) >= threshold:
+                still.append((value, term))
+            else:
+                del unscaled[term]
+        for entry in still:
+            heappush(due, entry)
+        values = unscaled.values()
+        self.norm = math.sqrt(sum(map(mul, values, values)))
+
+
+def _dot(part: dict[str, float], other: dict[str, float]) -> float:
+    """Sum of part[t] * other[t] over the terms the two share, looked up from the shorter one."""
+    if len(other) < len(part):
+        part, other = other, part
+    return sum(map(mul, part.values(), map(other.get, part, repeat(0.0))))
+
+
+def _contenders(
+    vector: dict[str, float], norm: float, clusters: list[_OpenCluster], sim_threshold: float, margin: float
+) -> tuple[float, list[int]]:
+    """The best approximate cosine, and the indices, ascending, of clusters whose exact cosine may be the best.
+
+    A cluster's cosine is at most its products over the document's _HEAD_TERMS largest weights, plus
+    the norm of the other weights times the cluster's norm (Cauchy-Schwarz), over the two norms. The
+    clusters are scored in decreasing bound until a bound widened by margin falls below both the
+    best approximate cosine so far and sim_threshold; the rest are skipped, and so is a cluster whose
+    approximate cosine is below the best by more than margin.
+    """
+    ranked = sorted(vector, key=vector.__getitem__, reverse=True)
+    head = dict(zip(ranked[:_HEAD_TERMS], map(vector.__getitem__, ranked[:_HEAD_TERMS])))
+    tail = dict(zip(ranked[_HEAD_TERMS:], map(vector.__getitem__, ranked[_HEAD_TERMS:])))
+    tail_bound = math.sqrt(sum(map(mul, tail.values(), tail.values()))) / norm
+    live = [i for i, cluster in enumerate(clusters) if cluster.norm]
+    head_dots = [_dot(head, clusters[i].unscaled) for i in live]
+    scales = [norm * clusters[i].norm for i in live]
+    bounds = list(map(add, map(truediv, head_dots, scales), repeat(tail_bound)))
+    best, scored = 0.0, []
+    for j in sorted(range(len(live)), key=bounds.__getitem__, reverse=True):
+        if bounds[j] + margin < max(best, sim_threshold):
+            break
+        cosine = (head_dots[j] + _dot(tail, clusters[live[j]].unscaled)) / scales[j]
+        scored.append((live[j], cosine))
+        best = max(best, cosine)
+    return best, [i for i, cosine in sorted(scored) if cosine >= best - margin]
+
+
 def incremental_cluster(
     documents: Iterable[Document],
     idf: IdfModel,
@@ -184,30 +293,69 @@ def incremental_cluster(
 ) -> list[Cluster]:
     """Stream documents in chronological order into clusters.
 
-    Each document either joins the most similar open cluster (updating its
-    term totals, weights and norm) or opens a new one named c001, c002, ...
+    Each document either joins the most similar open cluster or opens a new one named c001, c002,
+    ... The pick is _best_match's over the clusters' centroid weights, made from fewer products.
+    _contenders ranks the clusters by cosines against their unscaled vectors, which may differ from
+    _best_match's in the last bits, and skips the clusters that cannot be the best. A single
+    contender with a cosine above 0 that clears sim_threshold by the margin is picked. A best of 0
+    picks none, as it does in _best_match: a float sum of positive products is 0 only when it has
+    no terms, so an approximate cosine is 0 exactly when the exact one is. A best below
+    sim_threshold by the margin picks none too. Otherwise _best_match decides over the contenders
+    in creation order, with their weights from _centroid_terms.
+
+    The margin. Every entry of the document vector v, of the unscaled vectors and of the centroid
+    weights is positive, and n bounds the length of each. A sum of k positive floats, in any order
+    (or compensated, as Python's sum is from 3.12), is within (k - 1) * 2**-53 of its real value,
+    relatively, to first order; each product, quotient and square root adds one rounding. So every
+    float cosine here (_best_match's, the approximate one, and the two terms of the bound) is within
+    (3n + 4) * 2**-53 of the real cosine of its float inputs. The unscaled vectors and the centroid
+    weights are within two roundings of the real totals * idf, which moves that cosine by four more.
+    With e = (n + 4) * 2**-51, each float cosine is thus within e of the real cosine c of v and
+    totals * idf, which is at most 1, and the bound is at least c - 2e. The margin is
+    8e = (n + 4) * 2**-48, where 5e would do to first order:
+    - a cluster skipped for the best so far, x, has an exact cosine below that of the cluster that
+      set x (this needs margin > 5e); one skipped for sim_threshold has one below sim_threshold;
+    - a cluster whose approximate cosine is below the best by more than the margin has an exact
+      cosine below the best cluster's (4e);
+    - an approximate cosine above y + margin, or below y - margin, means an exact one above, or
+      below, y (2e).
     """
     _require_finite(sim_threshold=sim_threshold, centroid_threshold=centroid_threshold)
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
     idf_of = functools.cache(idf.idf)  # each term's idf is looked up once per run
-    members: dict[str, tuple[list[Document], Counter]] = {}
-    vectors: dict[str, tuple[str, dict[str, float], float]] = {}  # creation order breaks ties
+    horizon = centroid_threshold * len(ordered) * _SURE
+    members: dict[str, _OpenCluster] = {}  # creation order breaks ties
+    longest = 0  # the most terms a cluster has counted, so at least any cluster vector's length
     for doc in ordered:
-        target = _best_match(_document_vector(doc, idf_of), vectors.values(), sim_threshold)
+        vector = _document_vector(doc, idf_of)
+        squares = sum(map(mul, vector.values(), vector.values()))
+        target = None
+        if squares:  # a document without terms has cosine 0 with every cluster
+            clusters = list(members.values())
+            margin = (len(vector) + longest + 4) * 2.0**-48
+            best, contenders = _contenders(vector, math.sqrt(squares), clusters, sim_threshold, margin)
+            if len(contenders) == 1 and best > 0 and best - margin >= sim_threshold:
+                target = f"c{contenders[0] + 1:03d}"
+            elif best > 0 and best + margin >= sim_threshold:
+                candidates = []
+                for i in contenders:
+                    terms, _, _, column = _centroid_terms(
+                        clusters[i].totals, len(clusters[i].docs), idf_of, centroid_threshold
+                    )
+                    weights = dict(zip(terms, column))
+                    candidates.append((f"c{i + 1:03d}", weights, _norm(weights)))
+                target = _best_match(vector, candidates, sim_threshold)
         if target is None:
             target = f"c{len(members) + 1:03d}"
-            members[target] = ([], Counter())
-        elif any(member.doc_id == doc.doc_id for member in members[target][0]):
+            members[target] = _OpenCluster()
+        elif any(member.doc_id == doc.doc_id for member in members[target].docs):
             raise ClusterParseError(
                 f"cluster {reprlib.repr(target)}: duplicate document id {reprlib.repr(doc.doc_id)}"
             )
-        docs, totals = members[target]
-        docs.append(doc)
-        totals.update(chain.from_iterable(sentence.terms for sentence in doc.sentences))
-        terms, _, _, column = _centroid_terms(totals, len(docs), idf_of, centroid_threshold)
-        weights = dict(zip(terms, column))
-        vectors[target] = (target, weights, _norm(weights))
-    return [Cluster.build(cid, docs) for cid, (docs, _) in members.items()]
+        cluster = members[target]
+        cluster.add(doc, list(vector), idf_of, centroid_threshold, horizon)
+        longest = max(longest, len(cluster.totals))
+    return [Cluster.build(cid, cluster.docs) for cid, cluster in members.items()]
 
 
 def save_idf(model: IdfModel, path: str | Path) -> None:

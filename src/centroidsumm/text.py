@@ -26,9 +26,9 @@ The loaders check whole arrays at once and format an error message only when
 a check fails; the message names the first bad element.
 
 Every JSON file of the pipeline is read through `read_json`, which names a
-file that does not decode, and written in one layout: through `write_json`,
-or, for extract files, through `summarizer.extract_json`, which gives the
-same bytes from a row template.
+file that does not decode or that names a key twice in one object, and
+written in one layout: through `write_json`, or, for extract files, through
+`summarizer.extract_json`, which gives the same bytes from a row template.
 
 All types are immutable after construction and safe to share across threads
 (two threads that read `counts` first at once may each build the same map).
@@ -328,13 +328,37 @@ def cluster_from_dict(data: object, where: str = "cluster") -> Cluster:
         raise ClusterParseError(f"{where}: {exc}") from None
 
 
+class _DuplicateKey(ValueError):
+    """A JSON object names one key twice; json.loads alone would keep the last value."""
+
+
+def _first_repeat(values: list) -> int | None:
+    """Index of the first value equal to an earlier one, or None when all differ."""
+    if len(set(values)) == len(values):
+        return None
+    seen: set = set()
+    return next(i for i, value in enumerate(values) if value in seen or seen.add(value))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: the object, unless a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise _DuplicateKey(f"duplicate key {reprlib.repr(keys[_first_repeat(keys)])}")
+    return obj
+
+
 def read_json(path: str | Path) -> object:
     """The decoded value of a UTF-8 JSON file; a ValueError starting with the path if it does not decode.
 
-    OSError passes through: its message already names the file.
+    An object that names a key twice does not decode either. OSError passes through: its message
+    already names the file.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except _DuplicateKey as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 

@@ -612,7 +612,7 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--annotations", str(bad), "--r", "0.5"]) == 2
 
     def test_wrong_size_extract_exits_3(self, quad_judges, tmp_path, capsys):
-        for selected in ([1, 2, 3], [], [2, 2]):
+        for selected in ([1, 2, 3], [], [2]):
             extract_file = tmp_path / "triple.json"
             write_json({"cluster_id": "quad", "selected": selected}, extract_file)
             assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
@@ -1251,6 +1251,74 @@ class TestStrictNumbers:
         assert main([*args, "--subsumption", str(late), "--out", str(tmp_path / "out")]) == 3
         assert f"{late}: subsumption position" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestOneJudgeOneVote:
+    """A key, an extract position or a judge given twice is an error, never a silent last-one-wins or double count."""
+
+    def test_duplicate_json_key_exits_2(self, quad_judges, tmp_path, capsys):
+        odd = tmp_path / "odd.json"
+        odd.write_text('{"judge_id": "D", "cluster_id": "quad", "judge_id": "A", "utilities": [5, 3, 1, 0]}')
+        out = tmp_path / "out"
+        assert main(["agreement", "--mode", "cbsu", "--annotations", *quad_judges, str(odd), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {odd}: duplicate key 'judge_id'\n"
+        assert not out.exists()
+
+    def test_duplicate_key_in_a_nested_object_exits_2(self, news_cluster_path, tmp_path, capsys):
+        idf_path = tmp_path / "idf.json"
+        idf_path.write_text('{"n_docs": 3, "df": {"flood": 1, "river": 2, "flood": 3}}')
+        args = ["summarize", str(news_cluster_path), "--idf", str(idf_path), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {idf_path}: duplicate key 'flood'\n"
+
+    def test_subsumption_key_with_a_leading_zero_exits_2(self, quad_judges, tmp_path, capsys):
+        marks = tmp_path / "marks.json"
+        write_json({"judge_id": "S", "cluster_id": "quad", "subsumers": {"2": [1], "02": [3]}}, marks)
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        args += ["--subsumption", str(marks), "--agreement-threshold", "1", "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert f"error: {marks}: subsumers['02']: " in capsys.readouterr().err
+
+    def test_repeated_extract_position_exits_2(self, quad_judges, tmp_path, capsys):
+        extract_file = tmp_path / "twice.json"
+        write_json({"cluster_id": "quad", "selected": [1, 1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {extract_file}: selected[1]: position 1 is selected twice\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "agreement"])
+    def test_utility_judge_given_twice_exits_3(self, quad_judges, tmp_path, capsys, command):
+        again = tmp_path / "again.json"
+        save_utility_annotation(UtilityAnnotation("J2", "quad", (1, 2, 3, 4)), again)
+        args = TestJudgeFiles.judge_args(command, [*quad_judges, str(again)], tmp_path)
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {again}: judge 'J2' is already the judge of {quad_judges[1]}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_same_utility_file_twice_exits_3(self, quad_judges, tmp_path, capsys):
+        args = ["agreement", "--mode", "cbsu", "--annotations", quad_judges[0], quad_judges[0]]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        expected = f"{quad_judges[0]}: judge 'J1' is already the judge of {quad_judges[0]}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_same_subsumption_file_thrice_exits_3(self, quad_judges, tmp_path, capsys):
+        marks = tmp_path / "marks.json"
+        save_subsumption_annotation(SubsumptionAnnotation("S", "quad", {3: frozenset({1})}), marks)
+        extract_file = tmp_path / "s13.json"
+        write_json({"cluster_id": "quad", "selected": [1, 3]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        args += ["--subsumption", *[str(marks)] * 3, "--agreement-threshold", "3", "--E", "0"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {marks}: judge 'S' is already the judge of {marks}\n"
+
+    def test_csis_agreement_judge_given_twice_exits_3(self, subsumption_files, tmp_path, capsys):
+        args = ["agreement", "--mode", "csis", "--annotations", *subsumption_files, subsumption_files[2]]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        expected = f"{subsumption_files[2]}: judge 'J3' is already the judge of {subsumption_files[2]}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 class TestFailedRunsLeaveNothing:

@@ -1,10 +1,11 @@
 """Fuzz tests of the command line: malformed input files and flag values.
 
 Each example runs one subcommand through main() in-process, with one of its
-input files corrupted (truncated, deeply nested, not UTF-8, or with one value
-of the wrong JSON type), with its flags drawn at random, or with a cluster id
-drawn from pieces that break a file name. Whatever the input, the command
-exits 0, 2 or 3. A failure prints exactly one stderr line, which
+input files corrupted (truncated, deeply nested, not UTF-8, with one value of
+the wrong JSON type, or with one object naming a key twice), with its flags
+drawn at random, or with a cluster id drawn from pieces that break a file
+name. Whatever the input, the command exits 0, 2 or 3; a key named twice
+always exits 2. A failure prints exactly one stderr line, which
 starts with "error:" and, for a corrupted file, names that file; it prints no
 traceback and leaves no --out directory behind.
 """
@@ -12,6 +13,7 @@ traceback and leaves no --out directory behind.
 import contextlib
 import io
 import json
+import reprlib
 import shutil
 import tempfile
 from pathlib import Path
@@ -154,6 +156,41 @@ def test_corrupted_input_file(inputs, data):
         (workdir / culprit).write_bytes(data.draw(corrupted((inputs / culprit).read_bytes())))
         code, err = run(workdir, argv)
         check_outcome(code, err, workdir, culprit)
+
+
+@st.composite
+def duplicated_key(draw, raw: bytes) -> tuple[bytes, str]:
+    """A valid JSON file's bytes with one key of one of its objects given again, after the first, and that key."""
+    document = json.loads(raw)
+    objects = []
+    for path in value_paths(document):
+        value = document
+        for key in path:
+            value = value[key]
+        if isinstance(value, dict) and value:
+            objects.append((path, value))
+    path, obj = draw(st.sampled_from(objects))
+    key = draw(st.sampled_from(sorted(obj)))
+    marker = "\0again"
+    text = json.dumps(replaced(document, path, {**obj, marker: None}))
+    again = f"{json.dumps(key)}: {json.dumps(draw(json_values))}"
+    return text.replace(f"{json.dumps(marker)}: null", again).encode(), key
+
+
+@given(data=st.data())
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_duplicate_key_in_input_file(inputs, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv, files = COMMANDS[command]
+    culprit = data.draw(st.sampled_from(files))
+    raw, key = data.draw(duplicated_key((inputs / culprit).read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp) / "work"
+        shutil.copytree(inputs, workdir)
+        (workdir / culprit).write_bytes(raw)
+        code, err = run(workdir, argv)
+        assert (code, err) == (2, f"error: {workdir / culprit}: duplicate key {reprlib.repr(key)}\n")
+        assert not (workdir / "out").exists()
 
 
 numbers = st.floats().map(repr) | st.integers(-3, 200).map(str) | st.sampled_from(["1e308", "-0", "1e-320"])
