@@ -35,7 +35,7 @@ from math import comb, fsum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .text import _Record, _all_json_ints, _json_int, _json_str, compression_size, read_json
+from .text import _Record, _all_json_ints, _first_repeat, _json_int, _json_str, compression_size, read_json
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -178,7 +178,7 @@ def extract_utility(
 
 
 def _one_cluster(annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation], minimum: int) -> str:
-    """The one judge-set check: at least `minimum` judges, all of one cluster (its id returned)."""
+    """The one judge-set check: at least `minimum` distinct judges, all of one cluster (its id returned)."""
     if len(annotations) < minimum:
         raise EvaluationError(f"need at least {minimum} judge{'s' if minimum > 1 else ''}")
     cluster_id = annotations[0].cluster_id
@@ -187,6 +187,10 @@ def _one_cluster(annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation
             raise EvaluationError(
                 f"annotations mix clusters {reprlib.repr(cluster_id)} and {reprlib.repr(ann.cluster_id)}"
             )
+    ids = [ann.judge_id for ann in annotations]
+    repeat = _first_repeat(ids)
+    if repeat is not None:  # one judge given twice would count twice in every mean over judges
+        raise EvaluationError(f"judge {reprlib.repr(ids[repeat])} is given more than once")
     return cluster_id
 
 

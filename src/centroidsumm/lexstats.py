@@ -6,11 +6,14 @@ in a cluster. Incremental clustering streams documents in chronological
 order into the most similar open cluster (cosine over count*IDF vectors) or
 a new one. An open cluster keeps running integer term totals, in the key
 order a rebuild would give, and totals * IDF over the terms its centroid
-keeps; an assignment updates only the joining document's terms. Cosines
-against those vectors skip the clusters that cannot be the best, and near
-ties fall back to the rebuilt centroids. Every decision, and so every
-cluster file, is the one a rebuild gives; the cosines behind a decision may
-differ in the last bits, and never reach an output.
+keeps; an assignment counts the joining document once and updates only
+its terms. An index from each term to the open clusters whose totals hold it
+gives every cluster's products over a document's heaviest terms, walking only
+the clusters that hold them; those products bound each cosine, the bounds
+skip the clusters that cannot be the best, and near ties fall back to the
+rebuilt centroids. Every decision, and so every cluster file, is the one a
+rebuild gives; the cosines behind a decision may differ in the last bits, and
+never reach an output.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import functools
 import math
 import reprlib
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from heapq import heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, and_, ge, lt, mul, truediv
+from operator import add, and_, ge, lt, mul, not_, truediv
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .text import Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, read_json, write_json
 
@@ -179,9 +182,10 @@ def assign_document(
     return _best_match(_document_vector(doc, idf.idf), candidates, sim_threshold)
 
 
-# The document terms whose products with a cluster enter its cosine bound; the other terms enter it
-# through their norm. On the benchmark's 190-term documents, 48 leaves 2,169 of 10,543 products to
-# compute; 32 makes as many dict lookups in all but computes 2,580.
+# The document terms whose products with a cluster enter its cosine bound, summed over the term index;
+# the other terms enter it through their norm. On the benchmark's 190-term documents (seed 1), 48
+# walks 25,163 (term, cluster) pairs and leaves 2,169 of 10,543 cosines to finish; 96 walks 108,993
+# pairs and still leaves 2,010.
 _HEAD_TERMS = 48
 
 # A term whose unscaled weight is at least threshold * d * _SURE clears the threshold at d for sure:
@@ -202,38 +206,47 @@ class _OpenCluster:
 
     def __init__(self) -> None:
         self.docs: list[Document] = []
-        self.totals: Counter = Counter()
+        self.totals: dict[str, int] = {}
         self.unscaled: dict[str, float] = {}
         self.norm = 0.0
         self.due: list[tuple[float, str]] = []
 
     def add(
-        self, doc: Document, terms: list[str], idf_of: Callable[[str], float], threshold: float, horizon: float
-    ) -> None:
-        """Count doc, whose distinct terms are terms, then restore the kept set, the vector and its norm.
+        self,
+        doc: Document,
+        counts: Counter,
+        idfs: list[float],
+        idf_of: Callable[[str], float],
+        threshold: float,
+        horizon: float,
+    ) -> Iterator[str]:
+        """Add doc, given its term counts and their idfs in the same order; return the terms new to totals.
 
-        A term whose unscaled weight is at least threshold * d * _SURE clears the threshold for sure;
-        a term of doc below that bound is tested with _centroid_terms' own float test. A term not in
-        doc keeps its total while d grows, so its weight can only fall: a dropped term stays out,
-        and a kept one is tested again once its entry in due falls below the bound. Only kept terms
-        below horizon, the bound at the stream's last d, can ever leave, so only they enter due.
+        The counts update totals; then the kept set, the vector and its norm are restored. A term
+        whose unscaled weight is at least threshold * d * _SURE clears the threshold for sure; a term
+        of doc below that bound is tested with _centroid_terms' own float test. A term not in doc
+        keeps its total while d grows, so its weight can only fall: a dropped term stays out, and a
+        kept one is tested again once its entry in due falls below the bound. Only kept terms below
+        horizon, the bound at the stream's last d, can ever leave, so only they enter due.
         """
         totals, unscaled, due = self.totals, self.unscaled, self.due
         self.docs.append(doc)
         d = len(self.docs)
-        totals.update(chain.from_iterable(sentence.terms for sentence in doc.sentences))
-        values = list(map(mul, map(totals.__getitem__, terms), map(idf_of, terms)))
-        unscaled.update(zip(terms, values))
+        before = list(map(totals.get, counts, repeat(0)))
+        after = list(map(add, before, counts.values()))
+        totals.update(zip(counts, after))  # new terms in first-occurrence order, as counting the tokens gives
+        values = list(map(mul, after, idfs))
+        unscaled.update(zip(counts, values))
         limit, still = threshold * d * _SURE, []
         smallest = min(values, default=math.inf)
         if smallest < limit:
-            low = list(compress(terms, map(lt, values, repeat(limit))))
-            weights = map(mul, map(truediv, map(totals.__getitem__, low), repeat(d)), map(idf_of, low))
-            for term in compress(low, map(lt, weights, repeat(threshold))):
+            low = list(map(lt, values, repeat(limit)))
+            weights = map(mul, map(truediv, compress(after, low), repeat(d)), compress(idfs, low))
+            for term in compress(compress(counts, low), map(lt, weights, repeat(threshold))):
                 del unscaled[term]
         if smallest < horizon:
-            near = map(and_, map(lt, values, repeat(horizon)), map(unscaled.__contains__, terms))
-            for entry in compress(zip(values, terms), near):
+            near = map(and_, map(lt, values, repeat(horizon)), map(unscaled.__contains__, counts))
+            for entry in compress(zip(values, counts), near):
                 heappush(due, entry)
         while due and due[0][0] < limit:
             value, term = heappop(due)
@@ -245,44 +258,101 @@ class _OpenCluster:
                 del unscaled[term]
         for entry in still:
             heappush(due, entry)
-        values = unscaled.values()
-        self.norm = math.sqrt(sum(map(mul, values, values)))
+        self.norm = math.hypot(*unscaled.values())
+        return compress(counts, map(not_, before))
 
 
-def _dot(part: dict[str, float], other: dict[str, float]) -> float:
-    """Sum of part[t] * other[t] over the terms the two share, looked up from the shorter one."""
-    if len(other) < len(part):
-        part, other = other, part
-    return sum(map(mul, part.values(), map(other.get, part, repeat(0.0))))
+class _Stream:
+    """The open clusters of one incremental_cluster run, in creation order, and the term index.
 
-
-def _contenders(
-    vector: dict[str, float], norm: float, clusters: list[_OpenCluster], sim_threshold: float, margin: float
-) -> tuple[float, list[int]]:
-    """The best approximate cosine, and the indices, ascending, of clusters whose exact cosine may be the best.
-
-    A cluster's cosine is at most its products over the document's _HEAD_TERMS largest weights, plus
-    the norm of the other weights times the cluster's norm (Cauchy-Schwarz), over the two norms. The
-    clusters are scored in decreasing bound until a bound widened by margin falls below both the
-    best approximate cosine so far and sim_threshold; the rest are skipped, and so is a cluster whose
-    approximate cosine is below the best by more than margin.
+    holders[t] lists the indices of the open clusters whose totals hold t; a cluster enters it when
+    t first enters its totals, and totals never lose a term.
     """
-    ranked = sorted(vector, key=vector.__getitem__, reverse=True)
-    head = dict(zip(ranked[:_HEAD_TERMS], map(vector.__getitem__, ranked[:_HEAD_TERMS])))
-    tail = dict(zip(ranked[_HEAD_TERMS:], map(vector.__getitem__, ranked[_HEAD_TERMS:])))
-    tail_bound = math.sqrt(sum(map(mul, tail.values(), tail.values()))) / norm
-    live = [i for i, cluster in enumerate(clusters) if cluster.norm]
-    head_dots = [_dot(head, clusters[i].unscaled) for i in live]
-    scales = [norm * clusters[i].norm for i in live]
-    bounds = list(map(add, map(truediv, head_dots, scales), repeat(tail_bound)))
-    best, scored = 0.0, []
-    for j in sorted(range(len(live)), key=bounds.__getitem__, reverse=True):
-        if bounds[j] + margin < max(best, sim_threshold):
-            break
-        cosine = (head_dots[j] + _dot(tail, clusters[live[j]].unscaled)) / scales[j]
-        scored.append((live[j], cosine))
-        best = max(best, cosine)
-    return best, [i for i, cosine in sorted(scored) if cosine >= best - margin]
+
+    __slots__ = ("clusters", "holders", "idf_of", "sim_threshold", "centroid_threshold", "horizon", "longest")
+
+    def __init__(self, idf_of: Callable[[str], float], sim_threshold: float, centroid_threshold: float, n_docs: int):
+        self.clusters: list[_OpenCluster] = []
+        self.holders: defaultdict[str, list[int]] = defaultdict(list)
+        self.idf_of, self.sim_threshold, self.centroid_threshold = idf_of, sim_threshold, centroid_threshold
+        self.horizon = centroid_threshold * n_docs * _SURE  # the sure bound at the largest d of n_docs documents
+        self.longest = 0  # the most terms a cluster has counted, so at least any cluster vector's length
+
+    def place(self, doc: Document) -> None:
+        """Add doc to the cluster incremental_cluster picks for it, or to a new one."""
+        clusters, idf_of, sim_threshold = self.clusters, self.idf_of, self.sim_threshold
+        counts = Counter(chain.from_iterable(sentence.terms for sentence in doc.sentences))
+        terms, idfs = list(counts), list(map(idf_of, counts))
+        weights = list(map(mul, counts.values(), idfs))  # the document's count * idf vector
+        norm = math.hypot(*weights)
+        target = None
+        if norm:  # a document without terms has cosine 0 with every cluster
+            margin = (len(terms) + self.longest + 4) * 2.0**-48
+            best, contenders = self.contenders(terms, weights, norm, margin)
+            if len(contenders) == 1 and best > 0 and best - margin >= sim_threshold:
+                target = contenders[0]
+            elif best > 0 and best + margin >= sim_threshold:
+                candidates = []
+                for i in contenders:
+                    kept, _, _, column = _centroid_terms(
+                        clusters[i].totals, len(clusters[i].docs), idf_of, self.centroid_threshold
+                    )
+                    centroid = dict(zip(kept, column))
+                    candidates.append((i, centroid, _norm(centroid)))
+                target = _best_match(dict(zip(terms, weights)), candidates, sim_threshold)
+        if target is None:
+            target = len(clusters)
+            clusters.append(_OpenCluster())
+        elif any(member.doc_id == doc.doc_id for member in clusters[target].docs):
+            raise ClusterParseError(
+                f"cluster {reprlib.repr(_cluster_id(target))}: duplicate document id {reprlib.repr(doc.doc_id)}"
+            )
+        cluster, holders = clusters[target], self.holders
+        for term in cluster.add(doc, counts, idfs, idf_of, self.centroid_threshold, self.horizon):
+            holders[term].append(target)
+        self.longest = max(self.longest, len(cluster.totals))
+
+    def contenders(self, terms: list[str], weights: list[float], norm: float, margin: float) -> tuple[float, list[int]]:
+        """The best approximate cosine, and the indices, ascending, of clusters whose exact cosine may be the best.
+
+        terms and weights are the document's vector, and norm its norm. A cluster's cosine is at most
+        its products over the document's _HEAD_TERMS largest weights, plus the norm of the other
+        weights times the cluster's norm (Cauchy-Schwarz), over the two norms. The head products are
+        summed term by term over the clusters that holders lists for each head term, as a cluster
+        that does not hold a term has a product of 0 with it. The clusters are scored in decreasing
+        bound until a bound widened by margin falls below both the best approximate cosine so far
+        and sim_threshold; the rest are skipped, and so is a cluster whose approximate cosine is
+        below the best by more than margin.
+        """
+        ranked = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+        tail = list(map(terms.__getitem__, ranked[_HEAD_TERMS:]))
+        tail_weights = list(map(weights.__getitem__, ranked[_HEAD_TERMS:]))
+        tail_bound = math.hypot(*tail_weights) / norm
+        vectors = [cluster.unscaled for cluster in self.clusters]
+        norms = [cluster.norm for cluster in self.clusters]
+        head_sums = [0.0] * len(vectors)
+        holders = self.holders
+        for j in ranked[:_HEAD_TERMS]:
+            term, weight = terms[j], weights[j]
+            for i in holders.get(term, ()):
+                head_sums[i] += weight * vectors[i].get(term, 0.0)
+        live = list(compress(range(len(norms)), norms))  # a cluster of norm 0 has cosine 0
+        sums = list(map(head_sums.__getitem__, live))
+        scales = list(map(mul, repeat(norm), compress(norms, norms)))
+        bounds = list(map(add, map(truediv, sums, scales), repeat(tail_bound)))
+        best, scored = 0.0, []
+        for j in sorted(range(len(live)), key=bounds.__getitem__, reverse=True):
+            if bounds[j] + margin < max(best, self.sim_threshold):
+                break
+            get = vectors[live[j]].get
+            cosine = (sums[j] + sum(map(mul, tail_weights, map(get, tail, repeat(0.0))))) / scales[j]
+            scored.append((live[j], cosine))
+            best = max(best, cosine)
+        return best, [i for i, cosine in sorted(scored) if cosine >= best - margin]
+
+
+def _cluster_id(index: int) -> str:
+    return f"c{index + 1:03d}"
 
 
 def incremental_cluster(
@@ -295,18 +365,19 @@ def incremental_cluster(
 
     Each document either joins the most similar open cluster or opens a new one named c001, c002,
     ... The pick is _best_match's over the clusters' centroid weights, made from fewer products.
-    _contenders ranks the clusters by cosines against their unscaled vectors, which may differ from
-    _best_match's in the last bits, and skips the clusters that cannot be the best. A single
-    contender with a cosine above 0 that clears sim_threshold by the margin is picked. A best of 0
-    picks none, as it does in _best_match: a float sum of positive products is 0 only when it has
-    no terms, so an approximate cosine is 0 exactly when the exact one is. A best below
+    _Stream.contenders ranks the clusters by cosines against their unscaled vectors, which may
+    differ from _best_match's in the last bits, and skips the clusters that cannot be the best. A
+    single contender with a cosine above 0 that clears sim_threshold by the margin is picked. A
+    best of 0 picks none, as it does in _best_match: a float sum of positive products is 0 only
+    when it has no terms, so an approximate cosine is 0 exactly when the exact one is. A best below
     sim_threshold by the margin picks none too. Otherwise _best_match decides over the contenders
     in creation order, with their weights from _centroid_terms.
 
     The margin. Every entry of the document vector v, of the unscaled vectors and of the centroid
     weights is positive, and n bounds the length of each. A sum of k positive floats, in any order
     (or compensated, as Python's sum is from 3.12), is within (k - 1) * 2**-53 of its real value,
-    relatively, to first order; each product, quotient and square root adds one rounding. So every
+    relatively, to first order; each product, quotient and square root adds one rounding, and
+    math.hypot, which the approximate norms use, is within one ulp of the real norm. So every
     float cosine here (_best_match's, the approximate one, and the two terms of the bound) is within
     (3n + 4) * 2**-53 of the real cosine of its float inputs. The unscaled vectors and the centroid
     weights are within two roundings of the real totals * idf, which moves that cosine by four more.
@@ -322,40 +393,11 @@ def incremental_cluster(
     """
     _require_finite(sim_threshold=sim_threshold, centroid_threshold=centroid_threshold)
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
-    idf_of = functools.cache(idf.idf)  # each term's idf is looked up once per run
-    horizon = centroid_threshold * len(ordered) * _SURE
-    members: dict[str, _OpenCluster] = {}  # creation order breaks ties
-    longest = 0  # the most terms a cluster has counted, so at least any cluster vector's length
+    # each term's idf is looked up once per run
+    stream = _Stream(functools.cache(idf.idf), sim_threshold, centroid_threshold, len(ordered))
     for doc in ordered:
-        vector = _document_vector(doc, idf_of)
-        squares = sum(map(mul, vector.values(), vector.values()))
-        target = None
-        if squares:  # a document without terms has cosine 0 with every cluster
-            clusters = list(members.values())
-            margin = (len(vector) + longest + 4) * 2.0**-48
-            best, contenders = _contenders(vector, math.sqrt(squares), clusters, sim_threshold, margin)
-            if len(contenders) == 1 and best > 0 and best - margin >= sim_threshold:
-                target = f"c{contenders[0] + 1:03d}"
-            elif best > 0 and best + margin >= sim_threshold:
-                candidates = []
-                for i in contenders:
-                    terms, _, _, column = _centroid_terms(
-                        clusters[i].totals, len(clusters[i].docs), idf_of, centroid_threshold
-                    )
-                    weights = dict(zip(terms, column))
-                    candidates.append((f"c{i + 1:03d}", weights, _norm(weights)))
-                target = _best_match(vector, candidates, sim_threshold)
-        if target is None:
-            target = f"c{len(members) + 1:03d}"
-            members[target] = _OpenCluster()
-        elif any(member.doc_id == doc.doc_id for member in members[target].docs):
-            raise ClusterParseError(
-                f"cluster {reprlib.repr(target)}: duplicate document id {reprlib.repr(doc.doc_id)}"
-            )
-        cluster = members[target]
-        cluster.add(doc, list(vector), idf_of, centroid_threshold, horizon)
-        longest = max(longest, len(cluster.totals))
-    return [Cluster.build(cid, cluster.docs) for cid, cluster in members.items()]
+        stream.place(doc)
+    return [Cluster.build(_cluster_id(i), cluster.docs) for i, cluster in enumerate(stream.clusters)]
 
 
 def save_idf(model: IdfModel, path: str | Path) -> None:

@@ -27,8 +27,9 @@ a check fails; the message names the first bad element.
 
 Every JSON file of the pipeline is read through `read_json`, which names a
 file that does not decode or that names a key twice in one object, and
-written in one layout: through `write_json`, or, for extract files, through
-`summarizer.extract_json`, which gives the same bytes from a row template.
+written in one layout: through `write_json`, or, for cluster and extract
+files, through `write_cluster` and `summarizer.extract_json`, which give the
+same bytes from templates.
 
 All types are immutable after construction and safe to share across threads
 (two threads that read `counts` first at once may each build the same map).
@@ -45,6 +46,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -58,8 +60,9 @@ class ClusterParseError(ValueError):
 _WORD_RE = re.compile(
     r"[^\W_]+(?:[\u0300-\u036f\u1ab0-\u1aff\u1dc0-\u1dff\u20d0-\u20ff\ufe20-\ufe2f]+[^\W_]*)*"
 )
-# The same words in lowercased ASCII text, where no combining mark can occur.
-_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
+# For ASCII text, where no combining mark can occur: bytes.translate lowercases A-Z and turns every
+# byte that is not a letter or digit into a space, so the words are what str.split leaves.
+_ASCII_WORDS = bytes(ord(char.lower()) if char.isascii() and char.isalnum() else 32 for char in map(chr, range(256)))
 # YYYY-MM-DD[Thh:mm[:ss[.f]]][Z|+hh:mm|-hh:mm], .f being 1 to 6 digits; a space may replace T.
 _TIMESTAMP_RE = re.compile(
     r"(\d{4}-\d\d-\d\d)(?:[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?)?(Z|[+-]\d\d:[0-5]\d)?",
@@ -226,10 +229,11 @@ def tokenize(text: str) -> list[str]:
     decomposed text keeps its words whole: "cafe" plus U+0301 is one term.
     Each match is lowercased on its own. A lowercase form with a combining
     mark, such as that of "İ" (i plus U+0307), stays one word, so tokenizing
-    the joined output again gives the same terms. ASCII text is lowercased
-    whole and then split on [a-z0-9]+, which gives the same terms faster:
-    there its letters and digits are exactly [A-Za-z0-9], and it holds no
-    combining marks.
+    the joined output again gives the same terms. ASCII text takes a faster
+    path that gives the same terms: there letters and digits are exactly
+    [A-Za-z0-9] and no combining mark occurs, so one `bytes.translate`
+    lowercases A-Z and turns every other byte into a space, and `str.split`
+    returns the words.
 
     Every term is interned (`sys.intern`), so equal terms are one object in
     the whole process; on CPython 3.12 that object is never freed.
@@ -240,7 +244,7 @@ def tokenize(text: str) -> list[str]:
 def _terms(text: str) -> Iterator[str]:
     """tokenize's interned terms, lazily, so Sentence builds its tuple in one pass."""
     if text.isascii():
-        return map(sys.intern, _ASCII_WORD_RE.findall(text.lower()))
+        return map(sys.intern, text.encode("ascii").translate(_ASCII_WORDS).decode("ascii").split())
     return map(sys.intern, map(str.lower, _WORD_RE.findall(text)))
 
 
@@ -393,5 +397,28 @@ def cluster_to_dict(cluster: Cluster) -> dict:
     }
 
 
+# write_json's layout of a cluster file and of each of its documents, keys in sorted order
+_CLUSTER_JSON = '{{\n  "cluster_id": {},\n  "documents": [\n{}\n  ]\n}}\n'
+_DOCUMENT_JSON = (
+    '    {{\n      "doc_id": {},\n      "sentences": [\n        {}\n      ],\n      "source": {},\n'
+    '      "timestamp": {}\n    }}'
+)
+
+
 def write_cluster(cluster: Cluster, path: str | Path) -> None:
-    write_json(cluster_to_dict(cluster), path)
+    """Write write_json's bytes for cluster_to_dict(cluster), laid out from templates.
+
+    json's indented encoder is pure Python; here only the strings go through json's C escaper. A
+    cluster and each of its documents are never empty, so no array is written as [].
+    """
+    quote = encode_basestring_ascii
+    documents = ",\n".join(
+        _DOCUMENT_JSON.format(
+            quote(doc.doc_id),
+            ",\n        ".join([quote(sentence.text) for sentence in doc.sentences]),
+            quote(doc.source),
+            quote(doc.timestamp.isoformat()),
+        )
+        for doc in cluster.documents
+    )
+    Path(path).write_text(_CLUSTER_JSON.format(quote(cluster.cluster_id), documents), encoding="utf-8")

@@ -134,6 +134,21 @@ class TestCrossJudge:
         with pytest.raises(EvaluationError, match="annotated 3 sentences"):
             cross_judge_matrix(judges + [other], 0.5)
 
+    def test_rejects_a_judge_given_twice(self, judges, subsumption_judges):
+        """A judge given twice would count twice in every mean over judges (agreement would read 1.0)."""
+        calls = [
+            lambda: agreement_curve([judges[0], judges[0]], [0.25, 0.5]),
+            lambda: cross_judge_matrix(judges + judges[:1], 0.5),
+            lambda: build_report(judges + judges[:1], {"system": (1, 2)}, 0.5),
+            lambda: system_performance((1, 2), judges + judges[:1]),
+            lambda: csis_consensus(subsumption_judges + subsumption_judges[:1], 1),
+            lambda: csis_agreement_tally(subsumption_judges + subsumption_judges[:1]),
+        ]
+        for call in calls:
+            with pytest.raises(EvaluationError, match="^judge 'J1' is given more than once$"):
+                call()
+        assert agreement_curve(judges, [0.25, 0.5]) == [(0.25, 0.702), (0.5, 0.841)]  # distinct judges
+
     def test_huge_ids_and_labels_are_quoted_short(self, judges):
         huge = "J" * 1_000_000
         calls = [

@@ -554,21 +554,61 @@ def test_clustering_equals_reference_on_known_ties(seed):
     check_tie_case(seed)
 
 
-@given(seeds, st.sampled_from(THRESHOLD_MULTIPLES))
+# Tie streams on which the exact fallback picks an open cluster at a centroid threshold above 0, so
+# the joining document is then added with its own terms after the fallback has built centroids.
+@pytest.mark.parametrize("seed", [0, 7, 15, 24, 30])
+def test_clustering_equals_reference_after_the_fallback_joins(seed, monkeypatch):
+    docs, idf, sim_threshold, centroid_threshold = tie_case(random.Random(seed))
+    picks = []
+
+    def recording_best_match(*args):
+        picks.append(best_match(*args))
+        return picks[-1]
+
+    best_match = lexstats._best_match
+    monkeypatch.setattr(lexstats, "_best_match", recording_best_match)
+    got = cs.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
+    assert centroid_threshold > 0 and any(pick is not None for pick in picks)
+    assert got == oracle.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
+
+
+def add_document(cluster, doc, idf, threshold, horizon):
+    """_OpenCluster.add with the document's term counts and idfs, as _Stream.place passes them."""
+    counts = Counter(term for sentence in doc.sentences for term in sentence.terms)
+    return cluster.add(doc, counts, list(map(idf.idf, counts)), idf.idf, threshold, horizon)
+
+
+@given(seeds, st.sampled_from(THRESHOLD_MULTIPLES), st.sampled_from([0.0, 0.3, 0.9]))
 @settings(max_examples=examples(150), deadline=None)
-def test_running_vector_keeps_the_centroid_terms(seed, multiple):
-    """After each document, an open cluster's unscaled vector holds exactly its centroid's terms, at totals * idf."""
+def test_running_vector_keeps_the_centroid_terms(seed, multiple, sim_threshold):
+    """After each document, every open cluster holds its centroid's terms, and the index its clusters.
+
+    The joining cluster's unscaled vector holds exactly its centroid's terms, at totals * idf, and
+    holders lists, for every term, exactly the open clusters whose documents hold it, in the
+    clusters and order of the reference run.
+    """
     rng = random.Random(seed)
     docs, idf = tie_stream(rng), tie_idf_model(rng)
     threshold = multiple * idf.idf("")
-    horizon = threshold * len(docs) * lexstats._SURE
-    cluster = lexstats._OpenCluster()
-    for j, doc in enumerate(docs, 1):
-        cluster.add(doc, list(lexstats._document_vector(doc, idf.idf)), idf.idf, threshold, horizon)
-        expected = oracle.build_centroid(cs.Cluster.build("c", docs[:j]), idf, threshold)
+    reference = oracle.incremental_cluster(docs, idf, sim_threshold, threshold)
+    placed = {doc.doc_id: i for i, cluster in enumerate(reference) for doc in cluster.documents}
+    stream = lexstats._Stream(idf.idf, sim_threshold, threshold, len(docs))
+    members, holders = [[] for _ in reference], {}
+    for doc in docs:
+        stream.place(doc)
+        i = placed[doc.doc_id]
+        members[i].append(doc)
+        for term in {term for sentence in doc.sentences for term in sentence.terms}:
+            holders.setdefault(term, set()).add(i)
+        assert [cluster.docs for cluster in stream.clusters] == [m for m in members if m]
+        assert {term: sorted(ids) for term, ids in stream.holders.items()} == {
+            term: sorted(ids) for term, ids in holders.items()
+        }
+        cluster = stream.clusters[i]
+        expected = oracle.build_centroid(cs.Cluster.build("c", members[i]), idf, threshold)
         assert cluster.unscaled.keys() == expected.entries.keys()
         assert all(value == cluster.totals[term] * idf.idf(term) for term, value in cluster.unscaled.items())
-        assert cluster.norm == math.sqrt(sum(value * value for value in cluster.unscaled.values()))
+        assert cluster.norm == math.hypot(*cluster.unscaled.values())
 
 
 def test_a_term_leaves_the_centroid_and_returns():
@@ -585,7 +625,7 @@ def test_a_term_leaves_the_centroid_and_returns():
     assert cs.incremental_cluster(docs, idf, 0.1, threshold) == oracle.incremental_cluster(docs, idf, 0.1, threshold)
     cluster, horizon = lexstats._OpenCluster(), threshold * len(docs) * lexstats._SURE
     for j, doc in enumerate(docs):
-        cluster.add(doc, list(lexstats._document_vector(doc, idf.idf)), idf.idf, threshold, horizon)
+        add_document(cluster, doc, idf, threshold, horizon)
         assert ("f" in cluster.unscaled) == kept[j]
 
 
@@ -597,14 +637,14 @@ def test_a_bound_equal_to_the_floor_is_scored():
     bound it equals the threshold too; with no margin, both must still be scored.
     """
     idf = cs.IdfModel(n_docs=7, df={})
-    doc = stream_document(0, ["alpha alpha beta gamma"])
-    vector = lexstats._document_vector(doc, idf.idf)
-    norm = math.sqrt(sum(value * value for value in vector.values()))
-    clusters = []
+    stream = lexstats._Stream(idf.idf, 2.0, 0.0, 3)  # above every cosine, so each member opens a cluster
     for i in range(2):
-        clusters.append(lexstats._OpenCluster())
-        member = stream_document(i + 1, ["alpha beta beta delta"])
-        clusters[i].add(member, ["alpha", "beta", "delta"], idf.idf, 0.0, 0.0)
-    best, contenders = lexstats._contenders(vector, norm, clusters, 0.0, 0.0)
+        stream.place(stream_document(i + 1, ["alpha beta beta delta"]))
+    vector = lexstats._document_vector(stream_document(0, ["alpha alpha beta gamma"]), idf.idf)
+    terms, weights = list(vector), list(vector.values())
+    norm = math.hypot(*weights)
+    stream.sim_threshold = 0.0
+    best, contenders = stream.contenders(terms, weights, norm, 0.0)
     assert contenders == [0, 1]
-    assert lexstats._contenders(vector, norm, clusters, best, 0.0) == (best, [0, 1])
+    stream.sim_threshold = best
+    assert stream.contenders(terms, weights, norm, 0.0) == (best, [0, 1])

@@ -1,6 +1,8 @@
 import json
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,6 +24,7 @@ from centroidsumm import (
     redundancy_rerank,
     score_sentences,
     tokenize,
+    write_cluster,
 )
 from centroidsumm.cli import _load_corpus_documents
 from helpers import make_cluster, make_document
@@ -273,6 +276,30 @@ class TestParseCluster:
         again = cluster_from_dict(data)
         assert again == news_cluster
         assert cluster_to_dict(again) == data
+
+    @given(
+        st.text(min_size=1, max_size=8),
+        st.lists(
+            st.tuples(
+                st.text(min_size=1, max_size=6),
+                st.text(max_size=6),
+                st.lists(st.text(max_size=20), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda doc: doc[0],
+        ),
+    )
+    @example("c{0}", [("d\ud800\"", "w}{", ["a\\b\x00\t\u00e9 \U0001f600", "{}"])])
+    def test_written_file_has_the_bytes_of_write_json(self, cluster_id, documents):
+        """write_cluster lays a file out from templates, with json.dumps(..., sort_keys=True, indent=2)'s bytes."""
+        docs = [make_document(doc_id, texts, i, source) for i, (doc_id, source, texts) in enumerate(documents)]
+        cluster = Cluster.build(cluster_id, docs)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "c.json"
+            write_cluster(cluster, path)
+            expected = json.dumps(cluster_to_dict(cluster), sort_keys=True, indent=2) + "\n"
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_zulu_suffix_accepted(self):
         cluster = cluster_from_dict(
