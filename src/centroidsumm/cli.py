@@ -24,7 +24,7 @@ import warnings
 from contextlib import suppress
 from itertools import combinations, takewhile
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .evaluation import (
     EvaluationError,
@@ -106,22 +106,8 @@ class RunConfig(_Record):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        config = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
-            key, _, value = map(str.strip, line.partition("="))
-            if key not in _SETTINGS or key == "preset":  # preset is a flag only
-                raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
-            config = _set(config, _SETTINGS[key], value, f"{path}:{lineno}: {key}")
-        return config
+        """The defaults with a key=value file's lines set in file order; two lines setting one field fail."""
+        return _apply(cls(), _file_lines(path))
 
 
 def _numbers(text: str, form: str = "a number", sep: str = ",", count: int = 1, kind: type = float) -> tuple:
@@ -169,7 +155,7 @@ def parse_on_off(value: str) -> bool:
 class _Setting(_Record):
     """A setting: the RunConfig fields it sets, the subcommands with its flag, and the flag's help.
 
-    `parse` turns text into the fields' values, and the flag also resets `resets` to their
+    `parse` turns text into the fields' values, and the line or flag also resets `resets` to their
     defaults: an explicit rate replaces a grid.
     """
 
@@ -181,16 +167,43 @@ class _Setting(_Record):
     needs: str | None = None  # an input flag: a subcommand that has it reads the setting only with it
 
 
-def _set(config: RunConfig, entry: _Setting, text: str, where: str, resets: Sequence[str] = ()) -> RunConfig:
-    """`config` with the entry's fields parsed from `text` and `resets` at their defaults, range-checked.
+def _apply(config: RunConfig, settings: Iterable[tuple[str, str, str]]) -> RunConfig:
+    """`config` with each (key, text, where) parsed into its entry's fields and its resets at their defaults.
 
-    The rest of `config` passed the same checks, so an error is the entry's; it starts with `where`.
+    Each step is range-checked, and an error starts with its `where`. Two settings that set one field,
+    or a field and a field the other resets, fail naming both.
     """
+    claimed: dict[str, str] = {}
+    for key, text, where in settings:
+        entry = _SETTINGS[key]
+        for name in (*entry.fields, *entry.resets):
+            if claimed.setdefault(name, where) != where:
+                raise ValueError(f"{claimed[name]} and {where} cannot be combined: both set {name}")
+        try:
+            values = dict(zip(entry.fields, entry.parse(text)))
+            defaults = {name: getattr(RunConfig, name) for name in entry.resets}
+            config = RunConfig(**{**config.__dict__, **defaults, **values})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return config
+
+
+def _file_lines(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    """A settings file's (key, value, `path:line: key`) in file order, comments and blank lines left out."""
     try:
-        values = dict(zip(entry.fields, entry.parse(text)))
-        return RunConfig(**{**config.__dict__, **{name: getattr(RunConfig, name) for name in resets}, **values})
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {reprlib.repr(line)}")
+        key, _, value = map(str.strip, line.partition("="))
+        if key not in _SETTINGS or key == "preset":  # preset is a flag only
+            raise ValueError(f"{path}:{lineno}: unknown setting {reprlib.repr(key)}")
+        yield key, value, f"{path}:{lineno}: {key}"
 
 
 # Settings-file key -> setting. Entries call public functions by name: wrapped ones see every call.
@@ -227,20 +240,19 @@ _FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by --config file lines, overridden by explicit flags.
 
-    A line and a flag take the same `_set` step, which parses and range-checks the value; an error
-    starts with `path:line: key:` or `--flag:`. Flags setting one field, or a flag without its `needs`, fail.
+    The lines, then the flags, take the same `_apply` step, which parses and range-checks each value;
+    an error starts with `path:line: key:` or `--flag:`. Two lines or two flags setting one field fail,
+    and so does a flag without its `needs`.
     """
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    claimed: dict[str, str] = {}
-    for key, entry in _SETTINGS.items():
-        text, flag = getattr(args, key, None), _FLAGS[key]
-        if text is not None:
-            for name in (*entry.fields, *entry.resets):
-                if claimed.setdefault(name, flag) != flag:
-                    raise ValueError(f"{claimed[name]} and {flag} cannot be combined: both set {name}")
-            config = _set(config, entry, text, flag, entry.resets)
-            if entry.needs and not getattr(args, entry.needs, True):
-                raise ValueError(f"{flag} applies only with --{entry.needs}")
+    flags = {key: getattr(args, key, None) for key in _SETTINGS}
+    # argparse before 3.13 reads --flag=-- as the value [], where 3.13 reads "--"
+    given = [(key, "--" if text == [] else text, _FLAGS[key]) for key, text in flags.items() if text is not None]
+    config = _apply(config, given)
+    for key, _, flag in given:
+        needs = _SETTINGS[key].needs
+        if needs and not getattr(args, needs, True):
+            raise ValueError(f"{flag} applies only with --{needs}")
     return config
 
 
@@ -377,7 +389,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: float) -> list[int]:
-    """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones."""
+    """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones.
+
+    A file that states its rate must state a number in (0, 1] with the same k as r.
+    """
     data = read_json(path)
     try:
         cluster_id, positions = data["cluster_id"], data["selected"]
@@ -391,7 +406,11 @@ def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: f
     if repeat is not None:
         raise ValueError(f"{path}: selected[{repeat}]: position {selected[repeat]} is selected twice")
     _require_judged(path, annotations, "extract is for cluster", cluster_id)
-    k = compression_size(annotations[0].n, r)
+    n = annotations[0].n
+    k = compression_size(n, r)
+    stated = data.get("r", r)  # a file need not state its rate
+    if type(stated) not in (int, float) or not 0 < stated <= 1 or compression_size(n, stated) != k:
+        raise ValueError(f"{path}: r: expected a rate in (0, 1] with k={k} as at r={r:g}, got {reprlib.repr(stated)}")
     if len(selected) != k:
         raise EvaluationError(f"{path}: extract selects {len(selected)} sentences, expected k={k} at r={r:g}")
     return sorted(selected)

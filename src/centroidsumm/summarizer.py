@@ -13,13 +13,12 @@ higher score, then reselects, repeating until the selected set stabilizes or
 repeats. It never caches sentence pairs or builds a float per pair: a term
 index built once per call, common terms packed into integers with a slot
 per sentence, gives each extract member one integer row of doubled shared
-counts with every sentence. Each round a member reads its own row at the
-members ranked above it, and every other sentence reads one running slotwise
-maximum of those rows per member length. A count becomes an overlap through
-a table of d / (len_a + len_b), built once per sum of lengths; these are the
-exact floats of word_overlap, so the result equals the pairwise definition
-bit for bit. Two named weight presets are evaluated
-throughout: pure-centroid (1, 0, 0) and lead+centroid (1, 1, 0).
+counts with every sentence. Each round every sentence, member or not, reads
+its own slot of one running slotwise maximum of those rows per member
+length, and divides it by the sum of the two lengths as word_overlap does,
+so the result equals the pairwise definition bit for bit. Two named weight
+presets are evaluated throughout: pure-centroid (1, 0, 0) and
+lead+centroid (1, 1, 0).
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ import warnings
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from functools import cache
 from itertools import chain, repeat
-from operator import add, attrgetter, getitem, itemgetter
+from operator import add, attrgetter, itemgetter, truediv
 from typing import Callable, Sequence
 
 from .lexstats import Centroid, left_sum
@@ -177,28 +175,6 @@ def word_overlap(s1: Sentence, s2: Sentence) -> float:
     return (2 * shared) / (len1 + len2)
 
 
-def _quotient_columns(lengths: list[int]) -> Callable[[int], list[list[float]]]:
-    """Return column(length), whose item i lists d / (lengths[i] + length) for d = 0, 1, ...
-
-    Each d / total is the float word_overlap gives for a doubled shared count d
-    and the two lengths' sum. A table is built once per total and shared; total
-    0 (two sentences without terms) has [0.0]. Two sentences share at most the
-    shorter one's tokens, so a table stops at 2 * the second-longest length.
-    """
-    tables = {0: [0.0]}
-    limit = 2 * min(sorted(lengths)[-2:], default=0)
-    distinct = list(set(lengths))
-
-    @cache
-    def column(length: int) -> list[list[float]]:
-        totals = list(map(add, distinct, repeat(length)))
-        for total in set(totals).difference(tables):
-            tables[total] = [d / total for d in range(min(total, limit) + 1)]
-        return list(map(dict(zip(distinct, map(tables.__getitem__, totals))).__getitem__, lengths))
-
-    return column
-
-
 def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
     """Index the sentences' terms once; return the function giving one sentence's row of doubled shared counts.
 
@@ -211,8 +187,7 @@ def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
     the two lengths) never carries into the next slot, and the slot's top bit,
     the guard bit of the rerank's packed maxima, stays clear. A row's own slot
     is 0: no sentence penalizes itself. The overlap of sentences a and b is
-    column(len_a)[b][row_a[b]] for column = _quotient_columns(lengths), 0.0
-    where either has no terms.
+    row_a[b] / (len_a + len_b), 0.0 where either has no terms.
     """
     n = len(sentences)
     longest = max((len(sentence.terms) for sentence in sentences), default=0)
@@ -241,67 +216,53 @@ def _overlap_rows(sentences: Sequence[Sentence]) -> Callable[[int], array]:
     return row
 
 
-def _largest_overlaps(
-    ranked: list[int],
-    above: list[int],
-    rows: dict[int, array],
-    lengths: list[int],
-    column: Callable[[int], list[list[float]]],
-    divided: dict[tuple[int, int], list[float]],
-) -> list[float]:
+def _largest_overlaps(ranked: list[int], above: list[int], rows: dict[int, array], lengths: list[int]) -> list[float]:
     """Each sentence i's largest overlap with the first above[i] ranked members, 0.0 if there are none.
 
-    column(length)[i] is sentence i's quotient table for a partner of that
-    length. A ranked member with a row reads that row at the positions of the
-    members above it: overlap is symmetric bit for bit. The other sentences
-    share a few counts. Walking the ranking up to each such count, one running
-    packed maximum of the rows per member length (a slotwise max, with a guard
-    bit per slot) holds every sentence's largest doubled count with those
-    members, and one pass over all sentences divides it. `divided` keeps
-    those quotients from the last round, where most lengths have the same
-    members again.
+    The sentences are grouped by count. Walking the ranking up to each count,
+    one running packed maximum of the rows per member length (a slotwise max,
+    with a guard bit per slot) holds every sentence's largest doubled count
+    with the members walked. After each fold that maximum is spelled out with
+    one slot per sentence, next to the sums lengths[i] + length, and a group
+    reads only its own slots of each, divides and keeps the largest quotient.
+    A member's count is the number of members strictly above it, so its group
+    is read before its own row is folded. A member without terms overlaps
+    nothing and is not folded, so no sum of lengths is 0.
     """
     worst = [0.0] * len(above)
-    order = [member - 1 for member in ranked]  # 0-based positions, highest final first
-    own = rows.keys() & ranked
-    waiting: dict[int, list[int]] = {}  # count -> 0-based positions of the other sentences with that count
+    groups: dict[int, list[int]] = {}  # count -> 0-based positions of the sentences with that count
     for i, count in enumerate(above):
-        if count and i + 1 not in own:
-            waiting.setdefault(count, []).append(i)
-
-    for member in own:
-        if count := above[member - 1]:
-            # the first index once more, so that one index still gives a tuple
-            read = itemgetter(*order[:count], order[0])
-            worst[member - 1] = max(map(getitem, read(column(lengths[member - 1])), read(rows[member])))
-
-    kept = dict(divided)
-    divided.clear()
-    if waiting:
-        code = rows[ranked[0]].typecode
-        bits, width = 8 * array(code).itemsize, array(code).itemsize * len(above)
-        guard = int.from_bytes(array(code, [1 << (bits - 1)]) * len(above), sys.byteorder)
-        running: dict[int, int] = {}  # member length -> the slotwise max of the rows walked
-        walked = 0
-        for count, group in sorted(waiting.items()):
-            for member in ranked[walked:count]:
-                length, b = lengths[member - 1], int.from_bytes(rows[member], sys.byteorder)
-                if length in running:
-                    a = running[length]
-                    t = ((a | guard) - b) & guard  # a slot's guard bit is set where a >= b
-                    b ^= (a ^ b) & (t - (t >> (bits - 1)))  # a there, b elsewhere
-                running[length] = b
-            walked = count
-            columns = []
-            for key in running.items():
-                if key not in divided:
-                    divided[key] = kept.get(key) or list(
-                        map(getitem, column(key[0]), array(code, key[1].to_bytes(width, sys.byteorder)))
-                    )
-                columns.append(divided[key])
-            largest = list(map(max, repeat(0.0), *columns))
-            for i in group:
-                worst[i] = largest[i]
+        if count:
+            groups.setdefault(count, []).append(i)
+    if not groups:
+        return worst
+    code = rows[ranked[0]].typecode
+    bits, width = 8 * array(code).itemsize, array(code).itemsize * len(above)
+    guard = int.from_bytes(array(code, [1 << (bits - 1)]) * len(above), sys.byteorder)
+    running: dict[int, int] = {}  # member length -> the slotwise max of the rows walked
+    maxima: dict[int, array] = {}  # member length -> the same max, one slot per sentence
+    totals: dict[int, list[int]] = {}  # member length -> lengths[i] + that length, in the same key order
+    walked = 0
+    for count, group in sorted(groups.items()):
+        for member in ranked[walked:count]:
+            length = lengths[member - 1]
+            if not length:
+                continue
+            b = int.from_bytes(rows[member], sys.byteorder)
+            if length in running:
+                a = running[length]
+                t = ((a | guard) - b) & guard  # a slot's guard bit is set where a >= b
+                b ^= (a ^ b) & (t - (t >> (bits - 1)))  # a there, b elsewhere
+            else:
+                totals[length] = list(map(add, lengths, repeat(length)))
+            running[length] = b
+            maxima[length] = array(code, b.to_bytes(width, sys.byteorder))
+        walked = count
+        if maxima:
+            read = itemgetter(*group, group[0])  # the first index once more, so that one index still gives a tuple
+            quotients = map(map, repeat(truediv), map(read, maxima.values()), map(read, totals.values()))
+            for i, largest in zip(group, map(max, repeat(0.0), *quotients)):
+                worst[i] = largest
     return worst
 
 
@@ -333,26 +294,27 @@ def redundancy_rerank(
     as one integer row, built the first time the member's final is above some
     sentence's and kept for later rounds. Each round ranks the members by
     final, highest first, and counts for each sentence the members with a
-    strictly higher final, a prefix of that ranking. `_largest_overlaps` then
-    takes two paths. A member with a row reads its own row at the positions
-    of the members above it. Every other sentence is grouped by its count and
-    reads, per member length, the slotwise maximum of the rows of the members
-    of that length above it. A count d becomes an overlap through
-    `_quotient_columns`: the table of d / (len_a + len_b) for that pair of
-    lengths, built once per sum.
+    strictly higher final, a prefix of that ranking. `_largest_overlaps`
+    groups all sentences, members too, by that count and walks the ranking
+    once, folding each member's row into a slotwise maximum per member
+    length. Before the rows of the members at and below its count are folded,
+    a group reads its own slots of each maximum and divides each doubled
+    count d by len_i + length; its largest quotient is its overlap.
 
     Exactness: shared counts are exact integers (packed slots never carry),
-    and each table entry is d / (len_a + len_b) with d = 2 * shared as in
-    `word_overlap`, one rational correctly rounded, so it is the very float
-    the pairwise computation gives. Overlap is symmetric bit for bit, so a
-    member may read its own row. Correctly rounded division by a fixed
-    denominator never decreases as d grows, so the quotient of the largest
-    count among members of one length is the largest of their quotients, and
-    a max of floats does not depend on its order. The prefix holds exactly
-    the members with a strictly higher final (a NaN final is higher than none
-    and lower than none, as in a direct comparison). Penalties, finals and
-    selections are therefore equal, bit for bit, to comparing every sentence
-    with every member.
+    and each quotient is d / (len_a + len_b) with d = 2 * shared, two ints
+    divided as in `word_overlap`, one rational correctly rounded, so it is
+    the very float the pairwise computation gives. Shared counts are
+    symmetric, so a member reads its overlaps from the rows of the members
+    above it, as every other sentence does. Correctly rounded division d /
+    total by a fixed total never decreases as d grows, so the quotient of the
+    largest count among members of one length is the largest of their
+    quotients, and a max of floats does not depend on its order. A member
+    without terms overlaps nothing; it is not folded, so every total is at
+    least 1. The prefix holds exactly the members with a strictly higher
+    final (a NaN final is higher than none and lower than none, as in a
+    direct comparison). Penalties, finals and selections are therefore equal,
+    bit for bit, to comparing every sentence with every member.
     """
     if len(scores) != cluster.n:
         raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")
@@ -366,8 +328,6 @@ def redundancy_rerank(
     lengths = [len(sentence.terms) for sentence in sentences]
     overlap_row = _overlap_rows(sentences)
     rows: dict[int, array] = {}  # member position -> its doubled shared counts
-    column = _quotient_columns(lengths)
-    divided: dict[tuple[int, int], list[float]] = {}
 
     finals = list(base)
     penalties = [0.0] * n
@@ -386,7 +346,7 @@ def redundancy_rerank(
         for member in ranked[: max(above)]:  # the rest are higher than no sentence
             if member not in rows:
                 rows[member] = overlap_row(member - 1)
-        penalties = [w_r * value for value in _largest_overlaps(ranked, above, rows, lengths, column, divided)]
+        penalties = [w_r * value for value in _largest_overlaps(ranked, above, rows, lengths)]
         finals = [b - p for b, p in zip(base, penalties)]
         reselected = _select_top(finals, k)
         if reselected == selected or reselected in seen:

@@ -1,0 +1,210 @@
+"""Mutation checks: each entry breaks one guard in a copy of src/, and the tests it names must then fail.
+
+Usage, from the repository root:
+    python3 tests/mutations.py [NAME ...]
+
+Each entry of MUTATIONS is (name, file under src/centroidsumm, exact old text, new text, tests). The
+old text must occur exactly once in the file; an entry whose text no longer occurs fails the check,
+so a refactor that moves a guard carries its mutation along. First the named tests of all entries
+run once against an unmutated copy of src/ and must pass. Then each entry is applied to a fresh
+copy, its tests run against it, and every one of them must fail. Prints one line per entry and
+exits 1 if any entry is missing, survives or lets one of its tests pass. The tests run with the
+hypothesis database in a temporary directory, so no example from a mutated run is kept.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ORACLE = "tests/test_summarizer_oracle.py::"
+
+MUTATIONS = [
+    # --- the redundancy rerank (summarizer._largest_overlaps and its counts) ---
+    Mutation(
+        "fold one member too many before a group reads its slots",
+        "summarizer.py",
+        "        for member in ranked[walked:count]:\n",
+        "        for member in ranked[walked:count + 1]:\n",
+        (ORACLE + "test_rerank_equals_reference_on_cases[tied finals, k=5]",),
+    ),
+    Mutation(
+        "count the members at or above a final, not strictly above",
+        "summarizer.py",
+        "above = [len(ranked) - bisect_right(higher, final) for final in finals]",
+        "above = [len(ranked) - bisect_left(higher, final) for final in finals]",
+        (ORACLE + "test_rerank_equals_reference_on_cases[tied finals, k=5]",),
+    ),
+    Mutation(
+        "fold members without terms, so a sum of lengths can be 0",
+        "summarizer.py",
+        "            if not length:\n                continue\n",
+        "",
+        (ORACLE + "test_rerank_equals_reference_on_cases[empty sentence first]",),
+    ),
+    Mutation(
+        "read a group's slots when no member with terms was folded yet",
+        "summarizer.py",
+        "        if maxima:\n",
+        "        if True:\n",
+        (ORACLE + "test_rerank_equals_reference_on_cases[empty sentence first]",),
+    ),
+    Mutation(
+        "take the slotwise maximum without guard bits",
+        "summarizer.py",
+        "t = ((a | guard) - b) & guard",
+        "t = (a - b) & guard",
+        (ORACLE + "test_rerank_equals_reference_on_cases[distinct member lengths]",),
+    ),
+    # --- certified pruning of the stream clustering (lexstats._Stream and _OpenCluster) ---
+    Mutation(
+        "drop the float margin",
+        "lexstats.py",
+        "            margin = (len(terms) + self.longest + 4) * 2.0**-48\n",
+        "            margin = 0.0\n",
+        (ORACLE + "test_clustering_equals_reference_on_known_ties[9]",
+         ORACLE + "test_clustering_equals_reference_on_known_ties[26]"),
+    ),
+    Mutation(
+        "prune a cluster whose widened bound equals the floor",
+        "lexstats.py",
+        "            if bounds[j] + margin < max(best, self.sim_threshold):\n",
+        "            if bounds[j] + margin <= max(best, self.sim_threshold):\n",
+        (ORACLE + "test_a_bound_equal_to_the_floor_is_scored",),
+    ),
+    Mutation(
+        "pick the earliest contender instead of the exact fallback on a near tie",
+        "lexstats.py",
+        "            if len(contenders) == 1 and best > 0 and best - margin >= sim_threshold:\n",
+        "            if best > 0 and best >= sim_threshold:\n",
+        (ORACLE + "test_clustering_equals_reference_on_known_ties[9]",
+         ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[0]"),
+    ),
+    Mutation(
+        "keep a due term without testing it again",
+        "lexstats.py",
+        "            if totals[term] / d * idf_of(term) >= threshold:\n",
+        "            if True:\n",
+        (ORACLE + "test_a_term_leaves_the_centroid_and_returns",),
+    ),
+    Mutation(
+        "skip the term index update",
+        "lexstats.py",
+        "            holders[term].append(target)\n",
+        "            pass\n",
+        ("tests/test_lexstats.py::TestIncrementalCluster::test_near_duplicates_merge",
+         ORACLE + "test_clustering_equals_reference_on_known_ties[33]"),
+    ),
+    Mutation(
+        "list a cluster again under every kept term it adds",
+        "lexstats.py",
+        "        return compress(counts, map(not_, before))\n",
+        "        return compress(counts, map(unscaled.__contains__, counts))\n",
+        (ORACLE + "test_running_vector_keeps_the_centroid_terms",
+         ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[15]"),
+    ),
+    Mutation(
+        "rebind the document's terms in the fallback loop",
+        "lexstats.py",
+        "                    kept, _, _, column = _centroid_terms(\n"
+        "                        clusters[i].totals, len(clusters[i].docs), idf_of, self.centroid_threshold\n"
+        "                    )\n"
+        "                    centroid = dict(zip(kept, column))\n",
+        "                    terms, _, _, column = _centroid_terms(\n"
+        "                        clusters[i].totals, len(clusters[i].docs), idf_of, self.centroid_threshold\n"
+        "                    )\n"
+        "                    centroid = dict(zip(terms, column))\n",
+        (ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[15]",
+         ORACLE + "test_clustering_equals_reference_on_known_ties[33]"),
+    ),
+    # --- the evaluator ---
+    Mutation(
+        "credit a subsumed extract member in full, not E times its utility",
+        "evaluation.py",
+        "            total += E * u\n",
+        "            total += u\n",
+        ("tests/test_evaluation.py::TestSubsumption::test_partial_discount",),
+    ),
+]
+
+
+def copy_of_src(tmp: Path, mutation: Mutation | None = None) -> Path:
+    """src/ copied under tmp, with the mutation applied; a ValueError if its old text is not there once."""
+    src = tmp / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutation is not None:
+        path = src / "centroidsumm" / mutation.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutation.old) != 1:
+            raise ValueError(f"its old text occurs {text.count(mutation.old)} times in {mutation.file}, not once")
+        path.write_text(text.replace(mutation.old, mutation.new), encoding="utf-8")
+    return src
+
+
+def failed_tests(src: Path, tests: list[str], cwd: Path) -> set[str] | None:
+    """The named tests that fail against src, or None if pytest did not run them all."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
+               *(str(ROOT / test) for test in tests)]
+    result = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):
+        print(result.stdout[-2000:] + result.stderr[-2000:], file=sys.stderr)
+        return None
+    # pytest names a failed test by its path from cwd; name it from the repository root, as the table does
+    failed = {
+        (cwd / path).resolve().relative_to(ROOT).as_posix() + "::" + test
+        for path, test in re.findall(r"^FAILED (\S+?)::(.*?)(?: - .*)?$", result.stdout, re.MULTILINE)
+    }
+    summary = re.search(r"(\d+) passed", result.stdout)
+    ran = len(failed) + (int(summary.group(1)) if summary else 0)
+    return failed if ran == len(tests) else None
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {mutation.name for mutation in MUTATIONS}
+    if unknown:
+        print(f"unknown mutations: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [mutation for mutation in MUTATIONS if not names or mutation.name in names]
+    problems = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = sorted({test for mutation in chosen for test in mutation.tests})
+        failed = failed_tests(copy_of_src(Path(tmp) / "unmutated"), tests, Path(tmp))
+        if failed != set():
+            print(f"the unmutated copy does not pass: {sorted(failed) if failed else 'pytest did not run'}")
+            return 1
+        print(f"unmutated copy: {len(tests)} tests pass")
+        for i, mutation in enumerate(chosen):
+            try:
+                src = copy_of_src(Path(tmp) / f"m{i}", mutation)
+            except ValueError as exc:
+                problems += 1
+                print(f"MISSING  {mutation.name}: {exc}")
+                continue
+            failed = failed_tests(src, list(mutation.tests), Path(tmp))
+            survived = None if failed is None else [test for test in mutation.tests if test not in failed]
+            problems += survived != []
+            status = "caught" if survived == [] else "pytest did not run" if survived is None else "SURVIVED"
+            print(f"{status:8} {mutation.name}" + (f" (passing: {', '.join(survived)})" if survived else ""))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -67,21 +67,21 @@ def subsumption_files(tmp_path):
 
 
 class TestRunConfig:
-    """A file that states all eight keys reads back as the config it spells out."""
+    """A file that states every key, r or r_grid but not both, reads back as the config it spells out."""
 
     def test_round_trip_with_grid(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "weights=1,1,0\nr=0.3\nr_grid=0.1:0.3:0.1\nE=1\ncentroid_threshold=0\nsim_threshold=0.1\n"
+            "weights=1,1,0\nr_grid=0.1:0.3:0.1\nE=1\ncentroid_threshold=0\nsim_threshold=0.1\n"
             "agreement_threshold=3\nredundancy=on\n"
         )
-        config = RunConfig(w_c=1, w_p=1, w_f=0, r=0.3, r_grid=(0.1, 0.2, 0.3), redundancy=True)
+        config = RunConfig(w_c=1, w_p=1, w_f=0, r_grid=(0.1, 0.2, 0.3), redundancy=True)
         assert RunConfig.from_file(path) == config
 
     def test_round_trip_without_grid(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "weights=1,0,0\nr=0.25\nr_grid=\nE=1\ncentroid_threshold=0\nsim_threshold=0.4\n"
+            "weights=1,0,0\nr=0.25\nE=1\ncentroid_threshold=0\nsim_threshold=0.4\n"
             "agreement_threshold=3\nredundancy=off\n"
         )
         assert RunConfig.from_file(path) == RunConfig(r=0.25, sim_threshold=0.4)
@@ -618,6 +618,25 @@ class TestEvaluateCommand:
             assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
             assert f"{extract_file}: extract selects {len(set(selected))} sentences, expected k=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stated", ["NaN", "Infinity", "-Infinity", "1e400", "0.3", "1", "0", "1.5", "true", '"0.5"'])
+    def test_extract_file_rate_of_another_size_exits_2(self, quad_judges, tmp_path, capsys, stated):
+        # n = 4: r = 0.5 gives k = 2; the file holds two positions, so only its r is wrong
+        extract_file = tmp_path / "s14.json"
+        extract_file.write_text(f'{{"cluster_id": "quad", "r": {stated}, "selected": [1, 4]}}\n')
+        out = tmp_path / "out"
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {extract_file}: r: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stated", ["0.5", "0.4", "0.375", "0.6"])
+    def test_extract_file_rate_with_the_same_size_is_accepted(self, quad_judges, tmp_path, stated):
+        extract_file = tmp_path / "s14.json"
+        extract_file.write_text(f'{{"cluster_id": "quad", "r": {stated}, "selected": [1, 4]}}\n')
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+
     def test_out_of_range_extract_exits_3(self, quad_judges, tmp_path, capsys):
         extract_file = tmp_path / "late.json"
         write_json({"cluster_id": "quad", "selected": [1, 7]}, extract_file)
@@ -1029,6 +1048,15 @@ class TestArgumentErrors:
         assert f"error: {flag}: " in err and repr(value) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, form", [("--r", "a number"), ("--weights", "three comma-separated numbers")])
+    def test_two_dashes_as_a_value_name_the_flag(self, news_inputs, tmp_path, capsys, flag, form):
+        # argparse before 3.13 turns the value of --flag=-- into [], which no setting parses
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, f"{flag}=--", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: expected {form}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["weights=1,x,0", "r_grid=0.1:y:0.1", "r=abc"])
     def test_bad_config_value_names_the_line(self, news_inputs, tmp_path, capsys, line):
         cluster_file, idf_path = news_inputs
@@ -1112,6 +1140,28 @@ class TestArgumentErrors:
         assert main([*inputs[command], "--r", "0.3", "--r-grid", "0.1:0.2:0.1", "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --r and --r-grid cannot be combined")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [("r=0.3", "r_grid=0.1:0.2:0.1"), ("r_grid=0.1:0.2:0.1", "r=0.3")])
+    def test_rate_and_grid_lines_together_exit_2(self, news_inputs, tmp_path, capsys, lines):
+        # the rate line was accepted and ignored: the run wrote only the grid's r10 and r20
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(out)]) == 2
+        first, second = (f"{cfg}:{i}: {line.partition('=')[0]}" for i, line in enumerate(lines, 1))
+        assert capsys.readouterr().err == f"error: {first} and {second} cannot be combined: both set r_grid\n"
+        assert not out.exists()
+
+    def test_key_given_twice_in_a_config_file_exits_2(self, news_inputs, tmp_path, capsys):
+        # the last line won: the run wrote r30
+        cluster_file, idf_path = news_inputs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=0.2\n# the sweep's rate\nr=0.3\n")
+        out = tmp_path / "out"
+        assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: r and {cfg}:3: r cannot be combined: both set r\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["x" * 1_000_000, "x" * 1_000_000 + "=1"], ids=["no-equals", "unknown-key"])

@@ -3,8 +3,9 @@
 Each example runs one subcommand through main() in-process, with one of its
 input files corrupted (truncated, deeply nested, not UTF-8, with one value of
 the wrong JSON type, or with one object naming a key twice), with its flags
-drawn at random, or with a cluster id drawn from pieces that break a file
-name. Whatever the input, the command exits 0, 2 or 3; a key named twice
+drawn at random, with a settings file naming a key twice, or with a cluster
+id drawn from pieces that break a file name. Whatever the input, the command
+exits 0, 2 or 3; a key named twice, in a JSON object or a settings file,
 always exits 2. A failure prints exactly one stderr line, which
 starts with "error:" and, for a corrupted file, names that file; it prints no
 traceback and leaves no --out directory behind.
@@ -237,6 +238,59 @@ def test_flag_values(inputs, data):
         shutil.copytree(inputs, workdir)
         code, err = run(workdir, [*argv, *extra])
         check_outcome(code, err, workdir, None)
+
+
+# Valid values for every settings-file key; a line's setting is read by one `_apply` step, as a flag's is.
+CONFIG_VALUES = {
+    "weights": ["1,0,0", "1,1,0"],
+    "r": ["0.1", "0.3"],
+    "r_grid": ["0.1:0.2:0.1", ""],
+    "E": ["0.5", "1"],
+    "centroid_threshold": ["0", "2"],
+    "sim_threshold": ["0.2"],
+    "agreement_threshold": ["2"],
+    "redundancy": ["on", "off"],
+}
+# The RunConfig fields each key sets or resets: two lines that share one cannot be combined.
+CONFIG_FIELDS = {"weights": {"w_c", "w_p", "w_f"}, "r": {"r", "r_grid"}}
+
+
+@st.composite
+def repeated_keys(draw) -> list[str]:
+    """Settings-file keys, one of them given again later, so some two lines set one field."""
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), min_size=1, max_size=6, unique=True))
+    again = draw(st.sampled_from(keys))
+    keys.insert(draw(st.integers(keys.index(again) + 1, len(keys))), again)
+    return keys
+
+
+@given(data=st.data())
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_repeated_key_in_config_file(inputs, data):
+    """A field set by two lines of one settings file exits 2, naming the later line: no line is ignored."""
+    keys = data.draw(repeated_keys())
+    lines = [f"{key}={data.draw(st.sampled_from(CONFIG_VALUES[key]))}" for key in keys]
+    notes = data.draw(st.lists(st.sampled_from(["", "# note\n", "\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(f"{note}{line}\n" for note, line in zip(notes, lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp) / "work"
+        shutil.copytree(inputs, workdir)
+        cfg = workdir / "run.cfg"
+        cfg.write_text(text)
+        argv, _ = COMMANDS["summarize"]
+        code, err = run(workdir, [*argv, "--config", str(cfg)])
+        # the first line whose fields meet an earlier line's is the one named second
+        numbered = [(n, line.partition("=")[0]) for n, line in enumerate(text.splitlines(), 1) if "=" in line]
+        seen: set[str] = set()
+        for lineno, key in numbered:
+            fields = CONFIG_FIELDS.get(key, {key})
+            if seen & fields:
+                break
+            seen |= fields
+        assert code == 2
+        assert err.startswith(f"error: {cfg}:") and err.count("\n") == 1, err
+        assert f" and {cfg}:{lineno}: {key} cannot be combined: both set " in err, err
+        assert not (workdir / "out").exists()
 
 
 # Pieces that break a file name (a separator, NUL, controls, a lone surrogate, dot names, long runs)

@@ -178,18 +178,17 @@ def row_sentences(texts):
 
 
 def check_rows(sentences):
-    """Each row holds twice the shared counts with every other sentence and 0 in its own slot; the
-    quotient tables turn it into the oracle's overlap row and the pairwise word_overlap, 0.0 next to
-    an empty sentence."""
+    """Each row holds twice the shared counts with every other sentence and 0 in its own slot; divided
+    by the sums of lengths, it is the oracle's overlap row and the pairwise word_overlap, 0.0 next to
+    an empty sentence (whose counts are 0)."""
     row, expected_row = summarizer._overlap_rows(sentences), oracle._overlap_rows(sentences)
     counts = [Counter(oracle.norms(sentence)) for sentence in sentences]
     lengths = [len(sentence.terms) for sentence in sentences]
-    column = summarizer._quotient_columns(lengths)
     for i, s1 in enumerate(sentences):
         doubled, expected = row(i), expected_row(i)
         shared = [sum((counts[i] & other).values()) for other in counts]
         assert list(doubled) == [0 if b == i else 2 * s for b, s in enumerate(shared)], i
-        overlaps = array("d", [table[d] for table, d in zip(column(lengths[i]), doubled)])
+        overlaps = array("d", [d / max(1, lengths[i] + length) for d, length in zip(doubled, lengths)])
         pairwise = array("d", [cs.word_overlap(s1, s2) if s1.terms and s2.terms else 0.0 for s2 in sentences])
         del overlaps[i], expected[i], pairwise[i]  # the oracle's row holds the sentence's overlap with itself
         assert overlaps.tobytes() == expected.tobytes() == pairwise.tobytes(), i
@@ -343,10 +342,18 @@ def tied_finals(r):
     return texts, [9.0, 5.0, 5.0, 1.0, 0.5, 0.5, 0.25], r
 
 
+def empty_first():
+    """The highest base belongs to a sentence without terms, so the members above sentence 2 hold no term at
+    all; sentence 4 has no terms either and ranks below members of every length (r = 0.5, k = 3)."""
+    texts = ["...", "aid convoys waited outside", "aid convoys waited", "- -", "the river flood", "river flood dam"]
+    return texts, [9.0, 5.0, 4.0, 3.0, 2.0, 1.0], 0.5
+
+
 RERANK_CASES = {
     "distinct member lengths": distinct_member_lengths(),
     "tied finals, k=2": tied_finals(0.3),
     "tied finals, k=5": tied_finals(0.7),
+    "empty sentence first": empty_first(),
 }
 
 
