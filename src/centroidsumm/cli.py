@@ -7,6 +7,10 @@ and baselines against judge annotations (evaluate), and dump inter-judge
 agreement tables (agreement). Identical inputs and settings always produce
 byte-identical output files.
 
+The layers below are bound as modules and each name is looked up at its call,
+so a launch runs only the layers its subcommand calls (see the package's
+lazy loading); `launch` then exits without interpreter teardown.
+
 Exit codes: 0 success, 2 bad input or configuration, 3 evaluation
 precondition failure (for instance judges who agree no better than chance).
 """
@@ -26,37 +30,17 @@ from itertools import combinations, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .evaluation import (
-    EvaluationError,
-    SubsumptionAnnotation,
-    UtilityAnnotation,
-    agreement_curve,
-    build_report,
-    csis_agreement_tally,
-    csis_consensus,
-    load_subsumption_annotation,
-    load_utility_annotation,
-    report_to_dict,
-)
-from .lexstats import _require_finite, build_centroid, build_idf, incremental_cluster, load_idf, save_idf
-from .summarizer import (
-    PRESETS,
-    Extract,
-    RerankCapWarning,
-    ScoreWeights,
-    extract,
-    extract_json,
-    lead_baseline,
-    redundancy_rerank,
-    score_sentences,
-    summary_text,
-)
+from . import evaluation, lexstats, summarizer
 from .text import (
+    PRESETS,
     Cluster,
+    EvaluationError,
+    ScoreWeights,
     _Record,
     _first_repeat,
     _json_int,
     _json_str,
+    _require_finite,
     cluster_from_dict,
     compression_size,
     document_from_dict,
@@ -90,6 +74,9 @@ class RunConfig(_Record):
         if self.agreement_threshold < 1:
             raise ValueError(f"agreement_threshold must be >= 1, got {self.agreement_threshold}")
         _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
+        for name in ("centroid_threshold", "sim_threshold"):  # a weight or cosine is never negative
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:
@@ -246,8 +233,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     flags = {key: getattr(args, key, None) for key in _SETTINGS}
-    # argparse before 3.13 reads --flag=-- as the value [], where 3.13 reads "--"
-    given = [(key, "--" if text == [] else text, _FLAGS[key]) for key, text in flags.items() if text is not None]
+    given = [(key, text, _FLAGS[key]) for key, text in flags.items() if text is not None]
     config = _apply(config, given)
     for key, _, flag in given:
         needs = _SETTINGS[key].needs
@@ -334,9 +320,9 @@ def _load_corpus_documents(corpus_dir: str) -> list:
 
 def cmd_idf(args: argparse.Namespace) -> int:
     documents = _load_corpus_documents(args.corpus_dir)
-    model = build_idf(documents)
+    model = lexstats.build_idf(documents)
     out = _out_dir(args) / "idf.json"
-    save_idf(model, _staged(args, out))
+    lexstats.save_idf(model, _staged(args, out))
     print(f"wrote {out} ({model.n_docs} documents, {len(model.df)} terms)")
     return 0
 
@@ -344,8 +330,8 @@ def cmd_idf(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     documents = _load_corpus_documents(args.docs_dir)
-    idf = load_idf(args.idf)
-    clusters = incremental_cluster(
+    idf = lexstats.load_idf(args.idf)
+    clusters = lexstats.incremental_cluster(
         documents, idf, sim_threshold=config.sim_threshold, centroid_threshold=config.centroid_threshold
     )
     out = _out_dir(args)
@@ -360,13 +346,13 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dict[float, Extract]:
+def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dict[float, summarizer.Extract]:
     """Score the cluster once, then select its extract at each of the config's rates."""
-    centroid = build_centroid(cluster, load_idf(idf_path), config.centroid_threshold)
-    scores = score_sentences(cluster, centroid, config.weights)
-    select = redundancy_rerank if config.redundancy else extract
+    centroid = lexstats.build_centroid(cluster, lexstats.load_idf(idf_path), config.centroid_threshold)
+    scores = summarizer.score_sentences(cluster, centroid, config.weights)
+    select = summarizer.redundancy_rerank if config.redundancy else summarizer.extract
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RerankCapWarning)
+        warnings.simplefilter("always", summarizer.RerankCapWarning)
         extracts = {r: select(cluster, scores, r) for r in config.rates}
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
@@ -381,14 +367,14 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     for r, ext in extracts.items():
         tag = _r_tag(r)
         extract_path = _staged(args, out / f"extract_{cluster.cluster_id}_{tag}.json")
-        extract_path.write_text(extract_json(ext), encoding="utf-8")
-        text = summary_text(cluster, ext)
+        extract_path.write_text(summarizer.extract_json(ext), encoding="utf-8")
+        text = summarizer.summary_text(cluster, ext)
         _staged(args, out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"{cluster.cluster_id} {tag}: {ext.k} of {cluster.n} sentences -> {sorted(ext.selected)}")
     return 0
 
 
-def _load_extract_file(path: str, annotations: Sequence[UtilityAnnotation], r: float) -> list[int]:
+def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
     """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones.
 
     A file that states its rate must state a number in (0, 1] with the same k as r.
@@ -430,7 +416,7 @@ def _load_judges(paths: Sequence[str], load: Callable) -> list:
                 f"{path}: annotations mix clusters {reprlib.repr(first.cluster_id)} "
                 f"and {reprlib.repr(judge.cluster_id)}, the first from {paths[0]}"
             )
-        if isinstance(judge, UtilityAnnotation) and judge.n != first.n:
+        if isinstance(judge, evaluation.UtilityAnnotation) and judge.n != first.n:
             raise EvaluationError(
                 f"{path}: judge {reprlib.repr(judge.judge_id)} annotated {judge.n} sentences, "
                 f"expected {first.n} as in {paths[0]}"
@@ -454,9 +440,9 @@ def _require_judged(path: str, annotations: Sequence, what: str, cluster_id: str
         )
 
 
-def _judged_subsumption(path: str, annotations: Sequence[UtilityAnnotation]) -> SubsumptionAnnotation:
+def _judged_subsumption(path: str, annotations: Sequence) -> evaluation.SubsumptionAnnotation:
     """Load subsumption marks and require them to be for the judged cluster and its positions."""
-    marks = load_subsumption_annotation(path)
+    marks = evaluation.load_subsumption_annotation(path)
     _require_judged(path, annotations, "subsumption marks are for cluster", marks.cluster_id)
     n = annotations[0].n
     highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
@@ -503,11 +489,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for (label, first), (other, second) in combinations(labelled, 2):
         if label == other:
             raise ValueError(f"{first} and {second} both give the report label {reprlib.repr(label)}")
-    annotations = _load_judges(args.annotations, load_utility_annotation)
+    annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
     graph = None
     if args.subsumption:
         subs = _load_judges(args.subsumption, lambda path: _judged_subsumption(path, annotations))
-        graph = csis_consensus(subs, config.agreement_threshold)
+        graph = evaluation.csis_consensus(subs, config.agreement_threshold)
     if config.r_grid is not None and args.extract:
         raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")
     if config.r_grid is not None and not (args.lead or args.system):
@@ -527,10 +513,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for r in config.rates:
         systems = dict(fixed)
         if lead_cluster is not None:
-            systems["lead"] = lead_baseline(lead_cluster, r).selected
+            systems["lead"] = summarizer.lead_baseline(lead_cluster, r).selected
         if system_extracts:
             systems["system"] = system_extracts[r].selected
-        reports.append(report_to_dict(build_report(annotations, systems, r, graph, config.E)))
+        reports.append(evaluation.report_to_dict(evaluation.build_report(annotations, systems, r, graph, config.E)))
     out = _out_dir(args)
     if config.r_grid is not None:
         _write_d_grid(reports, _staged(args, out / "d_grid.csv"))
@@ -548,15 +534,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_agreement(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.mode == "cbsu":
-        annotations = _load_judges(args.annotations, load_utility_annotation)
-        curve = agreement_curve(annotations, config.r_grid)
+        annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
+        curve = evaluation.agreement_curve(annotations, config.r_grid)
         path = _out_dir(args) / "agreement_curve.csv"
         _write_csv(_staged(args, path), ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
+    if args.mode != "csis":  # argparse before 3.13 checks no choice for --mode=--
+        raise ValueError(f"--mode: expected cbsu or csis, got {reprlib.repr(args.mode)}")
     if args.r_grid is not None:
         raise ValueError("--r-grid applies to --mode cbsu only")
-    tally = csis_agreement_tally(_load_judges(args.annotations, load_subsumption_annotation))
+    tally = evaluation.csis_agreement_tally(_load_judges(args.annotations, evaluation.load_subsumption_annotation))
     out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
     rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""
@@ -609,8 +597,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LIST_FLAGS = ("annotations", "extract", "subsumption")  # flags whose value is a list of paths
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse before 3.13 reads the value of --flag=-- as [] (appended, as [[]]) where 3.13 reads "--"
+    for key, value in vars(args).items():
+        if key in _LIST_FLAGS and value is not None:
+            setattr(args, key, ["--" if item == [] else item for item in value] or ["--"])
+        elif value == []:
+            setattr(args, key, "--")
     args.staged = []
     try:
         code = args.func(args)
@@ -622,5 +619,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3 if isinstance(exc, EvaluationError) else 2
 
 
+def launch() -> None:
+    """The console entry point: run `main`, flush stdout and stderr, and exit without interpreter teardown.
+
+    `os._exit` skips the teardown's few ms, which is a large share of a short launch. Whatever a run must
+    finish (its files, a log) has to finish before `main` returns; only the two streams are flushed here.
+    If a flush fails, `sys.exit` exits as a normal process would, with the teardown and its report.
+    """
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None in a process started without one
+            stream.flush()
+    except (OSError, ValueError):  # a closed pipe or stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

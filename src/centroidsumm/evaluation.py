@@ -35,13 +35,11 @@ from math import comb, fsum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .text import _Record, _all_json_ints, _first_repeat, _json_int, _json_str, compression_size, read_json
+from .text import (
+    EvaluationError, _Record, _all_json_ints, _first_repeat, _json_int, _json_str, compression_size, read_json,
+)
 
 DEFAULT_ENUMERATION_CAP = 10**6
-
-
-class EvaluationError(ValueError):
-    """An evaluation precondition does not hold for the given data."""
 
 
 class EnumerationCapError(ValueError):

@@ -29,7 +29,9 @@ from operator import add, and_, ge, lt, mul, not_, truediv
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .text import Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, read_json, write_json
+from .text import (
+    Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, _require_finite, read_json, write_json,
+)
 
 
 def _add_from_the_left(values: Iterable[float]) -> float:
@@ -97,12 +99,6 @@ def build_idf(background: Iterable[Document]) -> IdfModel:
     if n_docs == 0:
         raise ValueError("background corpus is empty")
     return IdfModel(n_docs=n_docs, df=dict(df))
-
-
-def _require_finite(**thresholds: float) -> None:
-    for name, value in thresholds.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 def _centroid_terms(totals: Counter, d: int, idf_of: Callable[[str], float], threshold: float) -> tuple:

@@ -36,32 +36,10 @@ from operator import add, attrgetter, itemgetter, truediv
 from typing import Callable, Sequence
 
 from .lexstats import Centroid, left_sum
-from .text import Cluster, Sentence, _Record, compression_size
+from .text import Cluster, ScoreWeights, Sentence, _Record, compression_size
+from .text import LEAD_CENTROID, PRESETS, PURE_CENTROID  # noqa: F401  re-exported: the presets live in text
 
 RERANK_ITERATION_CAP = 100
-
-
-class ScoreWeights(_Record):
-    w_c: float
-    w_p: float
-    w_f: float
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, self._values())):
-            raise ValueError("score weights must be finite numbers")
-        if min(self._values()) < 0:
-            raise ValueError("score weights must be non-negative")
-        if not any(self._values()):
-            raise ValueError("at least one score weight must be positive")
-
-
-PURE_CENTROID = ScoreWeights(w_c=1.0, w_p=0.0, w_f=0.0)
-LEAD_CENTROID = ScoreWeights(w_c=1.0, w_p=1.0, w_f=0.0)
-
-PRESETS = {
-    "pure-centroid": PURE_CENTROID,
-    "lead-centroid": LEAD_CENTROID,
-}
 
 
 class SentenceScore(_Record):

@@ -31,6 +31,11 @@ written in one layout: through `write_json`, or, for cluster and extract
 files, through `write_cluster` and `summarizer.extract_json`, which give the
 same bytes from templates.
 
+It also holds the few names that the command line checks before any later
+layer is loaded: `EvaluationError`, the score weights and their presets, and
+the finite-threshold check. `evaluation`, `summarizer` and `lexstats`
+re-export them, so each is one object.
+
 All types are immutable after construction and safe to share across threads
 (two threads that read `counts` first at once may each build the same map).
 """
@@ -53,6 +58,10 @@ from typing import Iterable, Iterator
 
 class ClusterParseError(ValueError):
     """A cluster or document file violates the input schema."""
+
+
+class EvaluationError(ValueError):
+    """An evaluation precondition does not hold for the given data."""
 
 
 # A run of letters and digits, with combining diacritics that follow a letter
@@ -119,6 +128,35 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ScoreWeights(_Record):
+    w_c: float
+    w_p: float
+    w_f: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self._values())):
+            raise ValueError("score weights must be finite numbers")
+        if min(self._values()) < 0:
+            raise ValueError("score weights must be non-negative")
+        if not any(self._values()):
+            raise ValueError("at least one score weight must be positive")
+
+
+PURE_CENTROID = ScoreWeights(w_c=1.0, w_p=0.0, w_f=0.0)
+LEAD_CENTROID = ScoreWeights(w_c=1.0, w_p=1.0, w_f=0.0)
+
+PRESETS = {
+    "pure-centroid": PURE_CENTROID,
+    "lead-centroid": LEAD_CENTROID,
+}
+
+
+def _require_finite(**thresholds: float) -> None:
+    for name, value in thresholds.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
 
 
 class Sentence(_Record):

@@ -134,6 +134,30 @@ MUTATIONS = [
         (ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[15]",
          ORACLE + "test_clustering_equals_reference_on_known_ties[33]"),
     ),
+    # --- the command line: lazily loaded layers, the launch's exit and the settings' ranges ---
+    Mutation(
+        "import a name from evaluation when cli is imported",
+        "cli.py",
+        "from . import evaluation, lexstats, summarizer\n",
+        "from . import evaluation, lexstats, summarizer\nfrom .evaluation import UtilityAnnotation\n",
+        ("tests/test_cli.py::test_a_subcommand_runs_only_the_layers_it_calls[idf]",
+         "tests/test_cli.py::test_a_subcommand_runs_only_the_layers_it_calls[summarize]"),
+    ),
+    Mutation(
+        "exit without flushing stdout and stderr",
+        "cli.py",
+        "            stream.flush()\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_a_launch_gives_the_bytes_and_code_of_main[cluster]",),
+    ),
+    Mutation(
+        "accept a negative threshold",
+        "cli.py",
+        "            if getattr(self, name) < 0:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::TestNegativeThresholds::test_cluster_exits_2_naming_the_flag[sim_threshold]",
+         "tests/test_cli.py::TestArgumentErrors::test_flag_and_config_line_give_the_same_error[centroid_threshold--5]"),
+    ),
     # --- the evaluator ---
     Mutation(
         "credit a subsumed extract member in full, not E times its utility",

@@ -5,7 +5,8 @@ CentroidEntry, Centroid, ScoreWeights, SentenceScore, Extract,
 UtilityAnnotation, SubsumptionAnnotation, SubsumptionGraph, SentenceTally,
 CsisTally, EvalReport and RunConfig as they stood while the library built
 them with `@dataclass(frozen=True)`, copied verbatim (RunConfig without its
-settings-file methods, which no record check calls). The library now writes
+settings-file methods, which no record check calls, and with the later rule
+that no threshold is negative). The library now writes
 each record's `__init__` by hand on one immutable-record base;
 test_records_oracle.py requires both to give the same repr, equality,
 hashing, attributes, validation errors and refusal to be modified. The
@@ -25,8 +26,8 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from centroidsumm.cli import _r_tag, format_r_grid
-from centroidsumm.lexstats import IDF_FLOOR, _require_finite
-from centroidsumm.text import ClusterParseError, compression_size, tokenize
+from centroidsumm.lexstats import IDF_FLOOR
+from centroidsumm.text import ClusterParseError, _require_finite, compression_size, tokenize
 
 
 @dataclass(frozen=True)
@@ -356,6 +357,9 @@ class RunConfig:
         if self.agreement_threshold < 1:
             raise ValueError(f"agreement_threshold must be >= 1, got {self.agreement_threshold}")
         _require_finite(centroid_threshold=self.centroid_threshold, sim_threshold=self.sim_threshold)
+        for name in ("centroid_threshold", "sim_threshold"):  # added after the records moved off dataclasses
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         tags = [_r_tag(rate) for rate in self.rates]
         shared = sorted({tag for tag in tags if tags.count(tag) > 1})
         if shared:

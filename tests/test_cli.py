@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from centroidsumm import (
     document_to_dict,
     extract,
     extract_to_dict,
+    incremental_cluster,
     lead_baseline,
     load_idf,
     parse_cluster,
@@ -40,7 +42,9 @@ from centroidsumm.cli import (
 )
 from centroidsumm.text import write_json
 from conftest import JUDGE_UTILITIES, SUBSUMPTION_MARKS
-from helpers import background_documents, make_cluster, save_subsumption_annotation, save_utility_annotation
+from helpers import (
+    background_documents, make_cluster, make_document, save_subsumption_annotation, save_utility_annotation,
+)
 
 
 @pytest.fixture
@@ -290,6 +294,20 @@ def news_inputs(tmp_path, news_cluster_path):
     return str(news_cluster_path), str(idf_dir / "idf.json")
 
 
+@pytest.fixture
+def alg_judges(tmp_path):
+    """Three judges of the 20-sentence fixture cluster, who agree better than chance."""
+    paths = []
+    for judge_id, utilities in {
+        "A": tuple(10 - i // 2 for i in range(20)),
+        "B": tuple(max(10 - i, 1) for i in range(20)),
+        "C": tuple(10 - i // 3 for i in range(20)),
+    }.items():
+        paths.append(str(tmp_path / f"{judge_id}.json"))
+        save_utility_annotation(UtilityAnnotation(judge_id, "alg", utilities), paths[-1])
+    return paths
+
+
 class TestSummarizeCommand:
     def test_default_rate_selects_four_of_twenty(self, news_inputs, tmp_path, capsys):
         cluster_file, idf_path = news_inputs
@@ -451,7 +469,7 @@ class TestSummarizeCommand:
         write_json(cluster_to_dict(cluster), cluster_file)
         save_idf(build_idf([*cluster.documents, *background_documents()]), idf_path)
         capped = functools.partial(redundancy_rerank, max_iterations=1)
-        monkeypatch.setattr(centroidsumm.cli, "redundancy_rerank", capped)
+        monkeypatch.setattr(centroidsumm.summarizer, "redundancy_rerank", capped)
         out = tmp_path / "out"
         args = ["summarize", str(cluster_file), "--idf", str(idf_path), "--r", "0.5", "--redundancy", "on"]
         assert main([*args, "--out", str(out)]) == 0
@@ -694,7 +712,7 @@ class TestEvaluateCommand:
             calls.append(args[0].cluster_id)
             return score_sentences(*args, **kwargs)
 
-        monkeypatch.setattr(centroidsumm.cli, "score_sentences", counted)
+        monkeypatch.setattr(centroidsumm.summarizer, "score_sentences", counted)
         out = tmp_path / "grid"
         args = ["evaluate", "--annotations", *paths, "--lead", cluster_file, "--system", cluster_file]
         args += ["--idf", idf_path, "--preset", "lead-centroid", "--r-grid", "0.1:0.9:0.1", "--out", str(out)]
@@ -1057,6 +1075,48 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith(f"error: {flag}: expected {form}")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--idf", "--config", "--annotations", "--extract", "--lead", "--system", "--subsumption"]
+    )
+    def test_two_dashes_name_a_file_as_on_python_3_13(self, news_inputs, alg_judges, tmp_path, capsys, flag):
+        # argparse before 3.13 reads --flag=-- as [] (for --extract, [[]]); 3.13 reads the path "--"
+        cluster_file, idf_path = news_inputs
+        judges = alg_judges
+        argv = {
+            "--idf": ["summarize", cluster_file, "--idf=--"],
+            "--config": ["summarize", cluster_file, "--idf", idf_path, "--config=--"],
+            "--annotations": ["evaluate", "--annotations=--", "--lead", cluster_file],
+            "--extract": ["evaluate", "--annotations", *judges, "--extract=--"],
+            "--lead": ["evaluate", "--annotations", *judges, "--lead=--"],
+            "--system": ["evaluate", "--annotations", *judges, "--system=--", "--idf", idf_path],
+            "--subsumption": ["evaluate", "--annotations", *judges, "--lead", cluster_file, "--subsumption=--"],
+        }[flag]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '--'\n"
+        assert not out.exists()
+
+    def test_two_dashes_as_the_cluster_index_name_a_file(self, news_inputs, news_cluster_path, tmp_path, capsys):
+        _, idf_path = news_inputs
+        out = tmp_path / "out"
+        assert main(["cluster", str(news_cluster_path.parent), "--idf=--", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '--'\n"
+        assert not out.exists()
+
+    def test_two_dashes_as_out_name_a_directory(self, news_cluster_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["idf", str(news_cluster_path.parent), "--out=--"]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["--"]
+        assert [path.name for path in (tmp_path / "--").iterdir()] == ["idf.json"]
+
+    def test_two_dashes_as_the_mode_exit_2(self, quad_judges):
+        # argparse before 3.13 checks no choice for --mode=--; 3.13 rejects it before main runs
+        env = {**os.environ, "PYTHONPATH": str(Path(centroidsumm.cli.__file__).parents[1])}
+        argv = ["-m", "centroidsumm.cli", "agreement", "--mode=--", "--annotations", *quad_judges]
+        result = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "--mode" in result.stderr and "'--'" in result.stderr
+
     @pytest.mark.parametrize("line", ["weights=1,x,0", "r_grid=0.1:y:0.1", "r=abc"])
     def test_bad_config_value_names_the_line(self, news_inputs, tmp_path, capsys, line):
         cluster_file, idf_path = news_inputs
@@ -1089,8 +1149,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "key, value",
         [("weights", "1,x,0"), ("r", "abc"), ("r_grid", "0.1:y:0.1"), ("E", "abc"), ("E", "-1"),
-         ("centroid_threshold", "abc"), ("sim_threshold", "inf"), ("agreement_threshold", "2.5"),
-         ("redundancy", "yes")],
+         ("centroid_threshold", "abc"), ("centroid_threshold", "-5"), ("sim_threshold", "inf"),
+         ("sim_threshold", "-1"), ("agreement_threshold", "2.5"), ("redundancy", "yes")],
     )
     def test_flag_and_config_line_give_the_same_error(self, tmp_path, capsys, key, value):
         # the settings are resolved before any input is read, so the inputs need not exist
@@ -1422,6 +1482,25 @@ class TestFailedRunsLeaveNothing:
         assert not (tmp_path / "a").exists()
 
 
+class TestNegativeThresholds:
+    """A centroid weight or a cosine is never negative, so a negative threshold acts as 0: the CLI rejects it."""
+
+    @pytest.mark.parametrize("key", ["sim_threshold", "centroid_threshold"])
+    def test_cluster_exits_2_naming_the_flag(self, news_inputs, news_cluster_path, tmp_path, capsys, key):
+        _, idf_path = news_inputs
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        assert main(["cluster", str(news_cluster_path.parent), "--idf", idf_path, f"{flag}=-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {key} must be >= 0, got -1.0\n"
+        assert not out.exists()
+
+    def test_the_library_accepts_them_as_0(self, news_cluster):
+        idf = build_idf([*news_cluster.documents, *background_documents()])
+        assert build_centroid(news_cluster, idf, -5.0) == build_centroid(news_cluster, idf, 0.0)
+        documents = news_cluster.documents
+        assert incremental_cluster(documents, idf, -1.0) == incremental_cluster(documents, idf, 0.0)
+
+
 class TestNonFiniteSettings:
     @pytest.mark.parametrize(
         "field, value",
@@ -1478,3 +1557,94 @@ def test_importing_the_cli_loads_no_introspection_modules():
     added = set(result.stdout.split())
     assert "centroidsumm.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)
+
+
+# Runs main() in-process on its arguments, then prints the exit code, the package's modules that have
+# run and whether decimal was imported. A lazily loaded layer that has not run is not a plain ModuleType,
+# and type() reads it without loading it.
+LAYERS_RUN = """
+import json, sys
+from types import ModuleType
+from centroidsumm.cli import main
+code = main(sys.argv[1:])
+ran = sorted(name for name, module in sys.modules.items() if name.startswith("centroidsumm.") and type(module) is ModuleType)
+print(json.dumps([code, ran, "decimal" in sys.modules]))
+"""
+
+
+# The layers each subcommand calls, in sorted order; evaluate takes --system here.
+LAYERS_CALLED = {
+    "idf": ["lexstats", "text"],
+    "cluster": ["lexstats", "text"],
+    "summarize": ["lexstats", "summarizer", "text"],
+    "agreement": ["evaluation", "text"],
+    "evaluate": ["evaluation", "lexstats", "summarizer", "text"],
+}
+
+
+@pytest.mark.parametrize("command", LAYERS_CALLED)
+def test_a_subcommand_runs_only_the_layers_it_calls(news_inputs, alg_judges, tmp_path, command):
+    cluster_file, idf_path = news_inputs
+    corpus = str(Path(cluster_file).parent)
+    argv = {
+        "idf": ["idf", corpus],
+        "cluster": ["cluster", corpus, "--idf", idf_path],
+        "summarize": ["summarize", cluster_file, "--idf", idf_path, "--redundancy", "on"],
+        "agreement": ["agreement", "--mode", "cbsu", "--annotations", *alg_judges],
+        "evaluate": ["evaluate", "--annotations", *alg_judges, "--system", cluster_file, "--idf", idf_path],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(centroidsumm.cli.__file__).parents[1])}
+    command_line = [sys.executable, "-c", LAYERS_RUN, *argv, "--out", str(tmp_path / "out")]
+    result = subprocess.run(command_line, env=env, capture_output=True, text=True, check=True)
+    code, ran, decimal = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert ran == ["centroidsumm.cli", *(f"centroidsumm.{layer}" for layer in LAYERS_CALLED[command])]
+    assert decimal == ("evaluation" in LAYERS_CALLED[command])
+
+
+@pytest.mark.parametrize("case", ["cluster", "exit 2", "exit 3"])
+def test_a_launch_gives_the_bytes_and_code_of_main(tmp_path, quad_judges, capsys, case):
+    """`python -m centroidsumm.cli` ends without interpreter teardown, so it must flush its piped output first."""
+    if case == "cluster":  # 400 documents without a shared term: 400 clusters, more bytes than stdout's buffer
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for i in range(400):
+            write_json(document_to_dict(make_document(f"d{i}", [f"w{i}a w{i}b."])), docs / f"{i}.json")
+        assert main(["idf", str(docs), "--out", str(tmp_path)]) == 0
+        argv = ["cluster", str(docs), "--idf", str(tmp_path / "idf.json"), "--out", str(tmp_path / "out")]
+    elif case == "exit 2":
+        argv = ["summarize", str(tmp_path / "missing.json"), "--idf", str(tmp_path / "idf.json")]
+    else:
+        argv = ["agreement", "--mode", "cbsu", "--annotations", quad_judges[0]]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(centroidsumm.cli.__file__).parents[1])
+    capsys.readouterr()
+    child = subprocess.run([sys.executable, "-m", "centroidsumm.cli", *argv], env=env, capture_output=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == {"cluster": 0, "exit 2": 2, "exit 3": 3}[case]
+    assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (code, captured.out, captured.err)
+    if case == "cluster":
+        assert captured.out.count("\n") == 401 and len(captured.out) > io.DEFAULT_BUFFER_SIZE
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stdout", ["closed", "a pipe without a reader"])
+def test_a_launch_whose_stdout_cannot_be_flushed_exits_as_a_normal_process(news_cluster_path, tmp_path, stdout):
+    """Without stdout a launch exits 0 quietly; when the flush fails, the normal exit reports it (code 120)."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(centroidsumm.cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "centroidsumm.cli", "idf", str(news_cluster_path.parent), "--out", str(tmp_path)]
+    if stdout == "closed":
+        child = subprocess.run(argv, env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stderr) == (0, b"")
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert child.returncode == 120 and b"BrokenPipeError" in child.stderr
+    assert (tmp_path / "idf.json").is_file()

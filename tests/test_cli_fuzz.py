@@ -3,17 +3,19 @@
 Each example runs one subcommand through main() in-process, with one of its
 input files corrupted (truncated, deeply nested, not UTF-8, with one value of
 the wrong JSON type, or with one object naming a key twice), with its flags
-drawn at random, with a settings file naming a key twice, or with a cluster
-id drawn from pieces that break a file name. Whatever the input, the command
-exits 0, 2 or 3; a key named twice, in a JSON object or a settings file,
-always exits 2. A failure prints exactly one stderr line, which
-starts with "error:" and, for a corrupted file, names that file; it prints no
-traceback and leaves no --out directory behind.
+drawn at random (settings, and the input, settings-file and output paths),
+with a settings file naming a key twice, or with a cluster id drawn from
+pieces that break a file name. Whatever the input, the command exits 0, 2 or
+3; a key named twice, in a JSON object or a settings file, always exits 2. A
+failure prints exactly one stderr line, which starts with "error:" and, for a
+corrupted file, names that file; it prints no traceback and leaves nothing
+beside the inputs in the example's directory, which is the working directory.
 """
 
 import contextlib
 import io
 import json
+import os
 import reprlib
 import shutil
 import tempfile
@@ -76,12 +78,21 @@ def inputs(tmp_path_factory) -> Path:
 
 
 def run(workdir: Path, argv: list[str]) -> tuple[int, str]:
-    """main() on argv, its input paths taken relative to workdir, writing to workdir/out; exit code and stderr."""
+    """main() on argv in workdir, its input paths made absolute, writing to workdir/out unless argv names
+    another --out; exit code and stderr."""
     argv = [str(workdir / arg) if arg.endswith(".json") or arg == "corpus" else arg for arg in argv]
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([*argv, "--out", str(workdir / "out")])
+    cwd = os.getcwd()
+    os.chdir(workdir)  # a relative path that a drawn flag names resolves here
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([argv[0], "--out", str(workdir / "out"), *argv[1:]])
+    finally:
+        os.chdir(cwd)
     return code, err.getvalue()
+
+
+INPUTS = {*JUDGES, *MARKS, "corpus", "cluster.json", "idf.json", "extract.json"}  # the names in an example's directory
 
 
 def check_outcome(code: int, err: str, workdir: Path, culprit: str | None) -> None:
@@ -92,7 +103,7 @@ def check_outcome(code: int, err: str, workdir: Path, culprit: str | None) -> No
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     if culprit is not None:
         assert str(workdir / culprit) in lines[0], err
-    assert not (workdir / "out").exists()
+    assert {path.name for path in workdir.iterdir()} == INPUTS
 
 
 # Any JSON value; deep nesting is drawn separately, as text.
@@ -197,6 +208,20 @@ def test_duplicate_key_in_input_file(inputs, data):
 numbers = st.floats().map(repr) | st.integers(-3, 200).map(str) | st.sampled_from(["1e308", "-0", "1e-320"])
 
 
+# Paths for the flags that name an input, the settings file or the output directory, read in the example's
+# directory: "--" (what argparse before 3.13 reads as []), "-" and "missing.json" name no file, "" is the
+# working directory and "corpus" a directory, and the rest are inputs of the wrong kind for most flags.
+PATHS = st.sampled_from(["--", "-", "", "missing.json", "corpus", "cluster.json", "idf.json", "j_a.json", "s_a.json"])
+PATH_FLAGS = {
+    "idf": ["--out"],
+    "cluster": ["--idf", "--config", "--out"],
+    "summarize": ["--idf", "--config", "--out"],
+    "evaluate": ["--annotations", "--extract", "--lead", "--system", "--idf", "--subsumption", "--config", "--out"],
+    "cbsu": ["--annotations", "--config", "--out"],
+    "csis": ["--annotations", "--config", "--out"],
+}
+
+
 @st.composite
 def flags(draw, command: str) -> list[str]:
     """Flag values argparse accepts but the command may reject."""
@@ -213,16 +238,17 @@ def flags(draw, command: str) -> list[str]:
         "--agreement-threshold": st.integers(-2, 6).map(str),
     }
     allowed = {
+        "idf": [],
         "cluster": ["--sim-threshold", "--centroid-threshold"],
         "summarize": ["--r", "--r-grid", "--weights", "--redundancy", "--centroid-threshold"],
         "evaluate": ["--r", "--r-grid", "--weights", "--redundancy", "--E"],
         "cbsu": ["--r-grid"],
         "csis": [],
-    }[command]
-    chosen = draw(st.lists(st.sampled_from(allowed), unique=True, max_size=3)) if allowed else []
+    }[command] + PATH_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(allowed), unique=True, max_size=3))
     argv = []
     for flag in chosen:
-        value = draw(choices[flag])
+        value = draw(choices.get(flag, PATHS))
         argv += [flag, value] if not value.startswith("-") else [f"{flag}={value}"]
     return argv
 
@@ -230,7 +256,7 @@ def flags(draw, command: str) -> list[str]:
 @given(data=st.data())
 @settings(max_examples=examples(80), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_flag_values(inputs, data):
-    command = data.draw(st.sampled_from(sorted(set(COMMANDS) - {"idf"})))
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
     argv, _ = COMMANDS[command]
     extra = data.draw(flags(command))
     with tempfile.TemporaryDirectory() as tmp:
