@@ -375,7 +375,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
-    """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones.
+    """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones in 1..n.
 
     A file that states its rate must state a number in (0, 1] with the same k as r.
     """
@@ -399,33 +399,20 @@ def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
         raise ValueError(f"{path}: r: expected a rate in (0, 1] with k={k} as at r={r:g}, got {reprlib.repr(stated)}")
     if len(selected) != k:
         raise EvaluationError(f"{path}: extract selects {len(selected)} sentences, expected k={k} at r={r:g}")
+    for i, position in enumerate(selected):
+        if not 1 <= position <= n:
+            raise EvaluationError(f"{path}: selected[{i}]: position {position} outside 1..{n} of the annotations")
     return sorted(selected)
 
 
 def _load_judges(paths: Sequence[str], load: Callable) -> list:
-    """Utility or subsumption files of one cluster, utilities of one size, each of its own judge.
+    """Utility or subsumption files, loaded and checked as one judge set by `evaluation._check_judge_set`.
 
-    Every file is compared with the first, and a judge id with the file that first gave it; a
-    mismatch or a repeat names the files. The library checks the judge count.
+    A fault names the file at fault and the file it disagrees with. The judge count is checked where the
+    judges are used.
     """
     judges = [load(path) for path in paths]
-    first = judges[0]
-    for path, judge in zip(paths[1:], judges[1:]):
-        if judge.cluster_id != first.cluster_id:
-            raise EvaluationError(
-                f"{path}: annotations mix clusters {reprlib.repr(first.cluster_id)} "
-                f"and {reprlib.repr(judge.cluster_id)}, the first from {paths[0]}"
-            )
-        if isinstance(judge, evaluation.UtilityAnnotation) and judge.n != first.n:
-            raise EvaluationError(
-                f"{path}: judge {reprlib.repr(judge.judge_id)} annotated {judge.n} sentences, "
-                f"expected {first.n} as in {paths[0]}"
-            )
-    ids = [judge.judge_id for judge in judges]
-    repeat = _first_repeat(ids)
-    if repeat is not None:
-        judge, first_path = reprlib.repr(ids[repeat]), paths[ids.index(ids[repeat])]
-        raise EvaluationError(f"{paths[repeat]}: judge {judge} is already the judge of {first_path}")
+    evaluation._check_judge_set(judges, 1, paths)
     return judges
 
 

@@ -123,9 +123,6 @@ class SubsumptionGraph(_Record):
             linked.setdefault(b, set()).add(a)
         self.__dict__["neighbours"] = {pos: frozenset(peers) for pos, peers in linked.items()}
 
-    def related(self, a: int, b: int) -> bool:
-        return b in self.neighbours.get(a, _NO_PEERS)
-
 
 def judge_extract(annotation: UtilityAnnotation, k: int) -> frozenset[int]:
     """The k positions this judge values most, ties to the earlier position."""
@@ -175,44 +172,46 @@ def extract_utility(
     return total
 
 
-def _one_cluster(annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation], minimum: int) -> str:
-    """The one judge-set check: at least `minimum` distinct judges, all of one cluster (its id returned)."""
+def _check_judge_set(
+    annotations: Sequence[UtilityAnnotation | SubsumptionAnnotation], minimum: int, files: Sequence[str] | None = None
+) -> UtilityAnnotation | SubsumptionAnnotation:
+    """The one judge-set check; it returns the first annotation, whose cluster (and n) the set shares.
+
+    In this order: at least `minimum` judges; each annotation, in order, of the first's cluster and, for
+    utility judges, of its n; no judge id twice, which would count twice in every mean over judges; no
+    utility judge whose utilities are all 0, whose ratios are undefined. Given `files`, the paths the
+    annotations were read from, a message starts with the file at fault and names the file it disagrees with.
+    """
     if len(annotations) < minimum:
         raise EvaluationError(f"need at least {minimum} judge{'s' if minimum > 1 else ''}")
-    cluster_id = annotations[0].cluster_id
-    for ann in annotations[1:]:
-        if ann.cluster_id != cluster_id:
-            raise EvaluationError(
-                f"annotations mix clusters {reprlib.repr(cluster_id)} and {reprlib.repr(ann.cluster_id)}"
-            )
+    first, utility = annotations[0], isinstance(annotations[0], UtilityAnnotation)
+
+    def fault(i: int, text: str, named: str = "") -> EvaluationError:
+        """`text` or, given files, file i's path, `text` and `named`, the words that name another file."""
+        return EvaluationError(f"{files[i]}: {text}{named}" if files else text)
+
+    origin = files[0] if files else None  # the file of the first annotation
+    for i, ann in enumerate(annotations[1:], 1):
+        if ann.cluster_id != first.cluster_id:
+            clusters = f"{reprlib.repr(first.cluster_id)} and {reprlib.repr(ann.cluster_id)}"
+            raise fault(i, f"annotations mix clusters {clusters}", f", the first from {origin}")
+        if utility and ann.n != first.n:
+            sizes = f"annotated {ann.n} sentences, expected {first.n}"
+            raise fault(i, f"judge {reprlib.repr(ann.judge_id)} {sizes}", f" as in {origin}")
     ids = [ann.judge_id for ann in annotations]
-    repeat = _first_repeat(ids)
-    if repeat is not None:  # one judge given twice would count twice in every mean over judges
-        raise EvaluationError(f"judge {reprlib.repr(ids[repeat])} is given more than once")
-    return cluster_id
-
-
-def _check_judges(annotations: Sequence[UtilityAnnotation], minimum: int = 1) -> int:
-    """Utility judges of one cluster who all annotated the same n sentences (returned)."""
-    _one_cluster(annotations, minimum)
-    first = annotations[0]
-    for ann in annotations[1:]:
-        if ann.n != first.n:
-            raise EvaluationError(
-                f"judge {reprlib.repr(ann.judge_id)} annotated {ann.n} sentences, expected {first.n}"
-            )
-    return first.n
+    i = _first_repeat(ids)
+    if i is not None:
+        again = f"is already the judge of {files[ids.index(ids[i])]}" if files else "is given more than once"
+        raise fault(i, f"judge {reprlib.repr(ids[i])} {again}")
+    for i, ann in enumerate(annotations if utility else ()):
+        if not ann.best[-1]:
+            raise fault(i, f"judge {reprlib.repr(ann.judge_id)} assigns zero utility everywhere; ratios undefined")
+    return first
 
 
 def _maxima(annotations: Sequence[UtilityAnnotation], k: int) -> list[int]:
     """Each judge's best k-sentence utility, the denominator of every ratio."""
-    maxima = [max_utility(ann, k) for ann in annotations]
-    for ann, m in zip(annotations, maxima):
-        if m == 0:
-            raise EvaluationError(
-                f"judge {reprlib.repr(ann.judge_id)} assigns zero utility everywhere; ratios undefined"
-            )
-    return maxima
+    return [max_utility(ann, k) for ann in annotations]
 
 
 # Per-judge ratio producers: credited utility over that judge's maximum, one
@@ -236,7 +235,7 @@ def _system_ratios(
 ) -> list[float]:
     positions = sorted(set(extract))
     if maxima is None:  # a standalone score; no caller checked the judges
-        _check_judges(annotations)
+        _check_judge_set(annotations, 1)
         maxima = _maxima(annotations, len(positions))
     n = annotations[0].n
     outside = [pos for pos in positions if not 1 <= pos <= n]
@@ -299,7 +298,7 @@ def cross_judge_matrix(
     annotations: Sequence[UtilityAnnotation], r: float
 ) -> list[list[float]]:
     """J[i][j]: how much of judge j's maximum utility judge i's extract earns."""
-    k = compression_size(_check_judges(annotations, 2), r)
+    k = compression_size(_check_judge_set(annotations, 2).n, r)
     return _cross_judge_ratios(annotations, k, _maxima(annotations, k))
 
 
@@ -368,7 +367,7 @@ def random_performance(
     "closed_form" uses linearity of expectation: a random k-subset earns
     k * mean(utility) from each judge. The two agree exactly.
     """
-    n = _check_judges(annotations)
+    n = _check_judge_set(annotations, 1).n
     k = compression_size(n, r)
     maxima = _maxima(annotations, k)
     if mode == "enumerate":
@@ -383,7 +382,7 @@ def random_performance(
 
 def report_random_performance(annotations: Sequence[UtilityAnnotation], r: float) -> float:
     """Table-style R over the closed-form per-judge expectations."""
-    k = compression_size(_check_judges(annotations), r)
+    k = compression_size(_check_judge_set(annotations, 1).n, r)
     return _table_mean(_random_ratios(annotations, k, _maxima(annotations, k)))
 
 
@@ -415,7 +414,7 @@ def csis_consensus(
     annotations: Sequence[SubsumptionAnnotation], threshold: int
 ) -> SubsumptionGraph:
     """Keep the subsumption edges at least `threshold` judges agree on."""
-    cluster_id = _one_cluster(annotations, 1)
+    cluster_id = _check_judge_set(annotations, 1).cluster_id
     support: Counter = Counter()
     for ann in annotations:
         for position, targets in ann.subsumers.items():
@@ -452,7 +451,7 @@ def csis_agreement_tally(
     marked. A tie between the empty answer and a non-empty one counts as
     agreement on subsumption.
     """
-    _one_cluster(annotations, 1)
+    _check_judge_set(annotations, 1)
     if n is not None:
         positions = range(1, n + 1)
     else:
@@ -515,7 +514,7 @@ def build_report(
     E: float = 1.0,
 ) -> EvalReport:
     """Evaluate named extracts against the judges at compression rate r."""
-    k = compression_size(_check_judges(annotations, 2), r)
+    k = compression_size(_check_judge_set(annotations, 2).n, r)
     maxima = _maxima(annotations, k)
     matrix = _cross_judge_ratios(annotations, k, maxima)
     per_judge, mean_j = _matrix_means(matrix, _table_mean)

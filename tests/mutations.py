@@ -158,7 +158,45 @@ MUTATIONS = [
         ("tests/test_cli.py::TestNegativeThresholds::test_cluster_exits_2_naming_the_flag[sim_threshold]",
          "tests/test_cli.py::TestArgumentErrors::test_flag_and_config_line_give_the_same_error[centroid_threshold--5]"),
     ),
+    Mutation(
+        "leave an extract file's positions to the library's range check",
+        "cli.py",
+        "        if not 1 <= position <= n:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestEvaluateCommand::test_out_of_range_extract_exits_3",),
+    ),
     # --- the evaluator ---
+    Mutation(
+        "let a judge set mix sizes",
+        "evaluation.py",
+        "        if utility and ann.n != first.n:\n",
+        "        if False:\n",
+        ("tests/test_evaluation.py::TestCrossJudge::test_rejects_mismatched_lengths",
+         "tests/test_cli.py::TestJudgeFiles::test_mismatch_names_the_file[n-evaluate]"),
+    ),
+    Mutation(
+        "let a judge set give one judge twice",
+        "evaluation.py",
+        "    if i is not None:\n",
+        "    if False:\n",
+        ("tests/test_evaluation.py::TestCrossJudge::test_rejects_a_judge_given_twice",
+         "tests/test_cli.py::TestOneJudgeOneVote::test_utility_judge_given_twice_exits_3[evaluate]"),
+    ),
+    Mutation(
+        "let a judge set hold a judge whose utilities are all 0",
+        "evaluation.py",
+        "        if not ann.best[-1]:\n",
+        "        if False:\n",
+        ("tests/test_evaluation.py::TestCrossJudge::test_rejects_all_zero_judge",
+         "tests/test_cli.py::TestJudgeFiles::test_all_zero_judge_names_the_file[evaluate]"),
+    ),
+    Mutation(
+        "ignore the files in a judge-set fault",
+        "evaluation.py",
+        '        return EvaluationError(f"{files[i]}: {text}{named}" if files else text)\n',
+        "        return EvaluationError(text)\n",
+        ("tests/test_cli.py::TestJudgeFiles::test_mismatch_names_the_file[cluster_id-agreement]",),
+    ),
     Mutation(
         "credit a subsumed extract member in full, not E times its utility",
         "evaluation.py",

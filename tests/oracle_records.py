@@ -6,7 +6,8 @@ UtilityAnnotation, SubsumptionAnnotation, SubsumptionGraph, SentenceTally,
 CsisTally, EvalReport and RunConfig as they stood while the library built
 them with `@dataclass(frozen=True)`, copied verbatim (RunConfig without its
 settings-file methods, which no record check calls, and with the later rule
-that no threshold is negative). The library now writes
+that no threshold is negative; SubsumptionGraph without `related`, which the
+library no longer has). The library now writes
 each record's `__init__` by hand on one immutable-record base;
 test_records_oracle.py requires both to give the same repr, equality,
 hashing, attributes, validation errors and refusal to be modified. The
@@ -261,9 +262,6 @@ class SubsumptionAnnotation:
         return self.subsumers.get(position, frozenset())
 
 
-_NO_PEERS: frozenset[int] = frozenset()
-
-
 @dataclass(frozen=True)
 class SubsumptionGraph:
     """Consensus subsumption edges: (a, b) means a's content is contained in b's.
@@ -285,9 +283,6 @@ class SubsumptionGraph:
             linked.setdefault(a, set()).add(b)
             linked.setdefault(b, set()).add(a)
         object.__setattr__(self, "neighbours", {pos: frozenset(peers) for pos, peers in linked.items()})
-
-    def related(self, a: int, b: int) -> bool:
-        return b in self.neighbours.get(a, _NO_PEERS)
 
 
 @dataclass(frozen=True)

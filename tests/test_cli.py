@@ -657,9 +657,13 @@ class TestEvaluateCommand:
 
     def test_out_of_range_extract_exits_3(self, quad_judges, tmp_path, capsys):
         extract_file = tmp_path / "late.json"
-        write_json({"cluster_id": "quad", "selected": [1, 7]}, extract_file)
-        assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
-        assert "system 'late' selects position 7, outside 1..4" in capsys.readouterr().err
+        for position in (7, 0, -1):
+            write_json({"cluster_id": "quad", "selected": [1, position]}, extract_file)
+            args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
+            assert main([*args, "--out", str(tmp_path / "out")]) == 3
+            expected = f"{extract_file}: selected[1]: position {position} outside 1..4 of the annotations"
+            assert capsys.readouterr().err == f"error: {expected}\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--lead", "--system"])
     @pytest.mark.parametrize("change", ["cluster_id", "n"])
@@ -969,6 +973,33 @@ class TestJudgeFiles:
         assert main([*self.judge_args(command, [*quad_judges, str(odd)], tmp_path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "agreement"])
+    def test_all_zero_judge_names_the_file(self, quad_judges, tmp_path, capsys, command):
+        zero = tmp_path / "zero.json"
+        save_utility_annotation(UtilityAnnotation("Z", "quad", (0, 0, 0, 0)), zero)
+        out = tmp_path / "out"
+        paths = [quad_judges[0], str(zero), *quad_judges[1:]]
+        assert main([*self.judge_args(command, paths, tmp_path), "--out", str(out)]) == 3
+        expected = f"{zero}: judge 'Z' assigns zero utility everywhere; ratios undefined"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "agreement"])
+    def test_the_first_fault_is_the_librarys_naming_the_file(self, tmp_path, capsys, command):
+        # the second file's size fault comes before the third file's cluster fault
+        judges = [
+            UtilityAnnotation("J1", "quad", (5, 3, 1, 0)),
+            UtilityAnnotation("J2", "quad", (5, 3, 1)),
+            UtilityAnnotation("J3", "other", (4, 3, 2, 1)),
+        ]
+        paths = [str(tmp_path / f"{judge.judge_id}.json") for judge in judges]
+        for judge, path in zip(judges, paths):
+            save_utility_annotation(judge, path)
+        with pytest.raises(ValueError) as library:
+            build_report(judges, {"s12": (1, 2)}, 0.5)
+        assert main([*self.judge_args(command, paths, tmp_path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {paths[1]}: {library.value} as in {paths[0]}\n"
 
     def test_csis_mismatch_names_the_file(self, subsumption_files, tmp_path, capsys):
         odd = tmp_path / "odd.json"

@@ -274,11 +274,11 @@ class TestLegacyMetrics:
 class TestSubsumption:
     def test_consensus_threshold(self, subsumption_judges):
         graph = csis_consensus(subsumption_judges, threshold=3)
-        assert graph.related(1, 12)
-        assert graph.related(2, 16)
-        assert graph.related(4, 21)
-        assert not graph.related(3, 21)  # only one judge marked it
-        assert not graph.related(5, 13)
+        assert 12 in graph.neighbours[1]
+        assert 16 in graph.neighbours[2]
+        assert 21 in graph.neighbours[4]
+        assert 21 not in graph.neighbours.get(3, ())  # only one judge marked it
+        assert 13 not in graph.neighbours.get(5, ())
 
     def test_empty_judge_sets_rejected(self):
         calls = [lambda: csis_consensus([], 1), lambda: csis_agreement_tally([]), lambda: random_performance([], 0.5)]
@@ -323,17 +323,18 @@ class TestSubsumption:
     def test_neighbour_map_is_undirected(self):
         graph = SubsumptionGraph("c", frozenset({(2, 1), (3, 2), (4, 4)}), 1)
         assert graph.neighbours == {1: {2}, 2: {1, 3}, 3: {2}, 4: {4}}
-        assert graph.related(1, 2) and graph.related(2, 1) and not graph.related(1, 3)
+        assert 2 in graph.neighbours[1] and 1 in graph.neighbours[2] and 3 not in graph.neighbours[1]
         assert graph == SubsumptionGraph("c", frozenset({(2, 1), (3, 2), (4, 4)}), 1)
         assert "neighbours" not in repr(graph)
 
     def test_credit_reads_each_members_edges_not_every_pair(self, monkeypatch):
-        # a 2,000-sentence chain: the pairwise test would make about two
-        # million related() calls; the neighbour map makes none
+        # a 2,000-sentence chain: a pairwise test over the edge set would make
+        # about two million lookups; credit reads the neighbour map, never the edges
         n = 2_000
         ann = UtilityAnnotation("J", "c", (1,) * n)
         graph = SubsumptionGraph("c", frozenset((p + 1, p) for p in range(1, n)), 1)
-        monkeypatch.setattr(SubsumptionGraph, "related", lambda *args: pytest.fail("pairwise related() call"))
+        edges = property(lambda self: pytest.fail("credit read the edge set"))
+        monkeypatch.setattr(SubsumptionGraph, "edges", edges, raising=False)
         assert extract_utility(range(1, n + 1), ann, graph, E=0.0) == 1.0
         assert extract_utility(range(1, n + 1, 2), ann, graph, E=0.0) == n / 2
 

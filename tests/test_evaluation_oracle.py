@@ -115,7 +115,51 @@ def test_credit_and_ranking_equal_reference(case):
         assert repr(cs.extract_utility(*args)) == repr(oracle.extract_utility(*args)), args
     for a in range(judge.n + 5):
         for b in range(judge.n + 5):
-            assert graph.related(a, b) == oracle._related(graph, a, b), (a, b)
+            assert (b in graph.neighbours.get(a, ())) == oracle._related(graph, a, b), (a, b)
+
+
+@st.composite
+def faulty_judges(draw):
+    """Two to five judges with distinct ids; every judge after the first may hold a cluster fault, a size
+    fault or both, and at least one does."""
+    n = draw(st.integers(1, 8))
+    faults = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4).filter(
+        lambda faults: any(map(any, faults))
+    ))
+    judges = []
+    for j, (cluster_fault, size_fault) in enumerate([(False, False), *faults]):
+        size = draw(st.sampled_from([m for m in (n - 1, n + 1) if m])) if size_fault else n
+        utilities = tuple(draw(st.lists(st.integers(0, 10), min_size=size, max_size=size)))
+        judges.append(UtilityAnnotation(f"J{j}", "d" if cluster_fault else "c", utilities))
+    return judges, draw(st.integers(1, 100)) / 100
+
+
+def same_first_fault(judges, r):
+    """Every public entry point reports the first fault that the oracle's cross-judge check reports.
+
+    The oracle's cross_judge_matrix, report_cross_judge and build_report check the judge set; its other
+    entry points predate that check, so the library's error is compared with the cross-judge one.
+    """
+    for name, args in [("cross_judge_matrix", ()), ("report_cross_judge", ()), ("build_report", ({"s": (1,)},))]:
+        same(name, judges, *args, r)
+    fault = outcome(oracle.cross_judge_matrix, judges, r)
+    assert fault[0] is EvaluationError
+    calls = [
+        lambda: cs.system_performance((1,), judges),
+        lambda: cs.report_system_performance((1,), judges),
+        lambda: cs.random_performance(judges, r),
+        lambda: cs.random_performance(judges, r, mode="enumerate"),
+        lambda: cs.report_random_performance(judges, r),
+        lambda: cs.agreement_curve(judges, [r]),
+    ]
+    for call in calls:
+        assert outcome(call) == fault
+
+
+@given(faulty_judges())
+@settings(max_examples=examples(150), deadline=None)
+def test_first_fault_equals_reference(case):
+    same_first_fault(*case)
 
 
 @given(
@@ -148,6 +192,17 @@ class TestJudgeConsistency:
         for call in calls:
             with pytest.raises(EvaluationError, match="annotated 3 sentences|mix clusters"):
                 call()
+
+    def test_the_first_fault_in_order_is_reported(self):
+        # J2's size fault comes before J3's cluster fault
+        judges = [
+            UtilityAnnotation("J1", "c", (5, 3, 1, 0)),
+            UtilityAnnotation("J2", "c", (5, 3, 1)),
+            UtilityAnnotation("J3", "d", (4, 3, 2, 1)),
+        ]
+        same_first_fault(judges, 0.5)
+        with pytest.raises(EvaluationError, match="^judge 'J2' annotated 3 sentences, expected 4$"):
+            cs.cross_judge_matrix(judges, 0.5)
 
     def test_position_outside_cluster(self):
         judges = [UtilityAnnotation("J1", "c", (5, 3, 1, 0)), UtilityAnnotation("J2", "c", (4, 3, 2, 1))]

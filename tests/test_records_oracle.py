@@ -183,7 +183,7 @@ def reads(record) -> tuple:
     if name == "SubsumptionAnnotation":
         return [record.subsumers_of(p) for p in PROBES]
     if name == "SubsumptionGraph":
-        return [record.related(a, b) for a in PROBES for b in PROBES]
+        return [b in record.neighbours.get(a, ()) for a in PROBES for b in PROBES]
     if name == "RunConfig":
         return record.weights, record.rates
     return ()
