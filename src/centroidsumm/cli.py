@@ -139,19 +139,35 @@ def parse_on_off(value: str) -> bool:
     return _choose(value, {"on": True, "off": False})
 
 
-class _Setting(_Record):
-    """A setting: the RunConfig fields it sets, the subcommands with its flag, and the flag's help.
+class _Arg(_Record):
+    """A positional argument or flag of the subcommands in `commands`, with its help and usage rules.
 
-    `parse` turns text into the fields' values, and the line or flag also resets `resets` to their
-    defaults: an explicit rate replaces a grid.
+    `kind` is "path" (one path: an input, the settings file or the output directory), "paths" (one or
+    more after the flag), "repeated" (the flag once per path), "choice" (one of `choices`) or
+    "setting". A setting's line or flag is parsed into the RunConfig `fields` and resets `resets` to
+    their defaults (an explicit rate replaces a grid).
+
+    A rule (kind, names, message) applies in a subcommand that has the first flag of `names`. An
+    "only with" rule rejects the flag given without any of `names`; a settings-file line is accepted,
+    since one file serves every subcommand. A "needs" or "excludes" rule rejects the value the run
+    uses, from the flag or the settings file, without any of `names` or with any of them. A name is a
+    flag's dest, or "dest=value" for that value. An empty message is "--flag applies only with --names".
     """
 
-    fields: tuple[str, ...]
+    name: str  # a flag's starts with "--"; a positional's is its dest
     commands: str
-    help: str
+    help: str | None = None
+    kind: str = "path"
+    fields: tuple[str, ...] = ()
     parse: Callable[[str], tuple] = _numbers
     resets: tuple[str, ...] = ()
-    needs: str | None = None  # an input flag: a subcommand that has it reads the setting only with it
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    rules: tuple[tuple[str, str, str], ...] = ()
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
 
 
 def _apply(config: RunConfig, settings: Iterable[tuple[str, str, str]]) -> RunConfig:
@@ -193,53 +209,95 @@ def _file_lines(path: str | Path) -> Iterator[tuple[str, str, str]]:
         yield key, value, f"{path}:{lineno}: {key}"
 
 
-# Settings-file key -> setting. Entries call public functions by name: wrapped ones see every call.
-_SETTINGS = {
-    "weights": _Setting(
-        ("w_c", "w_p", "w_f"), "summarize evaluate", "w_c,w_p,w_f", lambda text: parse_weights(text), needs="system"
-    ),
-    "preset": _Setting(
-        ("w_c", "w_p", "w_f"), "summarize evaluate", f"named weights: {' or '.join(PRESETS)}",
-        lambda text: _choose(text, PRESETS)._values(), needs="system",
-    ),
-    "r": _Setting(("r",), "summarize evaluate", "compression rate in (0, 1]", resets=("r_grid",)),
-    "r_grid": _Setting(
-        ("r_grid",), "summarize evaluate agreement", "rate grid start:stop:step, e.g. 0.1:0.9:0.1",
-        lambda text: (parse_r_grid(text) if text else None,),
-    ),
-    "E": _Setting(("E",), "evaluate", "subsumption discount factor in [0, 1]", needs="subsumption"),
-    "centroid_threshold": _Setting(
-        ("centroid_threshold",), "cluster summarize evaluate", "least term weight", needs="system"
-    ),
-    "sim_threshold": _Setting(("sim_threshold",), "cluster", "least similarity that joins an open cluster"),
-    "agreement_threshold": _Setting(
-        ("agreement_threshold",), "evaluate", "judges needed for a consensus subsumption edge",
-        lambda text: _numbers(text, "an integer", kind=int), needs="subsumption",
-    ),
-    "redundancy": _Setting(
-        ("redundancy",), "summarize evaluate", "on or off: rerank with the redundancy penalty",
-        lambda text: (parse_on_off(text),), needs="system",
-    ),
+_COMMANDS = {
+    "idf": "build an IDF model from a corpus directory",
+    "cluster": "group documents into event clusters",
+    "summarize": "extract a summary from a cluster file",
+    "evaluate": "score extracts and baselines against judges",
+    "agreement": "inter-judge agreement tables",
 }
-_FLAGS = {key: "--" + key.replace("_", "-") for key in _SETTINGS}
+_WITH_SYSTEM, _WITH_SUBSUMPTION = (("only with", "system", ""),), (("only with", "subsumption", ""),)
+
+# Every argument of every subcommand, in the order of its subcommand's help. Entries call public
+# functions by name, so wrapped ones see every call.
+_ARGS = (
+    _Arg("corpus_dir", "idf"),
+    _Arg("docs_dir", "cluster"),
+    _Arg("cluster_file", "summarize"),
+    _Arg("--idf", "cluster summarize", "IDF model file", required=True),
+    _Arg("--mode", "agreement", kind="choice", required=True, choices=("cbsu", "csis")),
+    _Arg("--annotations", "evaluate", "utility annotation files", "paths", required=True),
+    _Arg("--annotations", "agreement", kind="paths", required=True),
+    _Arg("--extract", "evaluate", "extract file to evaluate (repeatable)", "repeated"),
+    _Arg("--lead", "evaluate", "cluster file; evaluate its lead baseline"),
+    _Arg("--system", "evaluate", "cluster file; evaluate a freshly scored extract",
+         rules=(("needs", "idf", "--system needs --idf to score sentences"),)),
+    _Arg("--idf", "evaluate", "IDF model file (needed with --system)", rules=_WITH_SYSTEM),
+    _Arg("--subsumption", "evaluate", "subsumption annotation files", "paths"),
+    _Arg("--config", "cluster summarize evaluate agreement", "key=value settings file; flags override it"),
+    _Arg("--out", " ".join(_COMMANDS), "output directory (default: current directory)"),
+    _Arg("--weights", "summarize evaluate", "w_c,w_p,w_f", "setting", ("w_c", "w_p", "w_f"),
+         lambda text: parse_weights(text), rules=_WITH_SYSTEM),
+    _Arg("--preset", "summarize evaluate", f"named weights: {' or '.join(PRESETS)}", "setting",
+         ("w_c", "w_p", "w_f"), lambda text: _choose(text, PRESETS)._values(), rules=_WITH_SYSTEM),
+    _Arg("--r", "summarize evaluate", "compression rate in (0, 1]", "setting", ("r",), resets=("r_grid",)),
+    _Arg("--r-grid", "summarize evaluate agreement", "rate grid start:stop:step, e.g. 0.1:0.9:0.1", "setting",
+         ("r_grid",), lambda text: (parse_r_grid(text) if text else None,), rules=(
+             ("only with", "mode=cbsu", "--r-grid applies to --mode cbsu only"),
+             ("excludes", "extract", "--extract files are fixed to one rate; use --lead/--system with --r-grid"),
+             ("needs", "lead system", "--r-grid needs --lead and/or --system"),
+         )),
+    _Arg("--E", "evaluate", "subsumption discount factor in [0, 1]", "setting", ("E",), rules=_WITH_SUBSUMPTION),
+    _Arg("--centroid-threshold", "cluster summarize evaluate", "least term weight", "setting",
+         ("centroid_threshold",), rules=_WITH_SYSTEM),
+    _Arg("--sim-threshold", "cluster", "least similarity that joins an open cluster", "setting", ("sim_threshold",)),
+    _Arg("--agreement-threshold", "evaluate", "judges needed for a consensus subsumption edge", "setting",
+         ("agreement_threshold",), lambda text: _numbers(text, "an integer", kind=int), rules=_WITH_SUBSUMPTION),
+    _Arg("--redundancy", "summarize evaluate", "on or off: rerank with the redundancy penalty", "setting",
+         ("redundancy",), lambda text: (parse_on_off(text),), rules=_WITH_SYSTEM),
+)
+_SETTINGS = {entry.dest: entry for entry in _ARGS if entry.kind == "setting"}  # settings-file key -> entry
+_LISTS = {"paths": {"nargs": "+"}, "repeated": {"action": "append"}}  # the list kinds' argparse options
+
+
+def _entries(command: str) -> list[_Arg]:
+    return [entry for entry in _ARGS if command in entry.commands.split()]
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by --config file lines, overridden by explicit flags.
+    """Defaults, overridden by --config file lines, overridden by explicit flags; reads no other file.
 
     The lines, then the flags, take the same `_apply` step, which parses and range-checks each value;
-    an error starts with `path:line: key:` or `--flag:`. Two lines or two flags setting one field fail,
-    and so does a flag without its `needs`.
+    an error starts with `path:line: key:` or `--flag:`. Two lines or two flags setting one field fail.
     """
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    flags = {key: getattr(args, key, None) for key in _SETTINGS}
-    given = [(key, text, _FLAGS[key]) for key, text in flags.items() if text is not None]
-    config = _apply(config, given)
-    for key, _, flag in given:
-        needs = _SETTINGS[key].needs
-        if needs and not getattr(args, needs, True):
-            raise ValueError(f"{flag} applies only with --{needs}")
-    return config
+    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    flags = [(key, getattr(args, key, None), entry.name) for key, entry in _SETTINGS.items()]
+    return _apply(config, [flag for flag in flags if flag[1] is not None])
+
+
+def _check_usage(args: argparse.Namespace, config: RunConfig) -> None:
+    """Raise the run's first usage error: two evaluate systems with one report label, a value outside its
+    flag's choices, or a broken rule of the table's. It reads no input file, so it runs before the
+    command reads one.
+    """
+    labelled = [(Path(path).stem, path) for path in getattr(args, "extract", None) or []]
+    labelled += [(label, f"--{label} {path}") for label in ("lead", "system") if (path := getattr(args, label, None))]
+    for (label, first), (other, second) in combinations(labelled, 2):
+        if label == other:
+            raise ValueError(f"{first} and {second} both give the report label {reprlib.repr(label)}")
+    for entry in _entries(args.command):
+        value = getattr(args, entry.dest)
+        if entry.kind == "choice" and value not in entry.choices:  # argparse before 3.13 lets --mode=-- pass
+            raise ValueError(f"{entry.name}: expected {' or '.join(entry.choices)}, got {reprlib.repr(value)}")
+        for kind, names, message in entry.rules:
+            wanted = [name.partition("=") for name in names.split()]  # (dest, "=", value) or (dest, "", "")
+            if not hasattr(args, wanted[0][0]):  # a subcommand without the flags the rule names
+                continue
+            # "only with" reads the flag; "needs" and "excludes" read the setting the run uses, from either source
+            used = getattr(config, entry.dest) if kind != "only with" and entry.kind == "setting" else value
+            met = any(getattr(args, key) == target if target else getattr(args, key) for key, _, target in wanted)
+            if used is not None and met == (kind == "excludes"):
+                raise ValueError(message or f"{entry.name} applies only with --{names}")
 
 
 _CLUSTER_FILE = re.compile(r"c[0-9]{3,}\.json")  # the names `cluster` gives its files
@@ -318,7 +376,7 @@ def _load_corpus_documents(corpus_dir: str) -> list:
     return documents
 
 
-def cmd_idf(args: argparse.Namespace) -> int:
+def cmd_idf(args: argparse.Namespace, config: RunConfig) -> int:
     documents = _load_corpus_documents(args.corpus_dir)
     model = lexstats.build_idf(documents)
     out = _out_dir(args) / "idf.json"
@@ -327,8 +385,7 @@ def cmd_idf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
     documents = _load_corpus_documents(args.docs_dir)
     idf = lexstats.load_idf(args.idf)
     clusters = lexstats.incremental_cluster(
@@ -359,8 +416,7 @@ def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dic
     return extracts
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_summarize(args: argparse.Namespace, config: RunConfig) -> int:
     cluster = parse_cluster(args.cluster_file)
     extracts = _score_and_select(cluster, args.idf, config)
     out = _out_dir(args)
@@ -469,24 +525,12 @@ def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
     _write_csv(path, header, rows)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    labelled = [(Path(path).stem, path) for path in args.extract or []]
-    labelled += [(label, f"--{label} {path}") for label, path in (("lead", args.lead), ("system", args.system)) if path]
-    for (label, first), (other, second) in combinations(labelled, 2):
-        if label == other:
-            raise ValueError(f"{first} and {second} both give the report label {reprlib.repr(label)}")
+def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
     graph = None
     if args.subsumption:
         subs = _load_judges(args.subsumption, lambda path: _judged_subsumption(path, annotations))
         graph = evaluation.csis_consensus(subs, config.agreement_threshold)
-    if config.r_grid is not None and args.extract:
-        raise ValueError("--extract files are fixed to one rate; use --lead/--system with --r-grid")
-    if config.r_grid is not None and not (args.lead or args.system):
-        raise ValueError("--r-grid needs --lead and/or --system")
-    if bool(args.idf) != bool(args.system):
-        raise ValueError("--idf applies only with --system" if args.idf else "--system needs --idf to score sentences")
     fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
     # --lead and --system often name the same file; each distinct path is parsed once
     paths = [path for path in dict.fromkeys((args.lead, args.system)) if path]
@@ -518,8 +562,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_agreement(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def cmd_agreement(args: argparse.Namespace, config: RunConfig) -> int:
     if args.mode == "cbsu":
         annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
         curve = evaluation.agreement_curve(annotations, config.r_grid)
@@ -527,10 +570,6 @@ def cmd_agreement(args: argparse.Namespace) -> int:
         _write_csv(_staged(args, path), ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
         print(f"wrote {path}")
         return 0
-    if args.mode != "csis":  # argparse before 3.13 checks no choice for --mode=--
-        raise ValueError(f"--mode: expected cbsu or csis, got {reprlib.repr(args.mode)}")
-    if args.r_grid is not None:
-        raise ValueError("--r-grid applies to --mode cbsu only")
     tally = evaluation.csis_agreement_tally(_load_judges(args.annotations, evaluation.load_subsumption_annotation))
     out = _out_dir(args)
     tally_path = out / "csis_tally.csv"
@@ -544,60 +583,40 @@ def cmd_agreement(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser: every subcommand's name and help, and the arguments of `command` alone.
+
+    `main` builds it for the subcommand its argv names, the one argparse reads arguments for.
+    """
     parser = argparse.ArgumentParser(
         prog="centroidsumm",
         description="Cluster news documents, extract summaries, and evaluate them against judges.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_idf = sub.add_parser("idf", help="build an IDF model from a corpus directory")
-    p_idf.add_argument("corpus_dir")
-    p_idf.set_defaults(func=cmd_idf)
-    p_cluster = sub.add_parser("cluster", help="group documents into event clusters")
-    p_cluster.add_argument("docs_dir")
-    p_cluster.add_argument("--idf", required=True, help="IDF model file")
-    p_cluster.set_defaults(func=cmd_cluster)
-    p_sum = sub.add_parser("summarize", help="extract a summary from a cluster file")
-    p_sum.add_argument("cluster_file")
-    p_sum.add_argument("--idf", required=True, help="IDF model file")
-    p_sum.set_defaults(func=cmd_summarize)
-    p_eval = sub.add_parser("evaluate", help="score extracts and baselines against judges")
-    p_eval.add_argument("--annotations", nargs="+", required=True, help="utility annotation files")
-    p_eval.add_argument("--extract", action="append", help="extract file to evaluate (repeatable)")
-    p_eval.add_argument("--lead", help="cluster file; evaluate its lead baseline")
-    p_eval.add_argument("--system", help="cluster file; evaluate a freshly scored extract")
-    p_eval.add_argument("--idf", help="IDF model file (needed with --system)")
-    p_eval.add_argument("--subsumption", nargs="+", help="subsumption annotation files")
-    p_eval.set_defaults(func=cmd_evaluate)
-    p_agree = sub.add_parser("agreement", help="inter-judge agreement tables")
-    p_agree.add_argument("--mode", choices=["cbsu", "csis"], required=True)
-    p_agree.add_argument("--annotations", nargs="+", required=True)
-    p_agree.set_defaults(func=cmd_agreement)
-    for command, command_parser in sub.choices.items():
-        if command != "idf":
-            command_parser.add_argument("--config", help="key=value settings file; flags override it")
-        command_parser.add_argument("--out", help="output directory (default: current directory)")
-        for key, entry in _SETTINGS.items():
-            if command in entry.commands.split():
-                command_parser.add_argument(_FLAGS[key], help=entry.help)
+    for name, summary in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=summary)
+        for entry in _entries(command) if name == command else ():
+            required = {"required": True} if entry.required else {}  # argparse takes no `required` for positionals
+            options = {**_LISTS.get(entry.kind, {}), **required, "choices": entry.choices or None}
+            command_parser.add_argument(entry.name, help=entry.help, **options)
     return parser
 
 
-_LIST_FLAGS = ("annotations", "extract", "subsumption")  # flags whose value is a list of paths
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((arg for arg in argv if not arg.startswith("-")), None)).parse_args(argv)
     # argparse before 3.13 reads the value of --flag=-- as [] (appended, as [[]]) where 3.13 reads "--"
-    for key, value in vars(args).items():
-        if key in _LIST_FLAGS and value is not None:
-            setattr(args, key, ["--" if item == [] else item for item in value] or ["--"])
+    for entry in _entries(args.command):
+        value = getattr(args, entry.dest)
+        if entry.kind in _LISTS and value is not None:
+            setattr(args, entry.dest, ["--" if item == [] else item for item in value] or ["--"])
         elif value == []:
-            setattr(args, key, "--")
+            setattr(args, entry.dest, "--")
     args.staged = []
     try:
-        code = args.func(args)
+        config = resolve_config(args)  # reads the settings file, the one input file read before the check
+        _check_usage(args, config)
+        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs
         _commit(args)
         return code
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors

@@ -35,6 +35,7 @@ class Mutation(NamedTuple):
 
 
 ORACLE = "tests/test_summarizer_oracle.py::"
+USAGE = "tests/test_cli.py::TestUsageCheck::test_exits_2_before_the_judges_are_read"
 
 MUTATIONS = [
     # --- the redundancy rerank (summarizer._largest_overlaps and its counts) ---
@@ -134,7 +135,7 @@ MUTATIONS = [
         (ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[15]",
          ORACLE + "test_clustering_equals_reference_on_known_ties[33]"),
     ),
-    # --- the command line: lazily loaded layers, the launch's exit and the settings' ranges ---
+    # --- the command line: lazily loaded layers, the launch's exit, the settings' ranges and the usage check ---
     Mutation(
         "import a name from evaluation when cli is imported",
         "cli.py",
@@ -165,7 +166,74 @@ MUTATIONS = [
         "        if False:\n",
         ("tests/test_cli.py::TestEvaluateCommand::test_out_of_range_extract_exits_3",),
     ),
+    Mutation(
+        "check usage after the command has read its judges",
+        "cli.py",
+        "        _check_usage(args, config)\n"
+        '        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n',
+        '        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
+        "        _check_usage(args, config)\n",
+        (USAGE + "[idf-without-system-all-zero]", USAGE + "[extract-with-a-grid-flag-given-twice]"),
+    ),
+    Mutation(
+        "drop a rule from the flag table",
+        "cli.py",
+        '            ("excludes", "extract", "--extract files are fixed to one rate; use --lead/--system with --r-grid"),\n',
+        "",
+        (USAGE + "[extract-with-a-grid-flag-missing]", USAGE + "[extract-with-a-grid-line-all-zero]",
+         "tests/test_cli.py::TestEvaluateCommand::test_grid_rejects_fixed_extracts"),
+    ),
+    Mutation(
+        "read a settings line without = as an unknown key",
+        "cli.py",
+        '        if "=" not in line:\n',
+        "        if False:\n",
+        ("tests/test_cli.py::TestArgumentErrors::test_config_line_without_equals_exits_2",),
+    ),
+    Mutation(
+        "list a corpus that is a file as an empty directory",
+        "cli.py",
+        "    if not root.is_dir():\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestIdfCommand::test_corpus_that_is_a_file_exits_2[idf]",
+         "tests/test_cli.py::TestIdfCommand::test_corpus_that_is_a_file_exits_2[cluster]"),
+    ),
+    # --- the package and the summarizer's library guards ---
+    Mutation(
+        "answer None for every unknown package name",
+        "__init__.py",
+        '    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n',
+        "    pass\n",
+        ("tests/test_package.py::test_an_unknown_name_is_missing",),
+    ),
+    Mutation(
+        "extract from fewer scores than sentences",
+        "summarizer.py",
+        '    """Keep the k sentences with the highest final scores, in cluster order."""\n    if len(scores) != cluster.n:\n',
+        '    """Keep the k sentences with the highest final scores, in cluster order."""\n    if False:\n',
+        ("tests/test_summarizer.py::TestExtract::test_too_few_scores_rejected[extract]",),
+    ),
+    Mutation(
+        "rerank fewer scores than sentences",
+        "summarizer.py",
+        "    if len(scores) != cluster.n:\n        raise ValueError(f\"expected {cluster.n} scores, got {len(scores)}\")\n"
+        "    if any(score.penalty != 0 for score in scores):\n",
+        "    if False:\n        raise ValueError(f\"expected {cluster.n} scores, got {len(scores)}\")\n"
+        "    if any(score.penalty != 0 for score in scores):\n",
+        ("tests/test_summarizer.py::TestExtract::test_too_few_scores_rejected[redundancy_rerank]",),
+    ),
     # --- the evaluator ---
+    Mutation(
+        "drop the file from a self-subsuming mark's error",
+        "evaluation.py",
+        "        return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)\n"
+        "    except ValueError as exc:\n"
+        '        raise ValueError(f"{path}: {exc}") from None\n',
+        "        return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)\n"
+        "    except ValueError as exc:\n"
+        "        raise\n",
+        ("tests/test_cli.py::TestAgreementCommand::test_csis_self_subsuming_mark_names_the_file",),
+    ),
     Mutation(
         "let a judge set mix sizes",
         "evaluation.py",

@@ -197,6 +197,14 @@ class TestIdfCommand:
         assert err == f"error: {corpus / 'b.json'}.documents[1].doc_id: duplicate document id {doc_id!r}, also in {corpus / 'a.json'}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["idf", "cluster"])
+    def test_corpus_that_is_a_file_exits_2(self, tmp_path, news_cluster_path, capsys, command):
+        # not "no documents found": the directory was never listed
+        argv = [command, str(news_cluster_path), *(["--idf", "idf.json"] if command == "cluster" else [])]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {news_cluster_path}: not a directory\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_flag_rejected(self, tmp_path, news_cluster_path):
         garbage = tmp_path / "garbage.cfg"
         garbage.write_text("not a setting\n")
@@ -766,13 +774,14 @@ class TestEvaluateCommand:
         # one parse for both flags gives the d_grid.csv of two separate parses
         assert grids[0] == grids[1]
 
-    def test_grid_rejects_fixed_extracts(self, quad_judges, tmp_path):
+    def test_grid_rejects_fixed_extracts(self, quad_judges, tmp_path, capsys):
         extract_file = tmp_path / "s14.json"
         write_json({"cluster_id": "quad", "selected": [1, 4]}, extract_file)
         code = main(
             ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r-grid", "0.25:0.75:0.25"]
         )
         assert code == 2
+        assert capsys.readouterr().err == f"error: {EXTRACT_WITH_GRID}\n"
 
     def test_grid_needs_a_system(self, quad_judges):
         assert main(["evaluate", "--annotations", *quad_judges, "--r-grid", "0.25:0.75:0.25"]) == 2
@@ -930,6 +939,14 @@ class TestAgreementCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("r_grid=0.1:0.9:0.1\n")
         assert main([*args, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_csis_self_subsuming_mark_names_the_file(self, subsumption_files, tmp_path, capsys):
+        odd = tmp_path / "self.json"
+        write_json({"judge_id": "S", "cluster_id": "pair", "subsumers": {"2": [2]}}, odd)
+        args = ["agreement", "--mode", "csis", "--annotations", *subsumption_files, str(odd)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {odd}: judge 'S': sentence 2 cannot subsume itself\n"
+        assert not (tmp_path / "out").exists()
 
     def test_reruns_are_byte_identical(self, subsumption_files, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -1255,6 +1272,15 @@ class TestArgumentErrors:
         assert capsys.readouterr().err == f"error: {cfg}:1: r and {cfg}:3: r cannot be combined: both set r\n"
         assert not out.exists()
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        # the settings file is read first, so the inputs need not exist
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# sweep settings\nr 0.3\n")
+        out = tmp_path / "out"
+        assert main(["summarize", "c.json", "--idf", "idf.json", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'r 0.3'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["x" * 1_000_000, "x" * 1_000_000 + "=1"], ids=["no-equals", "unknown-key"])
     def test_huge_config_line_gives_one_short_error(self, news_inputs, tmp_path, capsys, line):
         cluster_file, idf_path = news_inputs
@@ -1263,6 +1289,68 @@ class TestArgumentErrors:
         assert main(["summarize", cluster_file, "--idf", idf_path, "--config", str(cfg), "--out", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and len(lines[0].encode()) < 300 and f"{cfg}:1: " in lines[0]
+
+
+EXTRACT_WITH_GRID = "--extract files are fixed to one rate; use --lead/--system with --r-grid"
+
+# Usage rule -> (the subcommand, the flags after its judge files, the error). Each breaks one rule of the
+# CLI's flag table, or the report-label rule; no input file these flags name exists.
+USAGE_ERRORS = {
+    "two-extracts-with-one-label": (
+        ["evaluate"], ["--extract", "a/x.json", "--extract", "b/x.json"],
+        "a/x.json and b/x.json both give the report label 'x'",
+    ),
+    "extract-named-like-a-baseline": (
+        ["evaluate"], ["--extract", "lead.json", "--lead", "c.json"],
+        "lead.json and --lead c.json both give the report label 'lead'",
+    ),
+    "extract-with-a-grid-flag": (["evaluate"], ["--extract", "x.json", "--r-grid", "0.1:0.2:0.1"], EXTRACT_WITH_GRID),
+    "extract-with-a-grid-line": (["evaluate"], ["--extract", "x.json", "--config", "grid.cfg"], EXTRACT_WITH_GRID),
+    "grid-without-lead-or-system": (["evaluate"], ["--r-grid", "0.1:0.2:0.1"], "--r-grid needs --lead and/or --system"),
+    "grid-line-without-lead-or-system": (["evaluate"], ["--config", "grid.cfg"], "--r-grid needs --lead and/or --system"),
+    "idf-without-system": (["evaluate"], ["--idf", "m.json"], "--idf applies only with --system"),
+    "system-without-idf": (["evaluate"], ["--system", "c.json"], "--system needs --idf to score sentences"),
+    "weights-without-system": (["evaluate"], ["--weights", "0,1,0"], "--weights applies only with --system"),
+    "preset-without-system": (["evaluate"], ["--preset", "lead-centroid"], "--preset applies only with --system"),
+    "redundancy-without-system": (["evaluate"], ["--redundancy", "on"], "--redundancy applies only with --system"),
+    "centroid-threshold-without-system": (
+        ["evaluate"], ["--centroid-threshold", "5"], "--centroid-threshold applies only with --system"
+    ),
+    "E-without-subsumption": (["evaluate"], ["--E", "0.5"], "--E applies only with --subsumption"),
+    "agreement-threshold-without-subsumption": (
+        ["evaluate"], ["--agreement-threshold", "2"], "--agreement-threshold applies only with --subsumption"
+    ),
+    "grid-with-csis": (
+        ["agreement", "--mode", "csis"], ["--r-grid", "0.1:0.2:0.1"], "--r-grid applies to --mode cbsu only"
+    ),
+    "mode-outside-its-choices": (["agreement", "--mode=--"], [], "--mode: expected cbsu or csis, got '--'"),
+}
+
+
+class TestUsageCheck:
+    """Every usage error exits 2 before the command reads an input file, whatever the judge files hold."""
+
+    @staticmethod
+    def judges(fault, quad_judges, tmp_path):
+        if fault == "missing":
+            return [quad_judges[0], str(tmp_path / "missing.json")]
+        if fault == "all-zero":
+            save_utility_annotation(UtilityAnnotation("Z", "quad", (0, 0, 0, 0)), tmp_path / "zero.json")
+            return [quad_judges[0], str(tmp_path / "zero.json")]
+        return [quad_judges[0], quad_judges[0]]  # one judge given twice
+
+    @pytest.mark.parametrize("fault", ["missing", "all-zero", "given-twice"])
+    @pytest.mark.parametrize("rule", USAGE_ERRORS)
+    def test_exits_2_before_the_judges_are_read(self, quad_judges, tmp_path, monkeypatch, capsys, rule, fault):
+        command, flags, error = USAGE_ERRORS[rule]
+        if rule == "mode-outside-its-choices" and sys.version_info >= (3, 13):
+            pytest.skip("argparse from Python 3.13 checks the choice of --mode=-- itself")
+        monkeypatch.chdir(tmp_path)
+        Path("grid.cfg").write_text("r_grid=0.1:0.2:0.1\n")
+        judges = self.judges(fault, quad_judges, tmp_path)
+        assert main([*command, "--annotations", *judges, *flags, "--out", "out"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not Path("out").exists()
 
 
 class TestStrictNumbers:
@@ -1631,6 +1719,34 @@ def test_a_subcommand_runs_only_the_layers_it_calls(news_inputs, alg_judges, tmp
     assert code == 0
     assert ran == ["centroidsumm.cli", *(f"centroidsumm.{layer}" for layer in LAYERS_CALLED[command])]
     assert decimal == ("evaluation" in LAYERS_CALLED[command])
+
+
+@pytest.mark.parametrize("rule", ["system-without-idf", "extract-with-a-grid-flag", "grid-with-csis"])
+def test_a_usage_error_runs_no_layer(quad_judges, tmp_path, rule):
+    command, flags, _ = USAGE_ERRORS[rule]
+    env = {**os.environ, "PYTHONPATH": str(Path(centroidsumm.cli.__file__).parents[1])}
+    command_line = [sys.executable, "-c", LAYERS_RUN, *command, "--annotations", *quad_judges, *flags]
+    result = subprocess.run([*command_line, "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    code, ran, decimal = json.loads(result.stdout.splitlines()[-1])
+    assert (code, ran, decimal) == (2, ["centroidsumm.cli", "centroidsumm.text"], False)
+    assert not (tmp_path / "out").exists()
+
+
+# Each --help and each error argparse prints, as the parser that held every subcommand's arguments printed
+# them on Python 3.11 at 80 columns; argparse lays its text out differently on other Pythons.
+PARSER_TEXT = json.loads((Path(__file__).parent / "fixtures" / "help" / "python3.11.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PARSER_TEXT)
+def test_a_parser_built_for_one_subcommand_prints_the_same_bytes(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(PARSER_TEXT[case]["argv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == PARSER_TEXT[case]["code"]
+    if sys.version_info[:2] != (3, 11):
+        pytest.skip("argparse lays out its text differently on this Python")
+    assert (captured.out, captured.err) == (PARSER_TEXT[case]["stdout"], PARSER_TEXT[case]["stderr"])
 
 
 @pytest.mark.parametrize("case", ["cluster", "exit 2", "exit 3"])

@@ -6,7 +6,8 @@ the wrong JSON type, or with one object naming a key twice), with its flags
 drawn at random (settings, and the input, settings-file and output paths),
 with a settings file naming a key twice, or with a cluster id drawn from
 pieces that break a file name. Whatever the input, the command exits 0, 2 or
-3; a key named twice, in a JSON object or a settings file, always exits 2. A
+3; a key named twice, in a JSON object or a settings file, always exits 2, and
+so does a usage error, with its own message, whatever the input files hold. A
 failure prints exactly one stderr line, which starts with "error:" and, for a
 corrupted file, names that file; it prints no traceback and leaves nothing
 beside the inputs in the example's directory, which is the working directory.
@@ -316,6 +317,50 @@ def test_repeated_key_in_config_file(inputs, data):
         assert code == 2
         assert err.startswith(f"error: {cfg}:") and err.count("\n") == 1, err
         assert f" and {cfg}:{lineno}: {key} cannot be combined: both set " in err, err
+        assert not (workdir / "out").exists()
+
+
+EXTRACT_WITH_GRID = "--extract files are fixed to one rate; use --lead/--system with --r-grid"
+
+# Usage errors over an example's inputs: argv and the error, "{w}" standing for the example's directory.
+# grid.cfg holds an r_grid line.
+USAGE_ERRORS = [
+    (["evaluate", "--annotations", *JUDGES, "--extract", "extract.json", "--r-grid", "0.1:0.2:0.1"], EXTRACT_WITH_GRID),
+    (["evaluate", "--annotations", *JUDGES, "--extract", "extract.json", "--config", "grid.cfg"], EXTRACT_WITH_GRID),
+    (["evaluate", "--annotations", *JUDGES, "--config", "grid.cfg"], "--r-grid needs --lead and/or --system"),
+    (["evaluate", "--annotations", *JUDGES, "--lead", "cluster.json", "--idf", "idf.json"],
+     "--idf applies only with --system"),
+    (["evaluate", "--annotations", *JUDGES, "--system", "cluster.json"], "--system needs --idf to score sentences"),
+    (["evaluate", "--annotations", *JUDGES, "--lead", "cluster.json", "--E", "0.5"],
+     "--E applies only with --subsumption"),
+    (["evaluate", "--annotations", *JUDGES, "--subsumption", *MARKS, "--lead", "cluster.json", "--weights", "0,1,0"],
+     "--weights applies only with --system"),
+    (["evaluate", "--annotations", *JUDGES, "--extract", "lead.json", "--lead", "cluster.json"],
+     "{w}/lead.json and --lead {w}/cluster.json both give the report label 'lead'"),
+    (["agreement", "--mode", "csis", "--annotations", *MARKS, "--r-grid", "0.1:0.2:0.1"],
+     "--r-grid applies to --mode cbsu only"),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_usage_error_whatever_the_inputs_hold(inputs, data):
+    """No missing, corrupted or contradicting input file is reported in place of a usage error."""
+    argv, error = data.draw(st.sampled_from(USAGE_ERRORS))
+    culprit = data.draw(st.sampled_from(sorted(set(argv) & INPUTS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp) / "work"
+        shutil.copytree(inputs, workdir)
+        fault = data.draw(st.sampled_from(["missing", "corrupted", "all-zero judge"]))
+        if fault == "missing":
+            (workdir / culprit).unlink()
+        elif fault == "corrupted":
+            (workdir / culprit).write_bytes(data.draw(corrupted((inputs / culprit).read_bytes())))
+        else:
+            write_json({"judge_id": "Z", "cluster_id": "alg", "utilities": [0] * 20}, workdir / culprit)
+        (workdir / "grid.cfg").write_text("r_grid=0.1:0.2:0.1\n")
+        code, err = run(workdir, argv)
+        assert (code, err) == (2, f"error: {error.format(w=workdir)}\n")
         assert not (workdir / "out").exists()
 
 

@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import centroidsumm
 
 TESTS = Path(__file__).parent
@@ -12,6 +14,13 @@ PACKAGE = Path(centroidsumm.__file__).parent
 
 def test_star_import_binds_no_module():
     assert [name for name in centroidsumm.__all__ if isinstance(getattr(centroidsumm, name), ModuleType)] == []
+
+
+def test_an_unknown_name_is_missing():
+    # the lazy layers resolve through the package's __getattr__, which must not answer every name
+    assert not hasattr(centroidsumm, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'centroidsumm' has no attribute 'no_such_name'"):
+        centroidsumm.no_such_name
 
 
 def test_all_keeps_every_name_the_acceptance_tests_import():

@@ -185,6 +185,12 @@ class TestExtract:
         assert ext.selected == (1, 2)
         assert ext.k == 2
 
+    @pytest.mark.parametrize("select", [extract, redundancy_rerank], ids=["extract", "redundancy_rerank"])
+    def test_too_few_scores_rejected(self, select):
+        cluster = make_cluster("c", {"a": ["s one", "s two", "s three", "s four"]})
+        with pytest.raises(ValueError, match="^expected 4 scores, got 3$"):
+            select(cluster, scores_from([10, 8, 2]), 0.5)
+
     def test_tied_top_scores_prefer_earlier_position(self):
         cluster = make_cluster("c", {"a": [f"s{i}" for i in range(8)]})
         values = [0, 0, 7, 0, 0, 0, 7, 0]
