@@ -35,7 +35,7 @@ _MODULE_OF = {
         "text": "Cluster ClusterParseError Document EvaluationError LEAD_CENTROID PRESETS PURE_CENTROID ScoreWeights "
         "Sentence cluster_from_dict cluster_to_dict compression_size document_from_dict document_to_dict "
         "parse_cluster tokenize write_cluster",
-        "lexstats": "IDF_FLOOR Centroid CentroidEntry IdfModel assign_document build_centroid build_idf "
+        "lexstats": "IDF_FLOOR Centroid CentroidEntry IdfModel build_centroid build_idf "
         "incremental_cluster load_idf save_idf",
         "summarizer": "RERANK_ITERATION_CAP Extract RerankCapWarning SentenceScore centroid_value extract "
         "extract_json extract_to_dict first_sentence_overlap lead_baseline positional_value redundancy_rerank "

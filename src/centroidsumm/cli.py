@@ -270,7 +270,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     The lines, then the flags, take the same `_apply` step, which parses and range-checks each value;
     an error starts with `path:line: key:` or `--flag:`. Two lines or two flags setting one field fail.
     """
-    config = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
+    config = RunConfig.from_file(args.config) if getattr(args, "config", None) is not None else RunConfig()
     flags = [(key, getattr(args, key, None), entry.name) for key, entry in _SETTINGS.items()]
     return _apply(config, [flag for flag in flags if flag[1] is not None])
 
@@ -281,7 +281,8 @@ def _check_usage(args: argparse.Namespace, config: RunConfig) -> None:
     command reads one.
     """
     labelled = [(Path(path).stem, path) for path in getattr(args, "extract", None) or []]
-    labelled += [(label, f"--{label} {path}") for label in ("lead", "system") if (path := getattr(args, label, None))]
+    baselines = [(label, getattr(args, label, None)) for label in ("lead", "system")]
+    labelled += [(label, f"--{label} {path}") for label, path in baselines if path is not None]
     for (label, first), (other, second) in combinations(labelled, 2):
         if label == other:
             raise ValueError(f"{first} and {second} both give the report label {reprlib.repr(label)}")
@@ -295,7 +296,8 @@ def _check_usage(args: argparse.Namespace, config: RunConfig) -> None:
                 continue
             # "only with" reads the flag; "needs" and "excludes" read the setting the run uses, from either source
             used = getattr(config, entry.dest) if kind != "only with" and entry.kind == "setting" else value
-            met = any(getattr(args, key) == target if target else getattr(args, key) for key, _, target in wanted)
+            met = any(getattr(args, key) == target if target else getattr(args, key) is not None
+                      for key, _, target in wanted)
             if used is not None and met == (kind == "excludes"):
                 raise ValueError(message or f"{entry.name} applies only with --{names}")
 
@@ -533,7 +535,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
         graph = evaluation.csis_consensus(subs, config.agreement_threshold)
     fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
     # --lead and --system often name the same file; each distinct path is parsed once
-    paths = [path for path in dict.fromkeys((args.lead, args.system)) if path]
+    paths = [path for path in dict.fromkeys((args.lead, args.system)) if path is not None]
     clusters = {}
     for path in paths:
         clusters[path] = cluster = parse_cluster(path)

@@ -6,11 +6,12 @@ in a cluster. Incremental clustering streams documents in chronological
 order into the most similar open cluster (cosine over count*IDF vectors) or
 a new one. An open cluster keeps running integer term totals, in the key
 order a rebuild would give, and totals * IDF over the terms its centroid
-keeps; an assignment counts the joining document once and updates only
-its terms. An index from each term to the open clusters whose totals hold it
-gives every cluster's products over a document's heaviest terms, walking only
-the clusters that hold them; those products bound each cosine, the bounds
-skip the clusters that cannot be the best, and near ties fall back to the
+keeps; an assignment counts the joining document once, updates only its
+terms, and tests again the kept terms that its larger size may drop. An
+index from each term to the open clusters whose totals hold it gives every
+cluster's products over a document's heaviest terms, walking only the
+clusters that hold them; those products bound each cosine, the bounds skip
+the clusters that cannot be the best, and near ties fall back to the
 rebuilt centroids. Every decision, and so every cluster file, is the one a
 rebuild gives; the cosines behind a decision may differ in the last bits, and
 never reach an output.
@@ -23,9 +24,8 @@ import math
 import reprlib
 import sys
 from collections import Counter, defaultdict
-from heapq import heappop, heappush
 from itertools import chain, compress, repeat
-from operator import add, and_, ge, lt, mul, not_, truediv
+from operator import add, ge, mul, not_, truediv
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -134,12 +134,6 @@ def build_centroid(cluster: Cluster, idf: IdfModel, threshold: float = 0.0) -> C
     return Centroid(cluster_id=cluster.cluster_id, entries=entries)
 
 
-def _document_vector(document: Document, idf_of: Callable[[str], float]) -> dict[str, float]:
-    """count*IDF vector of a single document, terms in first-occurrence order."""
-    counts = Counter(chain.from_iterable(sentence.terms for sentence in document.sentences))
-    return dict(zip(counts, map(mul, counts.values(), map(idf_of, counts))))
-
-
 def _norm(vector: dict[str, float]) -> float:
     return math.sqrt(left_sum(map(mul, vector.values(), vector.values())))
 
@@ -161,23 +155,6 @@ def _best_match(vector: dict[str, float], candidates: Iterable[tuple], sim_thres
     return best_id if best_sim >= sim_threshold else None
 
 
-def assign_document(
-    centroids: Iterable[Centroid],
-    doc: Document,
-    idf: IdfModel,
-    sim_threshold: float,
-) -> str | None:
-    """Pick the most similar centroid for a document, or None for a new cluster.
-
-    Similarity is cosine between the document's count*IDF vector and each
-    centroid's weight vector. Ties keep the earliest centroid given.
-    """
-    _require_finite(sim_threshold=sim_threshold)
-    weights = [(c.cluster_id, {t: e.weight for t, e in c.entries.items()}) for c in centroids]
-    candidates = [(cluster_id, w, _norm(w)) for cluster_id, w in weights]
-    return _best_match(_document_vector(doc, idf.idf), candidates, sim_threshold)
-
-
 # The document terms whose products with a cluster enter its cosine bound, summed over the term index;
 # the other terms enter it through their norm. On the benchmark's 190-term documents (seed 1), 48
 # walks 25,163 (term, cluster) pairs and leaves 2,169 of 10,543 cosines to finish; 96 walks 108,993
@@ -193,67 +170,40 @@ class _OpenCluster:
     """An open cluster: its members, integer term totals and running unscaled vector.
 
     unscaled[t] = totals[t] * idf(t) over exactly the terms that _centroid_terms keeps, so it is the
-    centroid's weight vector times d, up to rounding; norm is its norm. due is a min-heap of
-    (unscaled[t], t) over the kept terms that could still fall below the threshold in this stream,
-    plus stale entries of terms since dropped or updated, which are skipped.
+    centroid's weight vector times d, up to rounding; norm is its norm.
     """
 
-    __slots__ = ("docs", "totals", "unscaled", "norm", "due")
+    __slots__ = ("docs", "totals", "unscaled", "norm")
 
     def __init__(self) -> None:
         self.docs: list[Document] = []
         self.totals: dict[str, int] = {}
         self.unscaled: dict[str, float] = {}
         self.norm = 0.0
-        self.due: list[tuple[float, str]] = []
 
     def add(
-        self,
-        doc: Document,
-        counts: Counter,
-        idfs: list[float],
-        idf_of: Callable[[str], float],
-        threshold: float,
-        horizon: float,
+        self, doc: Document, counts: Counter, idfs: list[float], idf_of: Callable[[str], float], threshold: float
     ) -> Iterator[str]:
         """Add doc, given its term counts and their idfs in the same order; return the terms new to totals.
 
-        The counts update totals; then the kept set, the vector and its norm are restored. A term
-        whose unscaled weight is at least threshold * d * _SURE clears the threshold for sure; a term
-        of doc below that bound is tested with _centroid_terms' own float test. A term not in doc
-        keeps its total while d grows, so its weight can only fall: a dropped term stays out, and a
-        kept one is tested again once its entry in due falls below the bound. Only kept terms below
-        horizon, the bound at the stream's last d, can ever leave, so only they enter due.
+        The counts update totals and the vector; then the kept set and the norm are restored. A term
+        whose unscaled weight is at least threshold * d * _SURE clears the threshold for sure; every
+        kept term below that bound, of doc or not, is tested with _centroid_terms' own float test, and
+        dropped if it fails. A term not in doc keeps its total while d grows, so its weight can only
+        fall, and a dropped term stays out until a document holding it joins.
         """
-        totals, unscaled, due = self.totals, self.unscaled, self.due
+        totals, unscaled = self.totals, self.unscaled
         self.docs.append(doc)
         d = len(self.docs)
         before = list(map(totals.get, counts, repeat(0)))
         after = list(map(add, before, counts.values()))
         totals.update(zip(counts, after))  # new terms in first-occurrence order, as counting the tokens gives
-        values = list(map(mul, after, idfs))
-        unscaled.update(zip(counts, values))
-        limit, still = threshold * d * _SURE, []
-        smallest = min(values, default=math.inf)
-        if smallest < limit:
-            low = list(map(lt, values, repeat(limit)))
-            weights = map(mul, map(truediv, compress(after, low), repeat(d)), compress(idfs, low))
-            for term in compress(compress(counts, low), map(lt, weights, repeat(threshold))):
-                del unscaled[term]
-        if smallest < horizon:
-            near = map(and_, map(lt, values, repeat(horizon)), map(unscaled.__contains__, counts))
-            for entry in compress(zip(values, counts), near):
-                heappush(due, entry)
-        while due and due[0][0] < limit:
-            value, term = heappop(due)
-            if unscaled.get(term) != value:
-                continue  # the term was dropped, or pushed again with a new total
-            if totals[term] / d * idf_of(term) >= threshold:
-                still.append((value, term))
-            else:
-                del unscaled[term]
-        for entry in still:
-            heappush(due, entry)
+        unscaled.update(zip(counts, map(mul, after, idfs)))
+        if threshold:
+            limit = threshold * d * _SURE
+            for term in [term for term, value in unscaled.items() if value < limit]:
+                if totals[term] / d * idf_of(term) < threshold:
+                    del unscaled[term]
         self.norm = math.hypot(*unscaled.values())
         return compress(counts, map(not_, before))
 
@@ -265,13 +215,12 @@ class _Stream:
     t first enters its totals, and totals never lose a term.
     """
 
-    __slots__ = ("clusters", "holders", "idf_of", "sim_threshold", "centroid_threshold", "horizon", "longest")
+    __slots__ = ("clusters", "holders", "idf_of", "sim_threshold", "centroid_threshold", "longest")
 
-    def __init__(self, idf_of: Callable[[str], float], sim_threshold: float, centroid_threshold: float, n_docs: int):
+    def __init__(self, idf_of: Callable[[str], float], sim_threshold: float, centroid_threshold: float):
         self.clusters: list[_OpenCluster] = []
         self.holders: defaultdict[str, list[int]] = defaultdict(list)
         self.idf_of, self.sim_threshold, self.centroid_threshold = idf_of, sim_threshold, centroid_threshold
-        self.horizon = centroid_threshold * n_docs * _SURE  # the sure bound at the largest d of n_docs documents
         self.longest = 0  # the most terms a cluster has counted, so at least any cluster vector's length
 
     def place(self, doc: Document) -> None:
@@ -304,7 +253,7 @@ class _Stream:
                 f"cluster {reprlib.repr(_cluster_id(target))}: duplicate document id {reprlib.repr(doc.doc_id)}"
             )
         cluster, holders = clusters[target], self.holders
-        for term in cluster.add(doc, counts, idfs, idf_of, self.centroid_threshold, self.horizon):
+        for term in cluster.add(doc, counts, idfs, idf_of, self.centroid_threshold):
             holders[term].append(target)
         self.longest = max(self.longest, len(cluster.totals))
 
@@ -390,7 +339,7 @@ def incremental_cluster(
     _require_finite(sim_threshold=sim_threshold, centroid_threshold=centroid_threshold)
     ordered = sorted(documents, key=lambda doc: (doc.timestamp, doc.doc_id))
     # each term's idf is looked up once per run
-    stream = _Stream(functools.cache(idf.idf), sim_threshold, centroid_threshold, len(ordered))
+    stream = _Stream(functools.cache(idf.idf), sim_threshold, centroid_threshold)
     for doc in ordered:
         stream.place(doc)
     return [Cluster.build(_cluster_id(i), cluster.docs) for i, cluster in enumerate(stream.clusters)]

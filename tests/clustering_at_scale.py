@@ -28,7 +28,7 @@ import oracle_summarizer as oracle  # noqa: E402
 
 SEEDS = (1, 2)
 SIM_THRESHOLDS = (0.0, 0.1, 0.3, 1.0)
-CENTROID_THRESHOLDS = (0.0, 1.0, 5.0)
+CENTROID_THRESHOLDS = (0.0, 0.1, 1.0, 5.0)
 
 
 def documents(folder: Path) -> list[cs.Document]:

@@ -99,11 +99,18 @@ MUTATIONS = [
          ORACLE + "test_clustering_equals_reference_after_the_fallback_joins[0]"),
     ),
     Mutation(
-        "keep a due term without testing it again",
+        "keep a term below the sure bound without testing it again",
         "lexstats.py",
-        "            if totals[term] / d * idf_of(term) >= threshold:\n",
-        "            if True:\n",
+        "                if totals[term] / d * idf_of(term) < threshold:\n",
+        "                if False:\n",
         (ORACLE + "test_a_term_leaves_the_centroid_and_returns",),
+    ),
+    Mutation(
+        "let a later candidate with an equal cosine win",
+        "lexstats.py",
+        "        if sim > best_sim:\n",
+        "        if sim >= best_sim:\n",
+        ("tests/test_lexstats.py::TestIncrementalCluster::test_a_tie_joins_the_earliest_cluster",),
     ),
     Mutation(
         "skip the term index update",
@@ -182,6 +189,13 @@ MUTATIONS = [
         "",
         (USAGE + "[extract-with-a-grid-flag-missing]", USAGE + "[extract-with-a-grid-line-all-zero]",
          "tests/test_cli.py::TestEvaluateCommand::test_grid_rejects_fixed_extracts"),
+    ),
+    Mutation(
+        "skip an empty --lead or --system path in evaluate",
+        "cli.py",
+        "    paths = [path for path in dict.fromkeys((args.lead, args.system)) if path is not None]\n",
+        "    paths = [path for path in dict.fromkeys((args.lead, args.system)) if path]\n",
+        ("tests/test_cli.py::test_an_empty_path_flag_is_read_and_exits_2[lead]",),
     ),
     Mutation(
         "read a settings line without = as an unknown key",

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -297,8 +298,10 @@ class TestClusterCommand:
 
 @pytest.fixture
 def news_inputs(tmp_path, news_cluster_path):
-    idf_dir = tmp_path / "idf"
-    assert main(["idf", str(news_cluster_path.parent), "--out", str(idf_dir)]) == 0
+    corpus, idf_dir = tmp_path / "news_corpus", tmp_path / "idf"
+    corpus.mkdir()
+    shutil.copy(news_cluster_path, corpus)  # the IDF corpus is this one file, whatever else the fixtures hold
+    assert main(["idf", str(corpus), "--out", str(idf_dir)]) == 0
     return str(news_cluster_path), str(idf_dir / "idf.json")
 
 
@@ -1351,6 +1354,28 @@ class TestUsageCheck:
         assert main([*command, "--annotations", *judges, *flags, "--out", "out"]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not Path("out").exists()
+
+
+# Each case gives one path flag as "", after the flags that make its run otherwise valid. An empty path
+# names the current directory, so the flag's loader fails, as it does for --subsumption "".
+EMPTY_PATHS = {
+    "lead": ["evaluate", "--annotations", "{judges}", "--lead", ""],
+    "config": ["summarize", "{cluster}", "--idf", "{idf}", "--config", ""],
+    "system-with-idf": ["evaluate", "--annotations", "{judges}", "--system", "", "--idf", "{idf}"],
+    "subsumption": ["evaluate", "--annotations", "{judges}", "--subsumption", ""],
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_an_empty_path_flag_is_read_and_exits_2(news_inputs, alg_judges, tmp_path, monkeypatch, capsys, case):
+    cluster_file, idf_path = news_inputs
+    monkeypatch.chdir(tmp_path)
+    argv = []
+    for arg in EMPTY_PATHS[case]:
+        argv += alg_judges if arg == "{judges}" else [arg.format(cluster=cluster_file, idf=idf_path)]
+    assert main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: '.'\n"
+    assert not Path("out").exists()
 
 
 class TestStrictNumbers:

@@ -9,7 +9,6 @@ from centroidsumm import (
     IDF_FLOOR,
     ClusterParseError,
     IdfModel,
-    assign_document,
     build_centroid,
     build_idf,
     incremental_cluster,
@@ -148,7 +147,7 @@ class TestBuildCentroid:
 
 
 def _cosine_oracle(counts_a: Counter, counts_b: Counter) -> float:
-    # independent cosine for cross-checking assign_document
+    # independent cosine for cross-checking the clustering
     dot = sum(counts_a[t] * counts_b[t] for t in counts_a)
     norm_a = math.sqrt(sum(v * v for v in counts_a.values()))
     norm_b = math.sqrt(sum(v * v for v in counts_b.values()))
@@ -158,57 +157,24 @@ def _cosine_oracle(counts_a: Counter, counts_b: Counter) -> float:
 
 
 class TestAssignDocument:
-    def test_identical_document_maximal_similarity(self):
-        text = ["the gia claimed responsibility for the attack"]
-        cluster = make_cluster("c001", {"a": text})
-        model = IdfModel(n_docs=10, df={t: 1 for t in "the gia claimed responsibility for attack".split()})
-        centroid = build_centroid(cluster, model)
-        doc = make_document("b", text, hour=9)
-        assert assign_document([centroid], doc, model, sim_threshold=0.99) == "c001"
+    # how the stream places one arriving document against the clusters already open
 
     def test_disjoint_document_starts_new_cluster(self):
-        cluster = make_cluster("c001", {"a": ["markets rallied on earnings"]})
-        model = IdfModel(n_docs=10, df={})
-        centroid = build_centroid(cluster, model)
-        doc = make_document("b", ["volcano erupts in iceland"], hour=9)
-        assert assign_document([centroid], doc, model, sim_threshold=0.1) is None
-
-    def test_second_wire_story_joins_first(self, news_cluster):
-        # the two fixture articles cover the same event; an independently
-        # computed count*idf cosine over their texts confirms the assignment.
-        # the IDF model comes from unrelated boilerplate so that the shared
-        # topical vocabulary keeps meaningful weight
-        first, second = news_cluster.documents
-        base = make_cluster("c001", {"18853": [s.text for s in first.sentences]})
-        model = build_idf(background_documents())
-        centroid = build_centroid(base, model)
-
-        weighted_a = Counter()
-        for sent in first.sentences:
-            for term in tokenize(sent.text):
-                weighted_a[term] += model.idf(term)
-        weighted_b = Counter()
-        for sent in second.sentences:
-            for term in tokenize(sent.text):
-                weighted_b[term] += model.idf(term)
-        assert _cosine_oracle(weighted_a, weighted_b) >= 0.1
-
-        assert assign_document([centroid], second, model, sim_threshold=0.1) == "c001"
+        docs = [
+            make_document("a", ["markets rallied on earnings"], hour=8),
+            make_document("b", ["volcano erupts in iceland"], hour=9),
+        ]
+        clusters = incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.1)
+        assert [[doc.doc_id for doc in c.documents] for c in clusters] == [["a"], ["b"]]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, value):
-        model = IdfModel(n_docs=10, df={})
-        centroid = build_centroid(make_cluster("c001", {"a": ["storm hits coast"]}), model)
-        doc = make_document("b", ["storm hits coast"], hour=9)
+        docs = [
+            make_document("a", ["storm hits coast"], hour=8),
+            make_document("b", ["storm hits coast"], hour=9),
+        ]
         with pytest.raises(ValueError, match="sim_threshold must be a finite number"):
-            assign_document([centroid], doc, model, sim_threshold=value)
-
-    def test_tie_goes_to_earliest_centroid(self):
-        model = IdfModel(n_docs=10, df={"flood": 1, "warning": 1})
-        one = build_centroid(make_cluster("c001", {"a": ["flood warning"]}), model)
-        two = build_centroid(make_cluster("c002", {"b": ["flood warning"]}), model)
-        doc = make_document("d", ["flood warning"], hour=10)
-        assert assign_document([two, one], doc, model, sim_threshold=0.5) == "c002"
+            incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=value)
 
 
 class TestIncrementalCluster:
@@ -221,6 +187,13 @@ class TestIncrementalCluster:
         clusters = incremental_cluster(docs, model, sim_threshold=1.0)
         assert len(clusters) == 2
         assert [c.cluster_id for c in clusters] == ["c001", "c002"]
+
+    def test_identical_document_joins_at_a_high_threshold(self):
+        text = ["the gia claimed responsibility for the attack"]
+        docs = [make_document("a", text, hour=8), make_document("b", text, hour=9)]
+        model = IdfModel(n_docs=10, df={t: 1 for t in "the gia claimed responsibility for attack".split()})
+        clusters = incremental_cluster(docs, model, sim_threshold=0.99)
+        assert [[doc.doc_id for doc in c.documents] for c in clusters] == [["a", "b"]]
 
     def test_near_duplicates_merge(self):
         docs = [
@@ -238,6 +211,37 @@ class TestIncrementalCluster:
         model = IdfModel(n_docs=10, df={})
         clusters = incremental_cluster([late, early], model, sim_threshold=0.5)
         assert clusters[0].documents[0].doc_id == "early"
+
+    def test_second_wire_story_joins_first(self, news_cluster):
+        # the two fixture articles cover the same event; an independently
+        # computed count*idf cosine over their texts confirms the assignment.
+        # the IDF model comes from unrelated boilerplate so that the shared
+        # topical vocabulary keeps meaningful weight
+        first, second = news_cluster.documents
+        model = build_idf(background_documents())
+
+        weighted_a = Counter()
+        for sent in first.sentences:
+            for term in tokenize(sent.text):
+                weighted_a[term] += model.idf(term)
+        weighted_b = Counter()
+        for sent in second.sentences:
+            for term in tokenize(sent.text):
+                weighted_b[term] += model.idf(term)
+        assert _cosine_oracle(weighted_a, weighted_b) >= 0.1
+
+        clusters = incremental_cluster([first, second], model, sim_threshold=0.1)
+        assert [[doc.doc_id for doc in c.documents] for c in clusters] == [[first.doc_id, second.doc_id]]
+
+    def test_a_tie_joins_the_earliest_cluster(self):
+        # "flood" has cosine 1/sqrt(2) with both open clusters, which hold the same weights
+        docs = [
+            make_document("a", ["flood warning"], hour=8),
+            make_document("b", ["flood watch"], hour=9),
+            make_document("c", ["flood"], hour=10),
+        ]
+        clusters = incremental_cluster(docs, IdfModel(n_docs=10, df={}), sim_threshold=0.6)
+        assert [[doc.doc_id for doc in c.documents] for c in clusters] == [["a", "c"], ["b"]]
 
     def test_empty_input_yields_no_clusters(self):
         model = IdfModel(n_docs=10, df={})

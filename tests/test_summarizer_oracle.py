@@ -161,9 +161,6 @@ def test_extract_writer_equals_json(ext):
 @given(documents(max_docs=8), idf_models(), st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]), thresholds)
 @settings(max_examples=examples(150), deadline=None)
 def test_clustering_equals_reference(docs, idf, sim_threshold, centroid_threshold):
-    for doc in docs:
-        vector = lexstats._document_vector(doc, idf.idf)
-        assert list(vector.items()) == list(oracle.document_vector(doc, idf).items())
     got = cs.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
     assert got == oracle.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
 
@@ -457,8 +454,8 @@ def test_clustering_equals_reference_on_large_streams(data, docs, idf, sim_thres
     got = outcome(cs.incremental_cluster, docs, idf, sim_threshold, centroid_threshold)
     assert got == outcome(oracle.incremental_cluster, docs, idf, sim_threshold, centroid_threshold)
 
-    # assign_document over many centroids: consecutive groups of distinct
-    # documents, one repeated under a later id so that equal best scores tie
+    # _best_match over many centroids, against the reference assign_document: consecutive groups of
+    # distinct documents, one repeated under a later id so that equal best scores tie
     distinct = list({doc.doc_id: doc for doc in docs}.values())
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12), label="group sizes")
     centroids, start = [], 0
@@ -469,12 +466,13 @@ def test_clustering_equals_reference_on_large_streams(data, docs, idf, sim_thres
             start += size
     centroids.append(cs.Centroid("again", centroids[0].entries))
     weights = [{term: entry.weight for term, entry in c.entries.items()} for c in centroids]
+    candidates = [(c.cluster_id, w, lexstats._norm(w)) for c, w in zip(centroids, weights)]
     for doc in docs:
         vector = oracle.document_vector(doc, idf)
         best = max(oracle._cosine(vector, w) for w in weights)
         for threshold in (sim_threshold, best, math.nextafter(best, math.inf)):
             expected = oracle.assign_document(centroids, doc, idf, threshold)
-            assert cs.assign_document(centroids, doc, idf, threshold) == expected
+            assert lexstats._best_match(vector, candidates, threshold) == expected
 
 
 # --- pruned clustering: ties, long documents, terms that leave and return ---
@@ -579,10 +577,10 @@ def test_clustering_equals_reference_after_the_fallback_joins(seed, monkeypatch)
     assert got == oracle.incremental_cluster(docs, idf, sim_threshold, centroid_threshold)
 
 
-def add_document(cluster, doc, idf, threshold, horizon):
+def add_document(cluster, doc, idf, threshold):
     """_OpenCluster.add with the document's term counts and idfs, as _Stream.place passes them."""
     counts = Counter(term for sentence in doc.sentences for term in sentence.terms)
-    return cluster.add(doc, counts, list(map(idf.idf, counts)), idf.idf, threshold, horizon)
+    return cluster.add(doc, counts, list(map(idf.idf, counts)), idf.idf, threshold)
 
 
 @given(seeds, st.sampled_from(THRESHOLD_MULTIPLES), st.sampled_from([0.0, 0.3, 0.9]))
@@ -599,7 +597,7 @@ def test_running_vector_keeps_the_centroid_terms(seed, multiple, sim_threshold):
     threshold = multiple * idf.idf("")
     reference = oracle.incremental_cluster(docs, idf, sim_threshold, threshold)
     placed = {doc.doc_id: i for i, cluster in enumerate(reference) for doc in cluster.documents}
-    stream = lexstats._Stream(idf.idf, sim_threshold, threshold, len(docs))
+    stream = lexstats._Stream(idf.idf, sim_threshold, threshold)
     members, holders = [[] for _ in reference], {}
     for doc in docs:
         stream.place(doc)
@@ -630,9 +628,9 @@ def test_a_term_leaves_the_centroid_and_returns():
     assert kept == [True, True, False, True, False, True]
     assert [c.d for c in oracle.incremental_cluster(docs, idf, 0.1, threshold)] == [6]
     assert cs.incremental_cluster(docs, idf, 0.1, threshold) == oracle.incremental_cluster(docs, idf, 0.1, threshold)
-    cluster, horizon = lexstats._OpenCluster(), threshold * len(docs) * lexstats._SURE
+    cluster = lexstats._OpenCluster()
     for j, doc in enumerate(docs):
-        add_document(cluster, doc, idf, threshold, horizon)
+        add_document(cluster, doc, idf, threshold)
         assert ("f" in cluster.unscaled) == kept[j]
 
 
@@ -644,10 +642,10 @@ def test_a_bound_equal_to_the_floor_is_scored():
     bound it equals the threshold too; with no margin, both must still be scored.
     """
     idf = cs.IdfModel(n_docs=7, df={})
-    stream = lexstats._Stream(idf.idf, 2.0, 0.0, 3)  # above every cosine, so each member opens a cluster
+    stream = lexstats._Stream(idf.idf, 2.0, 0.0)  # above every cosine, so each member opens a cluster
     for i in range(2):
         stream.place(stream_document(i + 1, ["alpha beta beta delta"]))
-    vector = lexstats._document_vector(stream_document(0, ["alpha alpha beta gamma"]), idf.idf)
+    vector = oracle.document_vector(stream_document(0, ["alpha alpha beta gamma"]), idf)
     terms, weights = list(vector), list(vector.values())
     norm = math.hypot(*weights)
     stream.sim_threshold = 0.0
