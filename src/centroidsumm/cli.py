@@ -7,6 +7,11 @@ and baselines against judge annotations (evaluate), and dump inter-judge
 agreement tables (agreement). Identical inputs and settings always produce
 byte-identical output files.
 
+A command reads its inputs and computes its results, then returns its output
+files as a dict from each file name to a function that writes that file to a
+given path. It creates no directory and writes no file: `main` hands the dict
+to `_publish`, the one step that writes under --out.
+
 The layers below are bound as modules and each name is looked up at its call,
 so a launch runs only the layers its subcommand calls (see the package's
 lazy loading); `launch` then exits without interpreter teardown.
@@ -26,6 +31,7 @@ import reprlib
 import sys
 import warnings
 from contextlib import suppress
+from functools import partial
 from itertools import combinations, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -303,43 +309,47 @@ def _check_usage(args: argparse.Namespace, config: RunConfig) -> None:
 
 
 _CLUSTER_FILE = re.compile(r"c[0-9]{3,}\.json")  # the names `cluster` gives its files
+_Outputs = dict[str, Callable[[Path], None]]  # a command's output files: name -> writer to a given path
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The --out directory, made with its missing parents; `main` removes what a failed command adds."""
-    out = Path(getattr(args, "out", None) or ".")
+def _publish(out: Path, outputs: _Outputs) -> None:
+    """Write a command's outputs into `out`, the one step of a run that writes files.
+
+    `out` is made with its missing parents. Each output is written under a new temporary name,
+    `.<name>.tmp` with more leading dots while that name exists; after the last write, and only if no
+    directory holds one of the names, each is renamed to its name. On any error the temporary files,
+    the names that did not exist before and the directories made here are removed, each on its own,
+    and the error is raised again; a file that was there before keeps its name.
+    """
     made = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))  # deepest first
-    args.created = out, made, set(out.iterdir()) if out.is_dir() else set()
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _staged(args: argparse.Namespace, path: Path) -> Path:
-    """A new temporary name in --out that a command writes `path` under; `_commit` gives it its name."""
-    temp = path.with_name(f".{path.name}.tmp")
-    while temp.exists():  # never a file that was there before
-        temp = temp.with_name("." + temp.name)
-    args.staged.append((temp, path))
-    return temp
-
-
-def _commit(args: argparse.Namespace) -> None:
-    """After a command's last write, rename each staged file, unless a directory holds one of the names."""
-    for _, path in args.staged:
-        if path.is_dir():  # a rename would fail there, after the earlier names were replaced
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    for temp, path in args.staged:
-        temp.replace(path)
-
-
-def _remove_created(args: argparse.Namespace) -> None:
-    """Remove the files a failed command added to --out, staged ones too, then the directories `_out_dir` made."""
-    out, made, kept = getattr(args, "created", (None, [], set()))
-    with suppress(OSError):  # what cannot be removed stays; the command's own error is the one reported
-        for path in set(out.iterdir()) - kept if out and out.is_dir() else ():
-            path.unlink()
+    paths = [out / name for name in outputs]
+    new = [path for path in paths if not path.exists()]
+    temps: list[Path] = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, write in zip(paths, outputs.values()):
+            temp = path.with_name(f".{path.name}.tmp")
+            while temp.exists():  # never a file that was there before
+                temp = temp.with_name("." + temp.name)
+            temps.append(temp)
+            write(temp)
+        for path in paths:
+            if path.is_dir():  # a rename would fail there, after the earlier names were replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
+    except BaseException:  # what cannot be removed stays; the run's own error is the one reported
+        for path in (*temps, *new):
+            with suppress(OSError):
+                path.unlink()
         for directory in made:
-            directory.rmdir()
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_text(text: str, path: Path) -> None:
+    path.write_text(text, encoding="utf-8")
 
 
 def _write_csv(path: Path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -378,31 +388,27 @@ def _load_corpus_documents(corpus_dir: str) -> list:
     return documents
 
 
-def cmd_idf(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_idf(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     documents = _load_corpus_documents(args.corpus_dir)
     model = lexstats.build_idf(documents)
-    out = _out_dir(args) / "idf.json"
-    lexstats.save_idf(model, _staged(args, out))
-    print(f"wrote {out} ({model.n_docs} documents, {len(model.df)} terms)")
-    return 0
+    print(f"wrote {args.out / 'idf.json'} ({model.n_docs} documents, {len(model.df)} terms)")
+    return {"idf.json": lambda path: lexstats.save_idf(model, path)}
 
 
-def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     documents = _load_corpus_documents(args.docs_dir)
     idf = lexstats.load_idf(args.idf)
     clusters = lexstats.incremental_cluster(
         documents, idf, sim_threshold=config.sim_threshold, centroid_threshold=config.centroid_threshold
     )
-    out = _out_dir(args)
-    names = {f"{cluster.cluster_id}.json" for cluster in clusters}
-    for path in sorted(out.iterdir()):
-        if _CLUSTER_FILE.fullmatch(path.name) and path.name not in names:
+    outputs = {f"{cluster.cluster_id}.json": partial(write_cluster, cluster) for cluster in clusters}
+    for path in sorted(args.out.iterdir()) if args.out.is_dir() else ():
+        if _CLUSTER_FILE.fullmatch(path.name) and path.name not in outputs:
             raise ValueError(f"{path}: a cluster file that this run does not write; remove it or use another --out")
     for cluster in clusters:
-        write_cluster(cluster, _staged(args, out / f"{cluster.cluster_id}.json"))
         print(f"{cluster.cluster_id}: {cluster.d} documents, {cluster.n} sentences")
     print(f"{len(clusters)} clusters")
-    return 0
+    return outputs
 
 
 def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dict[float, summarizer.Extract]:
@@ -418,18 +424,16 @@ def _score_and_select(cluster: Cluster, idf_path: str, config: RunConfig) -> dic
     return extracts
 
 
-def cmd_summarize(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_summarize(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     cluster = parse_cluster(args.cluster_file)
-    extracts = _score_and_select(cluster, args.idf, config)
-    out = _out_dir(args)
-    for r, ext in extracts.items():
+    outputs = {}
+    for r, ext in _score_and_select(cluster, args.idf, config).items():
         tag = _r_tag(r)
-        extract_path = _staged(args, out / f"extract_{cluster.cluster_id}_{tag}.json")
-        extract_path.write_text(summarizer.extract_json(ext), encoding="utf-8")
-        text = summarizer.summary_text(cluster, ext)
-        _staged(args, out / f"summary_{cluster.cluster_id}_{tag}.txt").write_text(text + "\n", encoding="utf-8")
+        outputs[f"extract_{cluster.cluster_id}_{tag}.json"] = partial(_write_text, summarizer.extract_json(ext))
+        text = summarizer.summary_text(cluster, ext) + "\n"
+        outputs[f"summary_{cluster.cluster_id}_{tag}.txt"] = partial(_write_text, text)
         print(f"{cluster.cluster_id} {tag}: {ext.k} of {cluster.n} sentences -> {sorted(ext.selected)}")
-    return 0
+    return outputs
 
 
 def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
@@ -527,7 +531,7 @@ def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
     _write_csv(path, header, rows)
 
 
-def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
     graph = None
     if args.subsumption:
@@ -550,39 +554,31 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
         if system_extracts:
             systems["system"] = system_extracts[r].selected
         reports.append(evaluation.report_to_dict(evaluation.build_report(annotations, systems, r, graph, config.E)))
-    out = _out_dir(args)
     if config.r_grid is not None:
-        _write_d_grid(reports, _staged(args, out / "d_grid.csv"))
-        print(f"wrote {out / 'd_grid.csv'}")
-        return 0
+        print(f"wrote {args.out / 'd_grid.csv'}")
+        return {"d_grid.csv": partial(_write_d_grid, reports)}
     report = reports[0]
-    write_json(report, _staged(args, out / "report.json"))
-    _write_report_csv(report, _staged(args, out / "report.csv"))
     print(f"mean_j={report['mean_j']:.3f} random={report['random']:.3f}")
     for label, figures in sorted(report["systems"].items()):
         print(f"{label}: s={figures['s']:.3f} d={figures['d']:.3f}")
-    return 0
+    return {"report.json": partial(write_json, report), "report.csv": partial(_write_report_csv, report)}
 
 
-def cmd_agreement(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_agreement(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     if args.mode == "cbsu":
         annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
-        curve = evaluation.agreement_curve(annotations, config.r_grid)
-        path = _out_dir(args) / "agreement_curve.csv"
-        _write_csv(_staged(args, path), ["r", "mean_j"], [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in curve])
-        print(f"wrote {path}")
-        return 0
+        curve = [[f"{r:.2f}", f"{mean_j:.3f}"] for r, mean_j in evaluation.agreement_curve(annotations, config.r_grid)]
+        print(f"wrote {args.out / 'agreement_curve.csv'}")
+        return {"agreement_curve.csv": lambda path: _write_csv(path, ["r", "mean_j"], curve)}
     tally = evaluation.csis_agreement_tally(_load_judges(args.annotations, evaluation.load_subsumption_annotation))
-    out = _out_dir(args)
-    tally_path = out / "csis_tally.csv"
     rows = [[row.position, row.plus_score, row.minus_score] for row in tally.rows]  # None -> ""
-    _write_csv(_staged(args, tally_path), ["position", "plus_score", "minus_score"], rows)
-    hist_path = out / "csis_histogram.csv"
     histogram = sorted(tally.histogram.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-    rows = [[level, sign, count] for (level, sign), count in histogram]
-    _write_csv(_staged(args, hist_path), ["agreement", "sign", "sentences"], rows)
-    print(f"wrote {tally_path} and {hist_path}")
-    return 0
+    levels = [[level, sign, count] for (level, sign), count in histogram]
+    print(f"wrote {args.out / 'csis_tally.csv'} and {args.out / 'csis_histogram.csv'}")
+    return {
+        "csis_tally.csv": lambda path: _write_csv(path, ["position", "plus_score", "minus_score"], rows),
+        "csis_histogram.csv": lambda path: _write_csv(path, ["agreement", "sign", "sentences"], levels),
+    }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -614,15 +610,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             setattr(args, entry.dest, ["--" if item == [] else item for item in value] or ["--"])
         elif value == []:
             setattr(args, entry.dest, "--")
-    args.staged = []
+    args.out = Path(args.out or ".")
     try:
         config = resolve_config(args)  # reads the settings file, the one input file read before the check
         _check_usage(args, config)
-        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs
-        _commit(args)
-        return code
+        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs
+        _publish(args.out, outputs)
+        return 0
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors
-        _remove_created(args)
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EvaluationError) else 2
 

@@ -241,6 +241,14 @@ def _system_ratios(
     outside = [pos for pos in positions if not 1 <= pos <= n]
     if outside:
         raise EvaluationError(f"system {reprlib.repr(label)} selects position {outside[0]}, outside 1..{n}")
+    # a graph of another cluster, or with positions outside 1..n, would credit the wrong sentences
+    judged = annotations[0].cluster_id
+    if graph is not None and graph.cluster_id != judged:
+        ids = f"{reprlib.repr(graph.cluster_id)}; the annotations are for cluster {reprlib.repr(judged)}"
+        raise EvaluationError(f"subsumption graph is for cluster {ids}")
+    beyond = [pos for pos in graph.neighbours if not 1 <= pos <= n] if graph is not None else ()
+    if beyond:
+        raise EvaluationError(f"subsumption graph links position {min(beyond)}, outside 1..{n}")
     return [extract_utility(positions, ann, graph, E) / m for ann, m in zip(annotations, maxima)]
 
 
@@ -413,8 +421,10 @@ def percent_agreement(system: Iterable[int], ideal: Iterable[int], n: int) -> fl
 def csis_consensus(
     annotations: Sequence[SubsumptionAnnotation], threshold: int
 ) -> SubsumptionGraph:
-    """Keep the subsumption edges at least `threshold` judges agree on."""
+    """Keep the subsumption edges at least `threshold` judges agree on; fewer judges than that is an error."""
     cluster_id = _check_judge_set(annotations, 1).cluster_id
+    if threshold > len(annotations):  # no edge could reach it
+        raise EvaluationError(f"agreement threshold {threshold} exceeds the {len(annotations)} subsumption judges")
     support: Counter = Counter()
     for ann in annotations:
         for position, targets in ann.subsumers.items():

@@ -36,6 +36,7 @@ class Mutation(NamedTuple):
 
 ORACLE = "tests/test_summarizer_oracle.py::"
 USAGE = "tests/test_cli.py::TestUsageCheck::test_exits_2_before_the_judges_are_read"
+FAILED_RUNS = "tests/test_cli.py::TestFailedRunsLeaveNothing::"
 
 MUTATIONS = [
     # --- the redundancy rerank (summarizer._largest_overlaps and its counts) ---
@@ -177,8 +178,8 @@ MUTATIONS = [
         "check usage after the command has read its judges",
         "cli.py",
         "        _check_usage(args, config)\n"
-        '        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n',
-        '        code = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
+        '        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n',
+        '        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
         "        _check_usage(args, config)\n",
         (USAGE + "[idf-without-system-all-zero]", USAGE + "[extract-with-a-grid-flag-given-twice]"),
     ),
@@ -211,6 +212,36 @@ MUTATIONS = [
         "    if False:\n",
         ("tests/test_cli.py::TestIdfCommand::test_corpus_that_is_a_file_exits_2[idf]",
          "tests/test_cli.py::TestIdfCommand::test_corpus_that_is_a_file_exits_2[cluster]"),
+    ),
+    # --- the one step that writes --out (cli._publish) ---
+    Mutation(
+        "rename before checking that no directory holds an output name",
+        "cli.py",
+        "        for path in paths:\n            if path.is_dir():",
+        "        for path in paths:\n            if False:",
+        (FAILED_RUNS + "test_failed_write_keeps_the_files_it_would_replace",),
+    ),
+    Mutation(
+        "leave the temporary files behind when a run fails",
+        "cli.py",
+        "        for path in (*temps, *new):\n",
+        "        for path in new:\n",
+        (FAILED_RUNS + "test_failed_write_removes_the_files_it_wrote",
+         FAILED_RUNS + "test_a_failed_rename_removes_the_new_names[extract_alg_r20.json]"),
+    ),
+    Mutation(
+        "keep the names a failed run gave before its failing rename",
+        "cli.py",
+        "    new = [path for path in paths if not path.exists()]\n",
+        "    new = []\n",
+        (FAILED_RUNS + "test_a_failed_rename_removes_the_new_names[summary_alg_r30.txt]",),
+    ),
+    Mutation(
+        "keep the directories made for --out when a run fails",
+        "cli.py",
+        "                directory.rmdir()\n",
+        "                pass\n",
+        (FAILED_RUNS + "test_failed_write_removes_a_nested_out",),
     ),
     # --- the package and the summarizer's library guards ---
     Mutation(
@@ -278,6 +309,29 @@ MUTATIONS = [
         '        return EvaluationError(f"{files[i]}: {text}{named}" if files else text)\n',
         "        return EvaluationError(text)\n",
         ("tests/test_cli.py::TestJudgeFiles::test_mismatch_names_the_file[cluster_id-agreement]",),
+    ),
+    Mutation(
+        "credit through a subsumption graph of another cluster",
+        "evaluation.py",
+        "    if graph is not None and graph.cluster_id != judged:\n",
+        "    if False:\n",
+        ("tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[another-cluster]",),
+    ),
+    Mutation(
+        "credit through a subsumption graph with positions outside 1..n",
+        "evaluation.py",
+        "    if beyond:\n",
+        "    if False:\n",
+        ("tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[beyond-n]",
+         "tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[position-0]"),
+    ),
+    Mutation(
+        "build a consensus at a threshold above the judge count",
+        "evaluation.py",
+        "    if threshold > len(annotations):  # no edge could reach it\n",
+        "    if False:\n",
+        ("tests/test_evaluation.py::TestSubsumption::test_consensus_threshold_above_the_judges_rejected",
+         "tests/test_cli.py::TestStrictNumbers::test_threshold_above_the_subsumption_judges_exits_3[default]"),
     ),
     Mutation(
         "credit a subsumed extract member in full, not E times its utility",

@@ -1506,6 +1506,20 @@ class TestStrictNumbers:
         assert f"{late}: subsumption position" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threshold", [[], ["--agreement-threshold", "3"]], ids=["default", "flag"])
+    def test_threshold_above_the_subsumption_judges_exits_3(self, quad_judges, tmp_path, capsys, threshold):
+        """Two judges cannot agree three times over; the default threshold is 3."""
+        marks = []
+        for judge_id in ("S1", "S2"):
+            marks.append(str(tmp_path / f"{judge_id}.json"))
+            save_subsumption_annotation(SubsumptionAnnotation(judge_id, "quad", {2: frozenset({1})}), marks[-1])
+        extract_file = tmp_path / "s12.json"
+        write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
+        args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5", "--E", "0"]
+        assert main([*args, "--subsumption", *marks, *threshold, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: agreement threshold 3 exceeds the 2 subsumption judges\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestOneJudgeOneVote:
     """A key, an extract position or a judge given twice is an error, never a silent last-one-wins or double count."""
@@ -1624,6 +1638,29 @@ class TestFailedRunsLeaveNothing:
         assert main([*args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("earlier", ["extract_alg_r20.json", "summary_alg_r30.txt"])
+    def test_a_failed_rename_removes_the_new_names(self, news_inputs, tmp_path, capsys, monkeypatch, earlier):
+        """The second of four renames fails: the first gave a new name (removed) or replaced `earlier` (kept)."""
+        renamed = []
+
+        def replace(self, target):
+            renamed.append(target)
+            if len(renamed) == 2:
+                raise OSError(5, "Input/output error")
+            return real(self, target)
+
+        real = Path.replace
+        monkeypatch.setattr(Path, "replace", replace)
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "p"
+        out.mkdir()
+        (out / earlier).write_text("old")
+        args = ["summarize", cluster_file, "--idf", idf_path, "--r-grid", "0.2:0.3:0.1", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+        assert [Path(target).name for target in renamed] == ["extract_alg_r20.json", "summary_alg_r20.txt"]
+        assert [path.name for path in out.iterdir()] == [earlier]
 
 
 class TestNegativeThresholds:

@@ -291,6 +291,34 @@ class TestSubsumption:
         with pytest.raises(EvaluationError, match="mix clusters"):
             csis_consensus(subsumption_judges + [stray], threshold=2)
 
+    def test_consensus_threshold_above_the_judges_rejected(self, subsumption_judges):
+        count = len(subsumption_judges)
+        message = f"^agreement threshold {count + 1} exceeds the {count} subsumption judges$"
+        with pytest.raises(EvaluationError, match=message):
+            csis_consensus(subsumption_judges, threshold=count + 1)
+        assert csis_consensus(subsumption_judges, threshold=count).edges == frozenset()  # reachable, if by none
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (SubsumptionGraph("OTHER", frozenset({(1, 4), (7, 9)}), 1),
+             "subsumption graph is for cluster 'OTHER'; the annotations are for cluster 'quad'"),
+            (SubsumptionGraph("quad", frozenset({(1, 4), (7, 9)}), 1), "subsumption graph links position 7, outside 1..4"),
+            (SubsumptionGraph("quad", frozenset({(0, 2)}), 1), "subsumption graph links position 0, outside 1..4"),
+        ],
+        ids=["another-cluster", "beyond-n", "position-0"],
+    )
+    def test_graph_of_another_cluster_rejected(self, judges, graph, message):
+        calls = [
+            lambda: build_report(judges, {"s14": (1, 4)}, 0.5, graph, 0.0),
+            lambda: system_performance((1, 4), judges, graph, 0.0),
+            lambda: report_system_performance((1, 4), judges, graph, 0.0),
+        ]
+        for call in calls:
+            with pytest.raises(EvaluationError) as caught:
+                call()
+            assert str(caught.value) == message
+
     def test_discount_full_and_zero(self):
         # twelve sentences over three articles; the first sentences of
         # articles one and two repeat each other
