@@ -10,7 +10,9 @@ byte-identical output files.
 A command reads its inputs and computes its results, then returns its output
 files as a dict from each file name to a function that writes that file to a
 given path. It creates no directory and writes no file: `main` hands the dict
-to `_publish`, the one step that writes under --out.
+to `_publish`, the one step that writes under --out. The lines a command prints
+to stdout are held until `_publish` returns, so a run whose files could not be
+published prints only its error; warnings go to stderr at once.
 
 The layers below are bound as modules and each name is looked up at its call,
 so a launch runs only the layers its subcommand calls (see the package's
@@ -30,8 +32,9 @@ import re
 import reprlib
 import sys
 import warnings
-from contextlib import suppress
+from contextlib import redirect_stdout, suppress
 from functools import partial
+from io import StringIO
 from itertools import combinations, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -436,10 +439,11 @@ def cmd_summarize(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     return outputs
 
 
-def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
+def _load_extract_file(path: str, judged: evaluation.UtilityAnnotation, r: float) -> list[int]:
     """An extract file's positions; it must be for the judged cluster and hold k(r) distinct ones in 1..n.
 
-    A file that states its rate must state a number in (0, 1] with the same k as r.
+    A file that states its rate must state a number in (0, 1] with the same k as r. `judged` is the
+    first of the checked judges, and `evaluation._check_fits` checks the file against it.
     """
     data = read_json(path)
     try:
@@ -453,17 +457,12 @@ def _load_extract_file(path: str, annotations: Sequence, r: float) -> list[int]:
     repeat = _first_repeat(selected)
     if repeat is not None:
         raise ValueError(f"{path}: selected[{repeat}]: position {selected[repeat]} is selected twice")
-    _require_judged(path, annotations, "extract is for cluster", cluster_id)
-    n = annotations[0].n
-    k = compression_size(n, r)
+    evaluation._check_fits(judged, f"{path}: extract", cluster_id)
+    k = compression_size(judged.n, r)
     stated = data.get("r", r)  # a file need not state its rate
-    if type(stated) not in (int, float) or not 0 < stated <= 1 or compression_size(n, stated) != k:
+    if type(stated) not in (int, float) or not 0 < stated <= 1 or compression_size(judged.n, stated) != k:
         raise ValueError(f"{path}: r: expected a rate in (0, 1] with k={k} as at r={r:g}, got {reprlib.repr(stated)}")
-    if len(selected) != k:
-        raise EvaluationError(f"{path}: extract selects {len(selected)} sentences, expected k={k} at r={r:g}")
-    for i, position in enumerate(selected):
-        if not 1 <= position <= n:
-            raise EvaluationError(f"{path}: selected[{i}]: position {position} outside 1..{n} of the annotations")
+    evaluation._check_fits(judged, f"{path}: selected", positions=selected, k=k)
     return sorted(selected)
 
 
@@ -478,25 +477,12 @@ def _load_judges(paths: Sequence[str], load: Callable) -> list:
     return judges
 
 
-def _require_judged(path: str, annotations: Sequence, what: str, cluster_id: str, n: int | None = None) -> None:
-    """Exit 3 unless a file is for the judged cluster and, given n, of its size; `what` words the file's side."""
-    judged = annotations[0]
-    if cluster_id != judged.cluster_id or n not in (None, judged.n):
-        sizes = ("", "") if n is None else (f" has {n} sentences", f" with {judged.n}")
-        raise EvaluationError(
-            f"{path}: {what} {reprlib.repr(cluster_id)}{sizes[0]}; the annotations are for cluster "
-            f"{reprlib.repr(judged.cluster_id)}{sizes[1]}"
-        )
-
-
-def _judged_subsumption(path: str, annotations: Sequence) -> evaluation.SubsumptionAnnotation:
+def _judged_subsumption(path: str, judged: evaluation.UtilityAnnotation) -> evaluation.SubsumptionAnnotation:
     """Load subsumption marks and require them to be for the judged cluster and its positions."""
     marks = evaluation.load_subsumption_annotation(path)
-    _require_judged(path, annotations, "subsumption marks are for cluster", marks.cluster_id)
-    n = annotations[0].n
-    highest = max((p for pos, targets in marks.subsumers.items() for p in (pos, *targets)), default=0)
-    if highest > n:
-        raise EvaluationError(f"{path}: subsumption position {highest} outside 1..{n} of the annotations")
+    evaluation._check_fits(judged, f"{path}: subsumption file", marks.cluster_id)
+    positions = [p for pos, targets in marks.subsumers.items() for p in (pos, *targets)]
+    evaluation._check_fits(judged, f"{path}: subsumers", positions=positions)
     return marks
 
 
@@ -533,17 +519,18 @@ def _write_d_grid(reports: Sequence[dict], path: Path) -> None:
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> _Outputs:
     annotations = _load_judges(args.annotations, evaluation.load_utility_annotation)
+    judged = annotations[0]
     graph = None
     if args.subsumption:
-        subs = _load_judges(args.subsumption, lambda path: _judged_subsumption(path, annotations))
+        subs = _load_judges(args.subsumption, lambda path: _judged_subsumption(path, judged))
         graph = evaluation.csis_consensus(subs, config.agreement_threshold)
-    fixed = {Path(path).stem: _load_extract_file(path, annotations, config.r) for path in args.extract or []}
+    fixed = {Path(path).stem: _load_extract_file(path, judged, config.r) for path in args.extract or []}
     # --lead and --system often name the same file; each distinct path is parsed once
     paths = [path for path in dict.fromkeys((args.lead, args.system)) if path is not None]
     clusters = {}
     for path in paths:
         clusters[path] = cluster = parse_cluster(path)
-        _require_judged(path, annotations, "cluster", cluster.cluster_id, cluster.n)
+        evaluation._check_fits(judged, f"{path}: cluster file", cluster.cluster_id, n=cluster.n)
     lead_cluster, system_cluster = clusters.get(args.lead), clusters.get(args.system)
     system_extracts = _score_and_select(system_cluster, args.idf, config) if system_cluster else {}
     reports = []
@@ -614,8 +601,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = resolve_config(args)  # reads the settings file, the one input file read before the check
         _check_usage(args, config)
-        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs
+        with redirect_stdout(StringIO()) as held:  # a run's result lines print only once its files are published
+            outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs
         _publish(args.out, outputs)
+        print(held.getvalue(), end="")  # print, as the command would, writes nothing where stdout is None
         return 0
     except (ValueError, OSError) as exc:  # EvaluationError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

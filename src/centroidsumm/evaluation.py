@@ -30,10 +30,11 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from itertools import accumulate, combinations
 from math import comb, fsum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .text import (
     EvaluationError, _Record, _all_json_ints, _first_repeat, _json_int, _json_str, compression_size, read_json,
@@ -126,19 +127,19 @@ class SubsumptionGraph(_Record):
 
 def judge_extract(annotation: UtilityAnnotation, k: int) -> frozenset[int]:
     """The k positions this judge values most, ties to the earlier position."""
-    _check_k(annotation, k)
+    _check_k(annotation.n, k)
     return frozenset(annotation.ranked[:k])
 
 
 def max_utility(annotation: UtilityAnnotation, k: int) -> int:
     """The most utility any k-sentence extract can earn from this judge."""
-    _check_k(annotation, k)
+    _check_k(annotation.n, k)
     return annotation.best[k - 1]
 
 
-def _check_k(annotation: UtilityAnnotation, k: int) -> None:
-    if not 1 <= k <= annotation.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={annotation.n}")
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def extract_utility(
@@ -209,54 +210,49 @@ def _check_judge_set(
     return first
 
 
-def _maxima(annotations: Sequence[UtilityAnnotation], k: int) -> list[int]:
-    """Each judge's best k-sentence utility, the denominator of every ratio."""
-    return [max_utility(ann, k) for ann in annotations]
+def _check_fits(
+    judged: UtilityAnnotation, what: str, cluster_id: str | None = None, positions: Collection[int] = (),
+    n: int | None = None, k: int | None = None,
+) -> None:
+    """The one check that an evaluate input fits the judges; `judged` is the first of a checked judge set.
+
+    In this order: given cluster_id, the input is for the judged cluster and, given n, of its size; every
+    one of `positions` is in 1..n, the lowest outside named; given k, there are k positions. `what`
+    starts each message: a label such as "system 'lead'", or a path and field such as "x.json: selected".
+    """
+    if cluster_id not in (None, judged.cluster_id) or n not in (None, judged.n):
+        sizes = ("", "") if n is None else (f" with {n} sentences", f" with {judged.n}")
+        raise EvaluationError(
+            f"{what} is for cluster {reprlib.repr(cluster_id)}{sizes[0]}; "
+            f"the annotations are for cluster {reprlib.repr(judged.cluster_id)}{sizes[1]}"
+        )
+    outside = [pos for pos in positions if not 1 <= pos <= judged.n]
+    if outside:
+        raise EvaluationError(f"{what}: position {min(outside)} outside 1..{judged.n} of the annotations")
+    if k not in (None, len(positions)):
+        raise EvaluationError(f"{what}: {len(positions)} positions, expected k={k}")
 
 
-# Per-judge ratio producers: credited utility over that judge's maximum, one
-# ratio per judge (one row per extracting judge for the cross-judge matrix).
+def _ratios(annotations: Sequence[UtilityAnnotation], k: int, credit: Callable[..., float]) -> list[float]:
+    """Each judge's credit over the most utility k sentences earn from that judge: the one ratio behind J, R and S."""
+    return [credit(ann) / max_utility(ann, k) for ann in annotations]
 
 
-def _cross_judge_ratios(
-    annotations: Sequence[UtilityAnnotation], k: int, maxima: Sequence[int]
-) -> list[list[float]]:
-    extracts = [judge_extract(ann, k) for ann in annotations]
-    return [[extract_utility(e, ann) / m for ann, m in zip(annotations, maxima)] for e in extracts]
+def _chance(k: int) -> Callable[[UtilityAnnotation], float]:
+    """The credit a uniformly random k-subset earns from a judge in expectation: k times its mean utility."""
+    return lambda ann: k * (fsum(ann.utilities) / ann.n)
 
 
 def _system_ratios(
-    label: str,
-    extract: Iterable[int],
-    annotations: Sequence[UtilityAnnotation],
-    maxima: Sequence[int] | None = None,
-    graph: SubsumptionGraph | None = None,
-    E: float = 1.0,
+    label: str, extract: Iterable[int], annotations: Sequence[UtilityAnnotation],
+    graph: SubsumptionGraph | None = None, E: float = 1.0, k: int | None = None,
 ) -> list[float]:
+    """Each judge's ratio for a system's extract, which must fit the judges (with k positions, given k)."""
     positions = sorted(set(extract))
-    if maxima is None:  # a standalone score; no caller checked the judges
-        _check_judge_set(annotations, 1)
-        maxima = _maxima(annotations, len(positions))
-    n = annotations[0].n
-    outside = [pos for pos in positions if not 1 <= pos <= n]
-    if outside:
-        raise EvaluationError(f"system {reprlib.repr(label)} selects position {outside[0]}, outside 1..{n}")
-    # a graph of another cluster, or with positions outside 1..n, would credit the wrong sentences
-    judged = annotations[0].cluster_id
-    if graph is not None and graph.cluster_id != judged:
-        ids = f"{reprlib.repr(graph.cluster_id)}; the annotations are for cluster {reprlib.repr(judged)}"
-        raise EvaluationError(f"subsumption graph is for cluster {ids}")
-    beyond = [pos for pos in graph.neighbours if not 1 <= pos <= n] if graph is not None else ()
-    if beyond:
-        raise EvaluationError(f"subsumption graph links position {min(beyond)}, outside 1..{n}")
-    return [extract_utility(positions, ann, graph, E) / m for ann, m in zip(annotations, maxima)]
-
-
-def _random_ratios(
-    annotations: Sequence[UtilityAnnotation], k: int, maxima: Sequence[int]
-) -> list[float]:
-    """Per-judge expected ratio of a uniform random k-subset (exact)."""
-    return [k * (fsum(ann.utilities) / ann.n) / m for ann, m in zip(annotations, maxima)]
+    _check_fits(annotations[0], f"system {reprlib.repr(label)}", positions=positions, k=k)
+    if graph is not None:  # a graph of another cluster, or beyond 1..n, would credit the wrong sentences
+        _check_fits(annotations[0], "subsumption graph", graph.cluster_id, graph.neighbours)
+    return _ratios(annotations, len(positions), lambda ann: extract_utility(positions, ann, graph, E))
 
 
 # Aggregations. The reference result tables round half-up to 3 decimals at
@@ -307,7 +303,7 @@ def cross_judge_matrix(
 ) -> list[list[float]]:
     """J[i][j]: how much of judge j's maximum utility judge i's extract earns."""
     k = compression_size(_check_judge_set(annotations, 2).n, r)
-    return _cross_judge_ratios(annotations, k, _maxima(annotations, k))
+    return [_ratios(annotations, k, partial(extract_utility, judge_extract(ann, k))) for ann in annotations]
 
 
 def mean_cross_judge(matrix: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], float]:
@@ -335,7 +331,8 @@ def system_performance(
     The judges' maxima stay undiscounted; only the evaluated extract's credit
     is subject to the subsumption discount.
     """
-    return _exact_mean(_system_ratios("extract", extract, annotations, None, graph, E))
+    _check_judge_set(annotations, 1)
+    return _exact_mean(_system_ratios("extract", extract, annotations, graph, E))
 
 
 def report_system_performance(
@@ -345,15 +342,15 @@ def report_system_performance(
     E: float = 1.0,
 ) -> float:
     """Table-style S: each judge's ratio rounded before the rounded mean."""
-    return _table_mean(_system_ratios("extract", extract, annotations, None, graph, E))
+    _check_judge_set(annotations, 1)
+    return _table_mean(_system_ratios("extract", extract, annotations, graph, E))
 
 
 def enumerate_extracts(
     n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[tuple[int, ...]]:
     """All k-subsets of positions 1..n, lexicographic, C(n, k) in total."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k(n, k)
     total = comb(n, k)
     if total > cap:
         raise EnumerationCapError(
@@ -377,21 +374,20 @@ def random_performance(
     """
     n = _check_judge_set(annotations, 1).n
     k = compression_size(n, r)
-    maxima = _maxima(annotations, k)
-    if mode == "enumerate":
+    if mode == "enumerate":  # the subsets are in 1..n by construction, so none is checked again
         return _exact_mean([
-            _exact_mean(_system_ratios("subset", subset, annotations, maxima))
+            _exact_mean(_ratios(annotations, k, partial(extract_utility, subset)))
             for subset in enumerate_extracts(n, k, cap)
         ])
     if mode == "closed_form":
-        return _exact_mean(_random_ratios(annotations, k, maxima))
+        return _exact_mean(_ratios(annotations, k, _chance(k)))
     raise ValueError(f"unknown mode {mode!r}; use 'enumerate' or 'closed_form'")
 
 
 def report_random_performance(annotations: Sequence[UtilityAnnotation], r: float) -> float:
     """Table-style R over the closed-form per-judge expectations."""
     k = compression_size(_check_judge_set(annotations, 1).n, r)
-    return _table_mean(_random_ratios(annotations, k, _maxima(annotations, k)))
+    return _table_mean(_ratios(annotations, k, _chance(k)))
 
 
 def normalized_performance(S: float, mean_J: float, R: float) -> float:
@@ -524,23 +520,18 @@ def build_report(
     E: float = 1.0,
 ) -> EvalReport:
     """Evaluate named extracts against the judges at compression rate r."""
-    k = compression_size(_check_judge_set(annotations, 2).n, r)
-    maxima = _maxima(annotations, k)
-    matrix = _cross_judge_ratios(annotations, k, maxima)
+    matrix = cross_judge_matrix(annotations, r)  # checks the judge set
+    k = compression_size(annotations[0].n, r)
     per_judge, mean_j = _matrix_means(matrix, _table_mean)
-    r_value = _table_mean(_random_ratios(annotations, k, maxima))
+    r_value = _table_mean(_ratios(annotations, k, _chance(k)))
     _check_above_chance(mean_j, r_value)
     s_scores: dict[str, float] = {}
     s_csis: dict[str, float] = {}
     for label in sorted(systems):
         positions = sorted(set(systems[label]))
-        if len(positions) != k:
-            raise EvaluationError(
-                f"system {reprlib.repr(label)} selected {len(positions)} sentences, expected k={k}"
-            )
-        s_scores[label] = _table_mean(_system_ratios(label, positions, annotations, maxima))
+        s_scores[label] = _table_mean(_system_ratios(label, positions, annotations, k=k))
         if graph is not None:
-            s_csis[label] = _table_mean(_system_ratios(label, positions, annotations, maxima, graph, E))
+            s_csis[label] = _table_mean(_system_ratios(label, positions, annotations, graph, E, k))
     return EvalReport(
         cluster_id=annotations[0].cluster_id,
         r=r,

@@ -130,10 +130,14 @@ def _build_extract(
     )
 
 
-def extract(cluster: Cluster, scores: Sequence[SentenceScore], r: float) -> Extract:
-    """Keep the k sentences with the highest final scores, in cluster order."""
+def _check_scores(cluster: Cluster, scores: Sequence[SentenceScore]) -> None:
     if len(scores) != cluster.n:
         raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")
+
+
+def extract(cluster: Cluster, scores: Sequence[SentenceScore], r: float) -> Extract:
+    """Keep the k sentences with the highest final scores, in cluster order."""
+    _check_scores(cluster, scores)
     k = compression_size(cluster.n, r)
     selected = _select_top([s.final for s in scores], k)
     return _build_extract(cluster, scores, r, k, selected)
@@ -294,8 +298,7 @@ def redundancy_rerank(
     direct comparison). Penalties, finals and selections are therefore equal,
     bit for bit, to comparing every sentence with every member.
     """
-    if len(scores) != cluster.n:
-        raise ValueError(f"expected {cluster.n} scores, got {len(scores)}")
+    _check_scores(cluster, scores)
     if any(score.penalty != 0 for score in scores):
         raise ValueError("redundancy_rerank expects untouched base scores")
     n = cluster.n

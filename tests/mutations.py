@@ -37,6 +37,12 @@ class Mutation(NamedTuple):
 ORACLE = "tests/test_summarizer_oracle.py::"
 USAGE = "tests/test_cli.py::TestUsageCheck::test_exits_2_before_the_judges_are_read"
 FAILED_RUNS = "tests/test_cli.py::TestFailedRunsLeaveNothing::"
+EVALUATE = "tests/test_cli.py::TestEvaluateCommand::"
+COMMAND_CALL = (  # the lines of cli.main that run the command
+    "        with redirect_stdout(StringIO()) as held:  # a run's result lines print only once its files are published\n"
+    '            outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
+)
+GRAPH = "tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected"
 
 MUTATIONS = [
     # --- the redundancy rerank (summarizer._largest_overlaps and its counts) ---
@@ -157,7 +163,7 @@ MUTATIONS = [
         "cli.py",
         "            stream.flush()\n",
         "            pass\n",
-        ("tests/test_cli.py::test_a_launch_gives_the_bytes_and_code_of_main[cluster]",),
+        ("tests/test_cli.py::test_a_launch_gives_the_bytes_and_code_of_main[idf]",),
     ),
     Mutation(
         "accept a negative threshold",
@@ -168,19 +174,17 @@ MUTATIONS = [
          "tests/test_cli.py::TestArgumentErrors::test_flag_and_config_line_give_the_same_error[centroid_threshold--5]"),
     ),
     Mutation(
-        "leave an extract file's positions to the library's range check",
+        "leave an extract file's positions and size to the library's check of the system",
         "cli.py",
-        "        if not 1 <= position <= n:\n",
-        "        if False:\n",
-        ("tests/test_cli.py::TestEvaluateCommand::test_out_of_range_extract_exits_3",),
+        'evaluation._check_fits(judged, f"{path}: selected", positions=selected, k=k)',
+        "None",
+        (EVALUATE + "test_out_of_range_extract_exits_3", EVALUATE + "test_wrong_size_extract_exits_3"),
     ),
     Mutation(
         "check usage after the command has read its judges",
         "cli.py",
-        "        _check_usage(args, config)\n"
-        '        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n',
-        '        outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
-        "        _check_usage(args, config)\n",
+        "        _check_usage(args, config)\n" + COMMAND_CALL,
+        COMMAND_CALL + "        _check_usage(args, config)\n",
         (USAGE + "[idf-without-system-all-zero]", USAGE + "[extract-with-a-grid-flag-given-twice]"),
     ),
     Mutation(
@@ -237,6 +241,14 @@ MUTATIONS = [
         (FAILED_RUNS + "test_a_failed_rename_removes_the_new_names[summary_alg_r30.txt]",),
     ),
     Mutation(
+        "print a run's result lines before its files are published",
+        "cli.py",
+        '        _publish(args.out, outputs)\n        print(held.getvalue(), end="")',
+        '        print(held.getvalue(), end="")\n        _publish(args.out, outputs)',
+        (FAILED_RUNS + "test_a_run_that_cannot_publish_prints_only_its_error[idf]",
+         FAILED_RUNS + "test_a_run_that_cannot_publish_prints_only_its_error[summarize]"),
+    ),
+    Mutation(
         "keep the directories made for --out when a run fails",
         "cli.py",
         "                directory.rmdir()\n",
@@ -254,16 +266,14 @@ MUTATIONS = [
     Mutation(
         "extract from fewer scores than sentences",
         "summarizer.py",
-        '    """Keep the k sentences with the highest final scores, in cluster order."""\n    if len(scores) != cluster.n:\n',
-        '    """Keep the k sentences with the highest final scores, in cluster order."""\n    if False:\n',
+        '    """Keep the k sentences with the highest final scores, in cluster order."""\n    _check_scores(cluster, scores)\n',
+        '    """Keep the k sentences with the highest final scores, in cluster order."""\n',
         ("tests/test_summarizer.py::TestExtract::test_too_few_scores_rejected[extract]",),
     ),
     Mutation(
         "rerank fewer scores than sentences",
         "summarizer.py",
-        "    if len(scores) != cluster.n:\n        raise ValueError(f\"expected {cluster.n} scores, got {len(scores)}\")\n"
-        "    if any(score.penalty != 0 for score in scores):\n",
-        "    if False:\n        raise ValueError(f\"expected {cluster.n} scores, got {len(scores)}\")\n"
+        "    _check_scores(cluster, scores)\n    if any(score.penalty != 0 for score in scores):\n",
         "    if any(score.penalty != 0 for score in scores):\n",
         ("tests/test_summarizer.py::TestExtract::test_too_few_scores_rejected[redundancy_rerank]",),
     ),
@@ -310,20 +320,43 @@ MUTATIONS = [
         "        return EvaluationError(text)\n",
         ("tests/test_cli.py::TestJudgeFiles::test_mismatch_names_the_file[cluster_id-agreement]",),
     ),
+    # the one check that an evaluate input fits the judges: each rule's entry names a CLI and a library test
+    Mutation(
+        "let an input of another cluster or size fit the judges",
+        "evaluation.py",
+        "    if cluster_id not in (None, judged.cluster_id) or n not in (None, judged.n):\n",
+        "    if False:\n",
+        (EVALUATE + "test_cluster_not_judged_exits_3[n---lead]", GRAPH + "[another-cluster]"),
+    ),
+    Mutation(
+        "let an input hold positions outside 1..n",
+        "evaluation.py",
+        "    if outside:\n",
+        "    if False:\n",
+        (EVALUATE + "test_out_of_range_extract_exits_3", "tests/test_evaluation_oracle.py::TestJudgeConsistency::"
+         "test_position_outside_cluster"),
+    ),
+    Mutation(
+        "let an input hold other than k positions",
+        "evaluation.py",
+        "    if k not in (None, len(positions)):\n",
+        "    if False:\n",
+        (EVALUATE + "test_wrong_size_extract_exits_3",
+         "tests/test_evaluation.py::TestBuildReport::test_wrong_extract_size_rejected"),
+    ),
     Mutation(
         "credit through a subsumption graph of another cluster",
         "evaluation.py",
-        "    if graph is not None and graph.cluster_id != judged:\n",
-        "    if False:\n",
-        ("tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[another-cluster]",),
+        '"subsumption graph", graph.cluster_id,',
+        '"subsumption graph", None,',
+        (GRAPH + "[another-cluster]",),
     ),
     Mutation(
         "credit through a subsumption graph with positions outside 1..n",
         "evaluation.py",
-        "    if beyond:\n",
-        "    if False:\n",
-        ("tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[beyond-n]",
-         "tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected[position-0]"),
+        "graph.cluster_id, graph.neighbours)",
+        "graph.cluster_id)",
+        (GRAPH + "[beyond-n]", GRAPH + "[position-0]"),
     ),
     Mutation(
         "build a consensus at a threshold above the judge count",

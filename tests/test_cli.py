@@ -645,7 +645,8 @@ class TestEvaluateCommand:
             extract_file = tmp_path / "triple.json"
             write_json({"cluster_id": "quad", "selected": selected}, extract_file)
             assert main(["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]) == 3
-            assert f"{extract_file}: extract selects {len(set(selected))} sentences, expected k=2" in capsys.readouterr().err
+            expected = f"{extract_file}: selected: {len(set(selected))} positions, expected k=2"
+            assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("stated", ["NaN", "Infinity", "-Infinity", "1e400", "0.3", "1", "0", "1.5", "true", '"0.5"'])
     def test_extract_file_rate_of_another_size_exits_2(self, quad_judges, tmp_path, capsys, stated):
@@ -672,7 +673,7 @@ class TestEvaluateCommand:
             write_json({"cluster_id": "quad", "selected": [1, position]}, extract_file)
             args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
             assert main([*args, "--out", str(tmp_path / "out")]) == 3
-            expected = f"{extract_file}: selected[1]: position {position} outside 1..4 of the annotations"
+            expected = f"{extract_file}: selected: position {position} outside 1..4 of the annotations"
             assert capsys.readouterr().err == f"error: {expected}\n"
             assert not (tmp_path / "out").exists()
 
@@ -690,7 +691,8 @@ class TestEvaluateCommand:
         args = ["evaluate", "--annotations", *judges, flag, cluster_file, "--r", "0.2"]
         args += ["--idf", idf_path] if flag == "--system" else []
         assert main(args + ["--out", str(tmp_path / "eval")]) == 3
-        assert f"{cluster_file}: cluster 'alg' has 20 sentences" in capsys.readouterr().err
+        expected = f"{cluster_file}: cluster file is for cluster 'alg' with 20 sentences; the annotations are for cluster"
+        assert capsys.readouterr().err == f"error: {expected} {cluster_id!r} with {n}\n"
         assert not (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("flag", ["--lead", "--system", "--extract", "--subsumption"])
@@ -1492,18 +1494,21 @@ class TestStrictNumbers:
         args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
         args += ["--subsumption", str(other), "--agreement-threshold", "1", "--out", str(tmp_path / "out")]
         assert main(args) == 3
-        assert f"{other}: subsumption marks are for cluster 'other'" in capsys.readouterr().err
+        expected = f"{other}: subsumption file is for cluster 'other'; the annotations are for cluster 'quad'"
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("subsumers", [{"5": [1]}, {"2": [9]}])
+    @pytest.mark.parametrize("subsumers", [{"5": [1]}, {"2": [9]}, {"6": [5], "2": [7]}])
     def test_subsumption_beyond_the_judged_cluster_exits_3(self, quad_judges, tmp_path, capsys, subsumers):
+        position = min(p for key, targets in subsumers.items() for p in (int(key), *targets) if p > 4)  # the lowest
         late = tmp_path / "late_sub.json"
         write_json({"judge_id": "S", "cluster_id": "quad", "subsumers": subsumers}, late)
         extract_file = tmp_path / "s12.json"
         write_json({"cluster_id": "quad", "selected": [1, 2]}, extract_file)
         args = ["evaluate", "--annotations", *quad_judges, "--extract", str(extract_file), "--r", "0.5"]
         assert main([*args, "--subsumption", str(late), "--out", str(tmp_path / "out")]) == 3
-        assert f"{late}: subsumption position" in capsys.readouterr().err
+        expected = f"{late}: subsumers: position {position} outside 1..4 of the annotations"
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threshold", [[], ["--agreement-threshold", "3"]], ids=["default", "flag"])
@@ -1613,6 +1618,19 @@ class TestFailedRunsLeaveNothing:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'summary_alg_r20.txt'}'\n"
         assert sorted(path.name for path in out.iterdir()) == sorted([*before, "summary_alg_r20.txt"])
         assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["idf", "summarize"])
+    def test_a_run_that_cannot_publish_prints_only_its_error(self, news_inputs, tmp_path, capsys, command):
+        """The result lines are held until the files are published; --out naming a file fails at publication."""
+        cluster_file, idf_path = news_inputs
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        capsys.readouterr()  # the fixture's own idf run
+        args = {"idf": ["idf", str(Path(cluster_file).parent)],
+                "summarize": ["summarize", cluster_file, "--idf", idf_path]}
+        assert main([*args[command], "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{out}'\n")
+        assert out.read_text() == "a file, not a directory"
 
     def test_written_files_replace_the_old_and_leave_no_temporary_file(self, news_inputs, tmp_path):
         cluster_file, idf_path = news_inputs
@@ -1811,16 +1829,17 @@ def test_a_parser_built_for_one_subcommand_prints_the_same_bytes(monkeypatch, ca
     assert (captured.out, captured.err) == (PARSER_TEXT[case]["stdout"], PARSER_TEXT[case]["stderr"])
 
 
-@pytest.mark.parametrize("case", ["cluster", "exit 2", "exit 3"])
+@pytest.mark.parametrize("case", ["cluster", "idf", "exit 2", "exit 3"])
 def test_a_launch_gives_the_bytes_and_code_of_main(tmp_path, quad_judges, capsys, case):
     """`python -m centroidsumm.cli` ends without interpreter teardown, so it must flush its piped output first."""
-    if case == "cluster":  # 400 documents without a shared term: 400 clusters, more bytes than stdout's buffer
+    if case in ("cluster", "idf"):  # cluster: 400 documents without a shared term, 400 clusters
         docs = tmp_path / "docs"
         docs.mkdir()
-        for i in range(400):
+        for i in range(400 if case == "cluster" else 2):
             write_json(document_to_dict(make_document(f"d{i}", [f"w{i}a w{i}b."])), docs / f"{i}.json")
         assert main(["idf", str(docs), "--out", str(tmp_path)]) == 0
         argv = ["cluster", str(docs), "--idf", str(tmp_path / "idf.json"), "--out", str(tmp_path / "out")]
+        argv = argv if case == "cluster" else ["idf", str(docs), "--out", str(tmp_path / "out")]
     elif case == "exit 2":
         argv = ["summarize", str(tmp_path / "missing.json"), "--idf", str(tmp_path / "idf.json")]
     else:
@@ -1831,10 +1850,12 @@ def test_a_launch_gives_the_bytes_and_code_of_main(tmp_path, quad_judges, capsys
     child = subprocess.run([sys.executable, "-m", "centroidsumm.cli", *argv], env=env, capture_output=True)
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == {"cluster": 0, "exit 2": 2, "exit 3": 3}[case]
+    assert code == {"cluster": 0, "idf": 0, "exit 2": 2, "exit 3": 3}[case]
     assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (code, captured.out, captured.err)
-    if case == "cluster":
+    if case == "cluster":  # more bytes than stdout's buffer
         assert captured.out.count("\n") == 401 and len(captured.out) > io.DEFAULT_BUFFER_SIZE
+    elif case == "idf":  # one line, which stays in stdout's buffer until the flush
+        assert captured.out.count("\n") == 1 and len(captured.out) < io.DEFAULT_BUFFER_SIZE
     else:
         assert captured.out == "" and captured.err.count("\n") == 1
 

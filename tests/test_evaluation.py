@@ -303,8 +303,8 @@ class TestSubsumption:
         [
             (SubsumptionGraph("OTHER", frozenset({(1, 4), (7, 9)}), 1),
              "subsumption graph is for cluster 'OTHER'; the annotations are for cluster 'quad'"),
-            (SubsumptionGraph("quad", frozenset({(1, 4), (7, 9)}), 1), "subsumption graph links position 7, outside 1..4"),
-            (SubsumptionGraph("quad", frozenset({(0, 2)}), 1), "subsumption graph links position 0, outside 1..4"),
+            (SubsumptionGraph("quad", frozenset({(1, 4), (7, 9)}), 1), "subsumption graph: position 7 outside 1..4 of the annotations"),
+            (SubsumptionGraph("quad", frozenset({(0, 2)}), 1), "subsumption graph: position 0 outside 1..4 of the annotations"),
         ],
         ids=["another-cluster", "beyond-n", "position-0"],
     )

@@ -206,7 +206,7 @@ class TestJudgeConsistency:
 
     def test_position_outside_cluster(self):
         judges = [UtilityAnnotation("J1", "c", (5, 3, 1, 0)), UtilityAnnotation("J2", "c", (4, 3, 2, 1))]
-        with pytest.raises(EvaluationError, match=r"system 'late' selects position 5, outside 1\.\.4"):
+        with pytest.raises(EvaluationError, match=r"^system 'late': position 5 outside 1\.\.4 of the annotations$"):
             cs.build_report(judges, {"late": (1, 5)}, 0.5)
         with pytest.raises(EvaluationError, match="outside 1..4"):
             cs.system_performance((0, 2), judges)
