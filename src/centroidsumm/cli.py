@@ -35,7 +35,7 @@ import warnings
 from contextlib import redirect_stdout, suppress
 from functools import partial
 from io import StringIO
-from itertools import combinations, takewhile
+from itertools import combinations, count, takewhile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,8 +47,9 @@ from .text import (
     ScoreWeights,
     _Record,
     _first_repeat,
-    _json_int,
-    _json_str,
+    _fields,
+    _json,
+    _json_ints,
     _require_finite,
     cluster_from_dict,
     compression_size,
@@ -128,11 +129,11 @@ def parse_weights(text: str) -> tuple[float, float, float]:
 
 
 def parse_r_grid(text: str) -> tuple[float, ...]:
-    """Expand "start:stop:step" into an inclusive grid of rates."""
+    """Expand "start:stop:step" into the rates from start in whole steps up to stop, never past it."""
     start, stop, step = _numbers(text, "an r grid of three numbers start:stop:step", ":", 3)
     if not (0 < start <= stop <= 1 and step > 0):
         raise ValueError(f"r grid {reprlib.repr(text)} outside 0 < start <= stop <= 1 with step > 0")
-    steps = (stop - start) / step + 0.5
+    steps = (stop - start) / step + 1e-11  # so a stop on the grid is reached despite rounding in the division
     if steps >= 101:  # checked before the grid is built: a huge grid would exhaust memory
         raise ValueError(f"r grid {reprlib.repr(text)} has more than 101 rates, one per output tag r00..r100")
     return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
@@ -446,14 +447,9 @@ def _load_extract_file(path: str, judged: evaluation.UtilityAnnotation, r: float
     first of the checked judges, and `evaluation._check_fits` checks the file against it.
     """
     data = read_json(path)
-    try:
-        cluster_id, positions = data["cluster_id"], data["selected"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not an extract file: {exc}") from None
-    _json_str(cluster_id, f"{path}: cluster_id")
-    if not isinstance(positions, list):
-        raise ValueError(f"{path}: selected: must be an array of integers, got {reprlib.repr(positions)}")
-    selected = [_json_int(p, f"{path}: selected[{i}]") for i, p in enumerate(positions)]
+    cluster_id, selected = _fields(data, path, ("cluster_id", "selected"))
+    _json(cluster_id, str, f"{path}: cluster_id")
+    _json_ints(_json(selected, list, f"{path}: selected"), (f"{path}: selected[{i}]" for i in count()))
     repeat = _first_repeat(selected)
     if repeat is not None:
         raise ValueError(f"{path}: selected[{repeat}]: position {selected[repeat]} is selected twice")

@@ -31,13 +31,13 @@ import reprlib
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, count, repeat
 from math import comb, fsum
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .text import (
-    EvaluationError, _Record, _all_json_ints, _first_repeat, _json_int, _json_str, compression_size, read_json,
+    EvaluationError, _Record, _fields, _first_repeat, _json, _json_ints, compression_size, read_json,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -564,49 +564,31 @@ def agreement_curve(
 
 def load_utility_annotation(path: str | Path) -> UtilityAnnotation:
     """Load one judge's utilities: an array of JSON integers 0..10."""
-    data = read_json(path)
-    try:
-        judge_id = _json_str(data["judge_id"], f"{path}: judge_id")
-        cluster_id = _json_str(data["cluster_id"], f"{path}: cluster_id")
-        utilities = data["utilities"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a utility annotation file: {exc}") from None
-    if not isinstance(utilities, list):
-        raise ValueError(f"{path}: utilities: must be an array, got {reprlib.repr(utilities)}")
-    if not _all_json_ints(utilities):  # names the first value that is not an integer
-        for i, u in enumerate(utilities):
-            _json_int(u, f"{path}: utilities[{i}]")
+    judge_id, cluster_id, utilities = _fields(read_json(path), path, ("judge_id", "cluster_id", "utilities"))
+    _json(judge_id, str, f"{path}: judge_id")
+    _json(cluster_id, str, f"{path}: cluster_id")
+    _json_ints(_json(utilities, list, f"{path}: utilities"), (f"{path}: utilities[{i}]" for i in count()))
     try:
         return UtilityAnnotation(judge_id=judge_id, cluster_id=cluster_id, utilities=tuple(utilities))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _mark_where(path: str | Path, key: str) -> str:
-    return f"{path}: subsumers[{reprlib.repr(key)}]"
-
-
 def load_subsumption_annotation(path: str | Path) -> SubsumptionAnnotation:
     """Load one judge's marks; every position and subsumer is an integer >= 1, a key in plain decimal."""
-    data = read_json(path)
-    try:
-        judge_id = _json_str(data["judge_id"], f"{path}: judge_id")
-        cluster_id = _json_str(data["cluster_id"], f"{path}: cluster_id")
-        marks = data["subsumers"].items()
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: not a subsumption annotation file: {exc}") from None
+    judge_id, cluster_id, marks = _fields(read_json(path), path, ("judge_id", "cluster_id", "subsumers"))
+    _json(judge_id, str, f"{path}: judge_id")
+    _json(cluster_id, str, f"{path}: cluster_id")
     subsumers = {}
-    for key, targets in marks:
-        if not isinstance(targets, list):
-            raise ValueError(f"{_mark_where(path, key)}: must be an array, got {reprlib.repr(targets)}")
+    for key, targets in _json(marks, dict, f"{path}: subsumers").items():
+        where = f"{path}: subsumers[{reprlib.repr(key)}]"
+        _json(targets, list, where)
         position = int(key) if key.isascii() and key.isdigit() else 0
         if position and key != str(position):  # "02" would merge with "2"
-            raise ValueError(f"{_mark_where(path, key)}: a position is written without leading zeros")
-        if not _all_json_ints(targets):  # names the first subsumer that is not an integer
-            for t in targets:
-                _json_int(t, _mark_where(path, key))
+            raise ValueError(f"{where}: a position is written without leading zeros")
+        _json_ints(targets, repeat(where))
         if min([position, *targets]) < 1:
-            raise ValueError(f"{_mark_where(path, key)}: positions and subsumers must be integers >= 1")
+            raise ValueError(f"{where}: positions and subsumers must be integers >= 1")
         subsumers[position] = frozenset(targets)
     try:
         return SubsumptionAnnotation(judge_id=judge_id, cluster_id=cluster_id, subsumers=subsumers)

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .text import (
-    Cluster, ClusterParseError, Document, _Record, _all_json_ints, _json_int, _require_finite, read_json, write_json,
+    Cluster, ClusterParseError, Document, _Record, _fields, _json, _json_ints, _require_finite, read_json, write_json,
 )
 
 
@@ -350,16 +350,9 @@ def save_idf(model: IdfModel, path: str | Path) -> None:
 
 
 def load_idf(path: str | Path) -> IdfModel:
-    data = read_json(path)
-    if not isinstance(data, dict) or "n_docs" not in data or "df" not in data:
-        raise ValueError(f"{path}: not an IDF model file (need 'n_docs' and 'df')")
-    if not isinstance(data["df"], dict):
-        raise ValueError(f"{path}: df: must be an object of term -> count")
-    n_docs = _json_int(data["n_docs"], f"{path}: n_docs")
-    df = data["df"]
-    if not _all_json_ints(df.values()):  # names the first count that is not an integer
-        for term, count in df.items():
-            _json_int(count, f"{path}: df[{reprlib.repr(term)}]")
+    n_docs, df = _fields(read_json(path), path, ("n_docs", "df"))
+    _json(n_docs, int, f"{path}: n_docs")
+    _json_ints(_json(df, dict, f"{path}: df").values(), (f"{path}: df[{reprlib.repr(term)}]" for term in df))
     try:
         return IdfModel(n_docs=n_docs, df=df)
     except ValueError as exc:

@@ -22,8 +22,15 @@ once, where offset is the number of sentences in earlier documents; a
 sentence's global position is its document's offset plus its index_in_doc.
 It also fixes the extract size k = round-half-up(n*r) (`compression_size`).
 
-The loaders check whole arrays at once and format an error message only when
-a check fails; the message names the first bad element.
+It also owns how every JSON input's fields are read and how a fault is
+worded. Each loader (cluster and document data here, the IDF model in
+`lexstats`, the judges' files in `evaluation`, the extract file in `cli`) names
+its fields and reads them through three helpers: `_fields` gives their values
+or fails with `where: expected an object, got ...` or `where: missing field
+'x'` (the first missing one), `_json` fails with `where: must be a string`
+(`an integer`, `an array`, `an object`) `, got ...`, an integer being exactly
+an int, never a bool, and `_json_ints` checks a whole array of integers in one
+pass and words a fault only when that check fails, naming the first bad value.
 
 Every JSON file of the pipeline is read through `read_json`, which names a
 file that does not decode or that names a key twice in one object, and
@@ -53,7 +60,7 @@ from datetime import datetime, timezone
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 class ClusterParseError(ValueError):
@@ -286,23 +293,32 @@ def _terms(text: str) -> Iterator[str]:
     return map(sys.intern, map(str.lower, _WORD_RE.findall(text)))
 
 
-def _json_int(value: object, where: str) -> int:
-    """A JSON integer; bool, float and str are rejected rather than coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{where}: must be an integer, got {reprlib.repr(value)}")
+_KINDS = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
+def _fields(data: object, where: object, names: tuple[str, ...], error: type[ValueError] = ValueError) -> list:
+    """The values of `names` in a JSON object; else `where: expected an object` or the first missing field."""
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected an object, got {reprlib.repr(data)}")
+    for name in names:
+        if name not in data:
+            raise error(f"{where}: missing field {name!r}")
+    return [data[name] for name in names]
+
+
+def _json(value: object, kind: type, where: str, error: type[ValueError] = ValueError):
+    """`value` if it is of JSON kind str, int, list or dict; an int is exactly one, so a bool is none."""
+    if type(value) is not kind and (kind is int or not isinstance(value, kind)):
+        raise error(f"{where}: must be {_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
 
 
-def _all_json_ints(values: Iterable[object]) -> bool:
-    """Whether _json_int accepts every value; checked in one pass in C, with no message built."""
-    return {int}.issuperset(map(type, values))
-
-
-def _json_str(value: object, where: str) -> str:
-    """A JSON string; numbers, arrays and the rest are rejected rather than converted."""
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: must be a string, got {reprlib.repr(value)}")
-    return value
+def _json_ints(values: Collection[object], wheres: Iterable[str]) -> None:
+    """Check that every value is a JSON integer in one pass in C; only if one is not, walk the lazy
+    `wheres` (each value's place, in order) to name the first that is not."""
+    if not {int}.issuperset(map(type, values)):
+        for value, where in zip(values, wheres):
+            _json(value, int, where)
 
 
 def _require(condition: bool, where: str, problem: str) -> None:
@@ -313,8 +329,7 @@ def _require(condition: bool, where: str, problem: str) -> None:
 
 def _parse_timestamp(raw: object, where: str) -> datetime:
     """Parse the pinned timestamp grammar; a timestamp without a zone is UTC."""
-    _require(isinstance(raw, str), where, ": timestamp must be an ISO-8601 string")
-    match = _TIMESTAMP_RE.fullmatch(str(raw))
+    match = _TIMESTAMP_RE.fullmatch(_json(raw, str, where, ClusterParseError))
     if match is not None:
         date, hour, minute, second, fraction, zone = match.groups(default="")
         # this fully spelled-out form parses the same on every supported Python
@@ -328,36 +343,26 @@ def _parse_timestamp(raw: object, where: str) -> datetime:
 
 
 def document_from_dict(data: object, where: str = "document") -> Document:
-    _require(isinstance(data, dict), where, ": expected an object")
-    assert isinstance(data, dict)
-    for field_name in Document._fields:
-        if field_name not in data:
-            raise ClusterParseError(f"{where}: missing field {field_name!r}")
-    doc_id = data["doc_id"]
-    _require(isinstance(doc_id, str) and doc_id != "", where, ".doc_id: must be a non-empty string")
-    source = data["source"]
-    _require(isinstance(source, str), where, ".source: must be a string")
-    timestamp = _parse_timestamp(data["timestamp"], f"{where}.timestamp")
-    raw_sentences = data["sentences"]
-    _require(isinstance(raw_sentences, list), where, ".sentences: must be an array")
+    doc_id, source, raw_timestamp, raw_sentences = _fields(data, where, Document._fields, ClusterParseError)
+    _json(doc_id, str, f"{where}.doc_id", ClusterParseError)
+    _require(doc_id != "", where, ".doc_id: must be a non-empty string")
+    _json(source, str, f"{where}.source", ClusterParseError)
+    timestamp = _parse_timestamp(raw_timestamp, f"{where}.timestamp")
+    _json(raw_sentences, list, f"{where}.sentences", ClusterParseError)
     _require(len(raw_sentences) > 0, where, ": document has no sentences")
-    if not all(map(isinstance, raw_sentences, repeat(str))):
-        i = next(i for i, raw in enumerate(raw_sentences) if not isinstance(raw, str))
-        raise ClusterParseError(f"{where}.sentences[{i}]: must be a string")
+    if not all(map(isinstance, raw_sentences, repeat(str))):  # names the first sentence that is not a string
+        for i, raw in enumerate(raw_sentences):
+            _json(raw, str, f"{where}.sentences[{i}]", ClusterParseError)
     sentences = tuple(Sentence(doc_id, i, raw) for i, raw in enumerate(raw_sentences, start=1))
     return Document(doc_id=doc_id, source=source, timestamp=timestamp, sentences=sentences)
 
 
 def cluster_from_dict(data: object, where: str = "cluster") -> Cluster:
-    _require(isinstance(data, dict), where, ": expected an object")
-    assert isinstance(data, dict)
-    _require("cluster_id" in data, where, ": missing field 'cluster_id'")
-    cluster_id = data["cluster_id"]
-    _require(isinstance(cluster_id, str) and cluster_id != "", where, ".cluster_id: must be a non-empty string")
+    cluster_id, raw_docs = _fields(data, where, ("cluster_id", "documents"), ClusterParseError)
+    _json(cluster_id, str, f"{where}.cluster_id", ClusterParseError)
+    _require(cluster_id != "", where, ".cluster_id: must be a non-empty string")
     _require(_CLUSTER_ID_RE.fullmatch(cluster_id) is not None and len(cluster_id.encode()) <= 200, where, _BAD_ID)
-    _require("documents" in data, where, ": missing field 'documents'")
-    raw_docs = data["documents"]
-    _require(isinstance(raw_docs, list), where, ".documents: must be an array")
+    _json(raw_docs, list, f"{where}.documents", ClusterParseError)
     _require(len(raw_docs) > 0, where, ".documents: cluster has no documents")
     documents = [
         document_from_dict(raw, f"{where}.documents[{i}]") for i, raw in enumerate(raw_docs)

@@ -43,6 +43,7 @@ COMMAND_CALL = (  # the lines of cli.main that run the command
     '            outputs = globals()[f"cmd_{args.command}"](args, config)  # looked up at the call, so a wrapped command runs\n'
 )
 GRAPH = "tests/test_evaluation.py::TestSubsumption::test_graph_of_another_cluster_rejected"
+LOADERS = "tests/test_loader_errors.py::"
 
 MUTATIONS = [
     # --- the redundancy rerank (summarizer._largest_overlaps and its counts) ---
@@ -372,6 +373,43 @@ MUTATIONS = [
         "            total += E * u\n",
         "            total += u\n",
         ("tests/test_evaluation.py::TestSubsumption::test_partial_discount",),
+    ),
+    # --- the one JSON field reader (text._fields, _json and _json_ints) ---
+    Mutation(
+        "read a file that is not an object as one",
+        "text.py",
+        "    if not isinstance(data, dict):\n        raise error(",
+        "    if False:\n        raise error(",
+        (LOADERS + "test_not_an_object[array-utility]", LOADERS + "test_extract_file[string]"),
+    ),
+    Mutation(
+        "read a missing field without naming it",
+        "text.py",
+        "        if name not in data:\n",
+        "        if False:\n",
+        (LOADERS + "test_first_missing_field_is_named[subsumption]", LOADERS + "test_extract_file[no-selected]"),
+    ),
+    Mutation(
+        "accept a field of the wrong kind",
+        "text.py",
+        "    if type(value) is not kind and (kind is int or not isinstance(value, kind)):\n",
+        "    if False:\n",
+        (LOADERS + "test_field_of_the_wrong_kind[subsumption-subsumers-array]",
+         LOADERS + "test_document_from_dict[change11-doc.doc_id: must be a string, got 5]"),
+    ),
+    Mutation(
+        "take a bool for an integer",
+        "text.py",
+        "(kind is int or not isinstance(value, kind))",
+        "(not isinstance(value, kind))",
+        (LOADERS + "test_field_of_the_wrong_kind[idf-n_docs-bool]", LOADERS + "test_extract_file[selected-element]"),
+    ),
+    Mutation(
+        "let an array of integers hold another value when the one-pass check fails",
+        "text.py",
+        "            _json(value, int, where)\n",
+        "            pass\n",
+        (LOADERS + "test_extract_file[selected-element]",),
     ),
 ]
 

@@ -137,6 +137,12 @@ class TestParsers:
     def test_r_grid_single_point(self):
         assert parse_r_grid("0.5:0.5:1") == (0.5,)
 
+    def test_r_grid_stops_at_its_stop(self):
+        # a stop between grid points ends the grid at the last point below it, never past it
+        assert parse_r_grid("0.1:0.28:0.1") == (0.1, 0.2)
+        assert parse_r_grid("0.41:1.0:0.3") == (0.41, 0.71)
+        assert parse_r_grid("0.1:0.19:0.1") == (0.1,)
+
     def test_r_grid_rejects_bad_forms(self):
         for text in ("0.5", "0:0.9:0.1", "0.9:0.1:0.1", "0.1:1.5:0.1", "0.1:0.9:0"):
             with pytest.raises(ValueError):
@@ -906,6 +912,16 @@ class TestAgreementCommand:
         assert code == 0
         lines = (out / "agreement_curve.csv").read_text().rstrip("\n").split("\n")
         assert [line.split(",")[0] for line in lines[1:]] == ["0.25", "0.50", "0.75"]
+
+    @pytest.mark.parametrize(
+        "grid, rates", [("0.1:0.28:0.1", ["0.10", "0.20"]), ("0.41:1.0:0.3", ["0.41", "0.71"])], ids=["0.28", "1.0"]
+    )
+    def test_cbsu_grid_stops_at_its_stop(self, quad_judges, tmp_path, grid, rates):
+        out = tmp_path / "agree"
+        args = ["agreement", "--mode", "cbsu", "--annotations", *quad_judges, "--r-grid", grid, "--out", str(out)]
+        assert main(args) == 0
+        lines = (out / "agreement_curve.csv").read_text().rstrip("\n").split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == rates
 
     def test_cbsu_single_judge_exits_3(self, quad_judges, tmp_path, capsys):
         code = main(["agreement", "--mode", "cbsu", "--annotations", quad_judges[0], "--out", str(tmp_path)])

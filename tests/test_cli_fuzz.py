@@ -11,6 +11,9 @@ so does a usage error, with its own message, whatever the input files hold. A
 failure prints exactly one stderr line, which starts with "error:" and, for a
 corrupted file, names that file; it prints no traceback and leaves nothing
 beside the inputs in the example's directory, which is the working directory.
+A whole file or a top-level field replaced by a value of another JSON type
+exits 2 naming "expected an object" or that field; no message is a Python
+indexing or attribute error.
 """
 
 import contextlib
@@ -102,6 +105,7 @@ def check_outcome(code: int, err: str, workdir: Path, culprit: str | None) -> No
         return
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "indices must be integers" not in err and "object has no attribute" not in err, err
     if culprit is not None:
         assert str(workdir / culprit) in lines[0], err
     assert {path.name for path in workdir.iterdir()} == INPUTS
@@ -133,17 +137,18 @@ def replaced(document, path, new):
 
 
 @st.composite
-def corrupted(draw, raw: bytes) -> bytes:
-    """One corruption of a valid JSON file's bytes."""
+def corrupted(draw, raw: bytes) -> tuple[bytes, tuple | None]:
+    """One corruption of a valid JSON file's bytes, and the path of the value it replaced by one of another
+    JSON type, or None for any other corruption."""
     kind = draw(st.sampled_from(["truncated", "nested", "not utf-8", "wrong type"]))
     if kind == "truncated":
-        return raw[: draw(st.integers(0, len(raw) - 2))]  # the last byte is the newline
+        return raw[: draw(st.integers(0, len(raw) - 2))], None  # the last byte is the newline
     if kind == "nested":
         depth = draw(DEPTHS)
-        return b"[" * depth + b"]" * draw(st.sampled_from([0, depth]))
+        return b"[" * depth + b"]" * draw(st.sampled_from([0, depth])), None
     if kind == "not utf-8":
         at = draw(st.integers(0, len(raw)))
-        return raw[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[at:]
+        return raw[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + raw[at:], None
     document = json.loads(raw)
     path = draw(st.sampled_from(list(value_paths(document))))
     old = document
@@ -152,9 +157,9 @@ def corrupted(draw, raw: bytes) -> bytes:
     if draw(st.booleans()):
         depth = draw(DEPTHS)
         text = json.dumps(replaced(document, path, "\0deep"))
-        return text.replace('"\\u0000deep"', "[" * depth + "]" * depth).encode()
+        return text.replace('"\\u0000deep"', "[" * depth + "]" * depth).encode(), None
     new = draw(json_values.filter(lambda value: type(value) is not type(old)))
-    return json.dumps(replaced(document, path, new)).encode()
+    return json.dumps(replaced(document, path, new)).encode(), path
 
 
 @given(data=st.data())
@@ -166,9 +171,15 @@ def test_corrupted_input_file(inputs, data):
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp) / "work"
         shutil.copytree(inputs, workdir)
-        (workdir / culprit).write_bytes(data.draw(corrupted((inputs / culprit).read_bytes())))
+        raw, path = data.draw(corrupted((inputs / culprit).read_bytes()))
+        (workdir / culprit).write_bytes(raw)
         code, err = run(workdir, argv)
         check_outcome(code, err, workdir, culprit)
+        where = f"error: {workdir / culprit}"
+        if path == ():
+            assert code == 2 and err.startswith(f"{where}: expected an object, got "), err
+        elif path is not None and len(path) == 1:  # a cluster or document file's fields follow a ".", others a ": "
+            assert code == 2 and err.startswith((f"{where}: {path[0]}: ", f"{where}.{path[0]}: ")), err
 
 
 @st.composite
@@ -355,7 +366,7 @@ def test_usage_error_whatever_the_inputs_hold(inputs, data):
         if fault == "missing":
             (workdir / culprit).unlink()
         elif fault == "corrupted":
-            (workdir / culprit).write_bytes(data.draw(corrupted((inputs / culprit).read_bytes())))
+            (workdir / culprit).write_bytes(data.draw(corrupted((inputs / culprit).read_bytes()))[0])
         else:
             write_json({"judge_id": "Z", "cluster_id": "alg", "utilities": [0] * 20}, workdir / culprit)
         (workdir / "grid.cfg").write_text("r_grid=0.1:0.2:0.1\n")

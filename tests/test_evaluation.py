@@ -509,8 +509,9 @@ class TestAnnotationFiles:
     def test_malformed_utility_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"judge_id": "J"}')
-        with pytest.raises(ValueError, match="not a utility annotation"):
+        with pytest.raises(ValueError) as err:
             load_utility_annotation(path)
+        assert str(err.value) == f"{path}: missing field 'cluster_id'"
 
 
 class TestExactExpectation:
